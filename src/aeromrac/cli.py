@@ -425,7 +425,7 @@ def cmd_simulate(cfg, outdir: Path, args) -> int:
     if cfg["sim"]["plant_nonlinear"]:
         monitor = mrac.lipschitz_margin(design, rom, tr_closed.time, tr_closed.x,
                                         tr_closed.x_m)
-        monitor_series = mrac.lipschitz_ratio_series(rom, tr_closed.x, tr_closed.x_m)
+        monitor_series = monitor.ratios
         cert_lines.append(
             f"Lipschitz monitor: L_F = {monitor.L_F:.6e}, max ratio = "
             f"{monitor.max_ratio:.6e}, violation = {monitor.violation}"
@@ -464,6 +464,11 @@ def cmd_simulate(cfg, outdir: Path, args) -> int:
     return EXIT_OK
 
 
+# errors that fail one sweep point; the gust, controller, numerics and ROM
+# errors and SimulationConfig's are all ValueErrors
+_POINT_ERRORS = (sim.SimulationError, ValueError)
+
+
 def _sweep_point(cfg, rom, axis, value):
     if axis == "gamma":
         gust = build_gust(cfg, cfg["seed"])
@@ -485,7 +490,7 @@ def cmd_sweep(cfg, outdir: Path, args) -> int:
     def run(value):
         try:
             return value, _sweep_point(cfg, rom, axis, value), None
-        except (sim.SimulationError, GustError, MracFamilyError) as exc:
+        except _POINT_ERRORS as exc:
             return value, None, str(exc)
 
     workers = max(1, args.workers)
@@ -511,10 +516,6 @@ def cmd_sweep(cfg, outdir: Path, args) -> int:
     n_fail = sum(1 for _, m, _ in results if m is None)
     print(f"sweep over {axis}: {len(grid)} points, {n_fail} failed")
     return EXIT_OK
-
-
-# union of controller-family errors a sweep point may raise
-MracFamilyError = (mrac.MracError, NumericsError, RomError)
 
 
 # ---------------------------------------------------------------------------

@@ -269,19 +269,6 @@ def theta_rate(theta, e, phi, design: LyapunovDesign, B_c) -> np.ndarray:
     return -design.Gamma @ np.outer(phi, e @ design.P @ B_c)
 
 
-def adapt_step(state: ControllerState, e, phi, design: LyapunovDesign, B_c,
-               dt: float) -> np.ndarray:
-    """Single explicit update of theta with e and phi frozen over the step.
-
-    With frozen regressors the right-hand side is constant, so all explicit
-    Runge-Kutta schemes coincide with the Euler update; the simulator instead
-    integrates theta inside the coupled augmented ODE (see sim module)."""
-    if dt <= 0:
-        raise MracError("dt must be positive")
-    state.theta = state.theta + dt * theta_rate(state.theta, e, phi, design, B_c)
-    return state.theta
-
-
 def control_input(state: ControllerState, x, r) -> np.ndarray:
     """Total control u_c = theta^T [x; r] + K0 x."""
     x = np.atleast_1d(x)
@@ -380,6 +367,7 @@ class LipschitzMonitor:
     first_violation_time: float | None
     n_evaluated: int
     n_skipped: int
+    ratios: np.ndarray = field(repr=False, compare=False)  # NaN where skipped
 
 
 def lipschitz_ratio_series(rom, x_traj, xm_traj,
@@ -388,11 +376,12 @@ def lipschitz_ratio_series(rom, x_traj, xm_traj,
     undefined (||x - x_m|| < skip_tol)."""
     x_traj = np.atleast_2d(np.asarray(x_traj, dtype=float))
     xm_traj = np.atleast_2d(np.asarray(xm_traj, dtype=float))
-    out = np.full(x_traj.shape[0], np.nan)
-    for k, (x, xm) in enumerate(zip(x_traj, xm_traj)):
-        de = np.linalg.norm(x - xm)
-        if de >= skip_tol:
-            out[k] = np.linalg.norm(rom.eval_f_nr(x) - rom.eval_f_nr(xm)) / de
+    T = x_traj.shape[0]
+    F = rom.eval_f_nr(np.concatenate([x_traj, xm_traj]))
+    de = np.linalg.norm(x_traj - xm_traj, axis=1)
+    dF = np.linalg.norm(F[:T] - F[T:], axis=1)
+    out = np.full(T, np.nan)
+    np.divide(dF, de, out=out, where=de >= skip_tol)
     return out
 
 
@@ -401,7 +390,8 @@ def lipschitz_margin(design: LyapunovDesign, rom, time, x_traj, xm_traj,
     """Evaluate ||F_NR(x) - F_NR(x_m)|| / ||x - x_m|| along a trajectory pair
     and compare the running max against the bound L_F = lambda_min(Q)/(2||P||).
 
-    Steps with ||x - x_m|| < skip_tol are skipped (ratio undefined)."""
+    Steps with ||x - x_m|| < skip_tol are skipped (ratio undefined); the
+    monitor carries the whole ratio series."""
     L_F = design.lipschitz_bound
     time = np.asarray(time, dtype=float)
     ratios = lipschitz_ratio_series(rom, x_traj, xm_traj, skip_tol)
@@ -420,6 +410,7 @@ def lipschitz_margin(design: LyapunovDesign, rom, time, x_traj, xm_traj,
         first_violation_time=first,
         n_evaluated=n_eval,
         n_skipped=n_skip,
+        ratios=ratios,
     )
 
 

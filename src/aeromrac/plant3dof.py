@@ -21,6 +21,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .romgen import Plant, PolyNonlinearity
+
 # Jones' two-term exponential approximation of the indicial lift function:
 # phi(tau) = 1 - PSI1 exp(-EPS1 tau) - PSI2 exp(-EPS2 tau)
 WAGNER_WEIGHTS = (0.165, 0.335)
@@ -257,55 +259,23 @@ def _structural_matrices(params: AerofoilParams):
     return Ms, Cs, Ks
 
 
-@dataclass(frozen=True)
-class FullOrderModel:
-    """First-order 14-state model: w = (q, q_dot, lag states, gust states)."""
+@dataclass(frozen=True, kw_only=True)
+class FullOrderModel(Plant):
+    """First-order 14-state model: w = (q, q_dot, lag states, gust states).
+
+    The cubic springs act on q = w[:3] and enter the momentum rows through
+    -M_inv."""
 
     params: AerofoilParams
-    A_f: np.ndarray  # (N, N)
-    B_cf: np.ndarray  # (N, 1)
-    B_gf: np.ndarray  # (N, 1) gust input, nonzero only in the gust-lag rows
     M_inv: np.ndarray  # (3, 3) inverse aeroelastic mass matrix
-    cubic_coeffs: np.ndarray  # (3,) cubic spring coefficients per DOF
     state_labels: tuple[str, ...] = field(default=(), compare=False)
-    output_labels: tuple[str, ...] = ("pitch", "plunge", "flap")
 
-    @property
-    def N(self) -> int:
-        return self.A_f.shape[0]
-
-    @property
-    def C_phys(self) -> np.ndarray:
-        """Physical output map (pitch, plunge, flap positions)."""
-        C = np.zeros((3, self.N))
-        C[0, 1] = 1.0  # alpha
-        C[1, 0] = 1.0  # xi
-        C[2, 2] = 1.0  # beta
-        return C
-
-    def nonlinear_force(self, q: np.ndarray) -> np.ndarray:
-        """Cubic restoring force on (xi, alpha, beta), before mass scaling."""
-        return self.cubic_coeffs * q**3
-
-    def eval_nonlinear(self, w: np.ndarray) -> np.ndarray:
-        """Full-order nonlinear residual F_NL(w); nonzero only in the
-        structural momentum rows."""
-        w = np.asarray(w, dtype=float)
-        out = np.zeros_like(w)
-        out[3:6] = -self.M_inv @ self.nonlinear_force(w[:3])
-        return out
-
-    def rhs(self, w: np.ndarray, u_c: float = 0.0, w_g: float = 0.0) -> np.ndarray:
-        """Time derivative of the full nonlinear model."""
-        return (
-            self.A_f @ w
-            + self.B_cf[:, 0] * u_c
-            + self.B_gf[:, 0] * w_g
-            + self.eval_nonlinear(w)
-        )
-
-    def rhs_linear(self, w: np.ndarray, u_c: float = 0.0, w_g: float = 0.0) -> np.ndarray:
-        return self.A_f @ w + self.B_cf[:, 0] * u_c + self.B_gf[:, 0] * w_g
+    # Full-order names of the plant fields, still read by perfbench/checks.py.
+    A_f = property(lambda self: self.A)
+    B_cf = property(lambda self: self.B_c)
+    B_gf = property(lambda self: self.B_g)
+    C_phys = property(lambda self: self.C_out)
+    cubic_coeffs = property(lambda self: self.nl.cubic)
 
 
 def assemble_fom(params: AerofoilParams) -> FullOrderModel:
@@ -361,13 +331,17 @@ def assemble_fom(params: AerofoilParams) -> FullOrderModel:
         "lag_xi_1", "lag_xi_2", "lag_alpha_1", "lag_alpha_2", "lag_beta_1", "lag_beta_2",
         "gust_1", "gust_2",
     )
+    G_nl = np.zeros((N, 3))
+    G_nl[3:6] = -M_inv
     return FullOrderModel(
+        A=A,
+        B_c=B_c,
+        B_g=B_g,
+        C_out=np.eye(N)[[1, 0, 2]],  # (pitch, plunge, flap) = (alpha, xi, beta)
+        output_labels=("pitch", "plunge", "flap"),
+        nl=PolyNonlinearity(G_nl, np.eye(N)[:3], np.zeros(3), cubic),
         params=params,
-        A_f=A,
-        B_cf=B_c,
-        B_gf=B_g,
         M_inv=M_inv,
-        cubic_coeffs=cubic,
         state_labels=labels,
     )
 
@@ -381,5 +355,5 @@ def flutter_margin(params: AerofoilParams, u_grid: np.ndarray | None = None):
     for i, u in enumerate(u_grid):
         p = AerofoilParams(**{**params.__dict__, "U_star": float(u)})
         fom = assemble_fom(p)
-        worst[i] = np.linalg.eigvals(fom.A_f).real.max()
+        worst[i] = np.linalg.eigvals(fom.A).real.max()
     return u_grid, worst

@@ -11,15 +11,16 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .romgen import ModeInfo, ReducedOrderModel
+from .romgen import ModeInfo, Plant, PolyNonlinearity, ReducedOrderModel
 
 PLANT_SCHEMA_VERSION = 1
-ROM_SCHEMA_VERSION = 1
+ROM_SCHEMA_VERSION = 2
+_NL_BLOCKS = ("G", "H", "quad", "cubic")
 
 
 class PlantIOError(ValueError):
@@ -30,24 +31,18 @@ def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-@dataclass(frozen=True)
-class ExternalPlantBundle:
+@dataclass(frozen=True, kw_only=True)
+class ExternalPlantBundle(Plant):
     """User-supplied linear plant with an optional per-state polynomial
-    nonlinearity f_i(x) = quad_i x_i^2 + cubic_i x_i^3.
+    nonlinearity f_i(x) = quad_i x_i^2 + cubic_i x_i^3 (``nl`` with
+    G = H = I, derived from ``quad`` and ``cubic``)."""
 
-    The bundle exposes the same simulation interface as a reduced model so it
-    can be dropped into the integrators directly."""
-
-    A: np.ndarray  # (n, n)
-    B_c: np.ndarray  # (n, m)
-    B_g: np.ndarray  # (n, p)
-    C_out: np.ndarray  # (q, n)
-    output_labels: tuple[str, ...]
     name: str = "external"
     provenance_hash: str = ""
     stable: bool = True
     quad: np.ndarray | None = None  # (n,) quadratic coefficients
     cubic: np.ndarray | None = None  # (n,) cubic coefficients
+    nl: PolyNonlinearity | None = field(default=None, init=False)
 
     def __post_init__(self):
         n = self.A.shape[0]
@@ -79,25 +74,13 @@ class ExternalPlantBundle:
                 f"field 'stable': declared {self.stable} but eigenvalue check "
                 f"gives {is_stable}"
             )
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    def eval_f_nr(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(self.n)
-        if self.quad is not None:
-            out += self.quad * x**2
-        if self.cubic is not None:
-            out += self.cubic * x**3
-        return out
-
-    def rhs(self, x, u_c, u_d, nonlinear: bool = True):
-        dx = self.A @ x + self.B_c @ np.atleast_1d(u_c) + self.B_g @ np.atleast_1d(u_d)
-        if nonlinear and (self.quad is not None or self.cubic is not None):
-            dx = dx + self.eval_f_nr(x)
-        return dx
+        if self.quad is not None or self.cubic is not None:
+            zero = np.zeros(n)
+            object.__setattr__(self, "nl", PolyNonlinearity(
+                np.eye(n), np.eye(n),
+                zero if self.quad is None else self.quad,
+                zero if self.cubic is None else self.cubic,
+            ))
 
 
 def save_plant(bundle: ExternalPlantBundle, path) -> None:
@@ -169,34 +152,44 @@ def save_rom(rom: ReducedOrderModel, path) -> None:
         "output_labels": list(rom.output_labels),
         "mode_kinds": [m.kind for m in rom.modes],
     }
+    nl = {} if rom.nl is None else {name: getattr(rom.nl, name) for name in _NL_BLOCKS}
     np.savez(
         path,
         A=rom.A, B_c=rom.B_c, B_g=rom.B_g, Phi=rom.Phi, Psi=rom.Psi, C_out=rom.C_out,
         eigenvalues=np.array([m.eigenvalue for m in rom.modes]),
         participation=np.array([m.gust_participation for m in rom.modes]),
         meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
+        **nl,
     )
 
 
-def load_rom(path, f_nl_full=None, source_path=None) -> ReducedOrderModel:
-    """Reload a cached reduced model.
+def load_rom(path, source_path=None) -> ReducedOrderModel:
+    """Reload a cached reduced model, its nonlinearity included.
 
-    ``f_nl_full`` reattaches the full-order nonlinearity (it is code, not
-    data); ``source_path`` triggers a staleness warning when the stored source
-    hash no longer matches the parameter file."""
+    A schema-v1 file carries no nonlinearity and loads as a linear model with
+    a warning.  ``source_path`` triggers a staleness warning when the stored
+    source hash no longer matches the parameter file."""
     path = Path(path)
     if not path.exists():
         raise PlantIOError(f"reduced model not found: {path}")
     with np.load(path) as data:
         meta = _read_meta(data, path, "rom", ROM_SCHEMA_VERSION)
-        required = ("A", "B_c", "B_g", "Phi", "Psi", "C_out", "eigenvalues", "participation")
+        nl_blocks = _NL_BLOCKS if "G" in data else ()
+        required = ("A", "B_c", "B_g", "Phi", "Psi", "C_out", "eigenvalues",
+                    "participation") + nl_blocks
         for name in required:
             if name not in data:
                 raise PlantIOError(f"{path}: missing matrix block '{name}'")
         arrays = {name: data[name] for name in required}
-    for name in ("A", "B_c", "B_g", "Phi", "Psi", "C_out"):
+    for name in ("A", "B_c", "B_g", "Phi", "Psi", "C_out") + nl_blocks:
         if not np.isfinite(arrays[name]).all():
             raise PlantIOError(f"{path}: corrupt matrix block '{name}' (non-finite)")
+    if meta["schema_version"] < 2:
+        warnings.warn(
+            f"{path} is a schema-v1 reduced model without its nonlinearity; "
+            "it loads as a linear model",
+            stacklevel=2,
+        )
     if source_path is not None and meta.get("source_hash"):
         if file_sha256(source_path) != meta["source_hash"]:
             warnings.warn(
@@ -216,11 +209,10 @@ def load_rom(path, f_nl_full=None, source_path=None) -> ReducedOrderModel:
         for lam, kind, pp in zip(eigs, meta["mode_kinds"], arrays["participation"])
     )
     return ReducedOrderModel(
-        n=int(meta["n"]),
-        A=arrays["A"], B_c=arrays["B_c"], B_g=arrays["B_g"],
-        Phi=arrays["Phi"], Psi=arrays["Psi"], C_out=arrays["C_out"],
-        modes=modes,
+        A=arrays["A"], B_c=arrays["B_c"], B_g=arrays["B_g"], C_out=arrays["C_out"],
         output_labels=tuple(meta["output_labels"]),
-        f_nl_full=f_nl_full,
+        nl=PolyNonlinearity(*(arrays[name] for name in _NL_BLOCKS)) if nl_blocks else None,
+        Phi=arrays["Phi"], Psi=arrays["Psi"],
+        modes=modes,
         source_hash=meta.get("source_hash", ""),
     )

@@ -2,18 +2,18 @@
 
 The reduced dynamics keep a subset of the full-order eigenvalues; complex
 pairs are stored as 2x2 real rotation-scaling blocks so everything exported to
-the control modules is real.  The nonlinear residual is evaluated by lifting
-to the full state, evaluating, and projecting back.
+the control modules is real.  The reduced model carries a projected
+polynomial nonlinearity: the full-order polynomial force mapped through the
+bases, held as data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericsError, SpectralDecomposition, eig_biorthogonal
+from .numerics import SpectralDecomposition, eig_biorthogonal
 
 _REAL_TOL = 1e-9
 
@@ -130,20 +130,43 @@ def realify(eigenvalues: np.ndarray, phi: np.ndarray, psi: np.ndarray):
 
 
 @dataclass(frozen=True)
-class ReducedOrderModel:
-    """Real block-modal reduced model with lift-evaluate-project nonlinearity."""
+class PolyNonlinearity:
+    """Polynomial force F(x) = G (quad * z^2 + cubic * z^3) with z = H x.
 
-    n: int
-    A: np.ndarray  # (n, n) block-diagonal modal form
+    H (k, n) picks the k coordinates the springs act on, G (n, k) maps the
+    forces back into the state rows.  ``x`` may be one state or a (T, n)
+    batch of rows."""
+
+    G: np.ndarray  # (n, k)
+    H: np.ndarray  # (k, n)
+    quad: np.ndarray  # (k,)
+    cubic: np.ndarray  # (k,)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        z = x @ self.H.T
+        # quad z^2 + cubic z^3 factored as z^2 (quad + cubic z): fewer array ops
+        return (z * z * (self.quad + self.cubic * z)) @ self.G.T
+
+    def project(self, Phi: np.ndarray, Psi: np.ndarray) -> PolyNonlinearity:
+        """The same force in reduced coordinates: Psi F(Phi x)."""
+        return PolyNonlinearity(Psi @ self.G, self.H @ Phi, self.quad, self.cubic)
+
+
+@dataclass(frozen=True, kw_only=True)
+class Plant:
+    """State-space plant x' = A x + B_c u_c + B_g u_d + F(x) with outputs
+    y = C_out x and an optional polynomial nonlinearity F (``nl``)."""
+
+    A: np.ndarray  # (n, n)
     B_c: np.ndarray  # (n, m)
     B_g: np.ndarray  # (n, p)
-    Phi: np.ndarray  # (N, n) real right basis
-    Psi: np.ndarray  # (n, N) real left basis
-    C_out: np.ndarray  # (q, n) physical output reconstruction
-    modes: tuple[ModeInfo, ...]
+    C_out: np.ndarray  # (q, n)
     output_labels: tuple[str, ...]
-    f_nl_full: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
-    source_hash: str = ""
+    nl: PolyNonlinearity | None = None
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[0]
 
     @property
     def m(self) -> int:
@@ -154,48 +177,44 @@ class ReducedOrderModel:
         return self.B_g.shape[1]
 
     def eval_f_nr(self, x: np.ndarray) -> np.ndarray:
-        """Projected nonlinear residual F_NR(x) = Psi F_NL(Phi x)."""
-        if self.f_nl_full is None:
-            return np.zeros(self.n)
-        return self.Psi @ self.f_nl_full(self.Phi @ np.asarray(x, dtype=float))
+        """Nonlinear residual F(x) of one state or a (T, n) batch; zero for a
+        linear plant."""
+        if self.nl is None:
+            return np.zeros(np.shape(x))
+        return self.nl(x)
 
     def rhs(self, x, u_c, u_d, nonlinear=True):
+        """Time derivative; ``nonlinear=False`` leaves out F(x)."""
         dx = self.A @ x + self.B_c @ np.atleast_1d(u_c) + self.B_g @ np.atleast_1d(u_d)
-        if nonlinear and self.f_nl_full is not None:
-            dx = dx + self.eval_f_nr(x)
+        if nonlinear and self.nl is not None:
+            dx = dx + self.nl(x)
         return dx
 
-    def outputs(self, x: np.ndarray) -> np.ndarray:
-        return self.C_out @ x
 
+@dataclass(frozen=True, kw_only=True)
+class ReducedOrderModel(Plant):
+    """Real block-modal reduced model with the projected polynomial
+    nonlinearity; A is block-diagonal, C_out reconstructs the physical
+    outputs."""
 
-def _full_matrices(fom):
-    """(A, B_c, B_g, C, f_nl) from a full aerofoil model or a plant bundle."""
-    if hasattr(fom, "A_f"):
-        return fom.A_f, fom.B_cf, fom.B_gf, fom.C_phys, getattr(fom, "eval_nonlinear", None)
-    return fom.A, fom.B_c, fom.B_g, fom.C_out, getattr(fom, "eval_f_nr", None)
+    Phi: np.ndarray  # (N, n) real right basis
+    Psi: np.ndarray  # (n, N) real left basis
+    modes: tuple[ModeInfo, ...]
+    source_hash: str = ""
 
 
 def build_nrom(fom, modes: list[int], decomp: SpectralDecomposition | None = None,
                source_hash: str = "") -> ReducedOrderModel:
-    """Project a full-order model onto the given mode indices.
-
-    ``fom`` is a full aerofoil model (A_f, B_cf, B_gf, C_phys) or an external
-    plant bundle (A, B_c, B_g, C_out); either way it carries output labels and
-    optionally a full-state nonlinearity."""
-    A_full, B_cf_full, B_gf_full, C_full, f_nl = _full_matrices(fom)
+    """Project a full-order plant (aerofoil model or external bundle) onto
+    the given mode indices."""
     if decomp is None:
-        decomp = eig_biorthogonal(A_full)
+        decomp = eig_biorthogonal(fom.A)
     eigs = decomp.eigenvalues[modes]
     phi = decomp.right_basis[:, modes]
     psi = decomp.left_basis[modes, :]
     A, Phi, Psi = realify(eigs, phi, psi)
 
-    B_c = Psi @ B_cf_full
-    B_g = Psi @ B_gf_full
-    C_out = C_full @ Phi
-
-    part = np.linalg.norm(psi @ np.atleast_2d(B_gf_full.T).T, axis=1)
+    part = np.linalg.norm(psi @ np.atleast_2d(fom.B_g.T).T, axis=1)
     infos = []
     for lam, pp in zip(eigs, part):
         kind = "oscillatory" if abs(lam.imag) > _REAL_TOL else "real-gust"
@@ -210,16 +229,15 @@ def build_nrom(fom, modes: list[int], decomp: SpectralDecomposition | None = Non
         )
 
     return ReducedOrderModel(
-        n=len(modes),
         A=A,
-        B_c=B_c,
-        B_g=B_g,
+        B_c=Psi @ fom.B_c,
+        B_g=Psi @ fom.B_g,
+        C_out=fom.C_out @ Phi,
+        output_labels=tuple(fom.output_labels),
+        nl=None if fom.nl is None else fom.nl.project(Phi, Psi),
         Phi=Phi,
         Psi=Psi,
-        C_out=C_out,
         modes=tuple(infos),
-        output_labels=tuple(fom.output_labels),
-        f_nl_full=f_nl,
         source_hash=source_hash,
     )
 
@@ -228,8 +246,7 @@ def default_rom(fom, n: int = 8, n_real: int = 2,
                 source_hash: str = "") -> ReducedOrderModel:
     """Standard reduction path: residue-weighted selection on the physical
     outputs."""
-    A_full, B_cf_full, B_gf_full, C_full, _ = _full_matrices(fom)
-    decomp = eig_biorthogonal(A_full)
-    crit = SelectionCriteria(n=n, n_real=n_real, output_map=C_full)
-    modes = select_modes(decomp, B_gf_full, crit, B_cf=B_cf_full)
+    decomp = eig_biorthogonal(fom.A)
+    crit = SelectionCriteria(n=n, n_real=n_real, output_map=fom.C_out)
+    modes = select_modes(decomp, fom.B_g, crit, B_cf=fom.B_c)
     return build_nrom(fom, modes, decomp=decomp, source_hash=source_hash)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mrac import ControllerState, LyapunovDesign, ReferenceModel
+from .mrac import ControllerState, LyapunovDesign, ReferenceModel, theta_rate
 
 DIVERGENCE_DEFAULT = 1e8
 
@@ -67,35 +67,6 @@ class SimulationTrace:
         return self.x_m is not None
 
 
-@dataclass(frozen=True)
-class _PlantView:
-    A: np.ndarray
-    B_c: np.ndarray
-    B_g: np.ndarray
-    C_out: np.ndarray
-    output_labels: tuple[str, ...]
-    rhs: object  # callable (x, u_c, u_d, nonlinear) -> dx
-    eval_f_nr: object  # callable (x) -> residual
-
-
-def _as_plant(model) -> _PlantView:
-    """Uniform view over reduced models and full-order aerofoil models."""
-    if hasattr(model, "A_f"):  # full-order aerofoil model
-        def rhs(x, u_c, u_d, nonlinear=True):
-            return model.rhs(x, u_c, u_d) if nonlinear else model.rhs_linear(x, u_c, u_d)
-
-        return _PlantView(
-            A=model.A_f, B_c=model.B_cf, B_g=model.B_gf, C_out=model.C_phys,
-            output_labels=tuple(model.output_labels), rhs=rhs,
-            eval_f_nr=model.eval_nonlinear,
-        )
-    return _PlantView(
-        A=model.A, B_c=np.atleast_2d(model.B_c), B_g=np.atleast_2d(model.B_g),
-        C_out=model.C_out, output_labels=tuple(model.output_labels),
-        rhs=model.rhs, eval_f_nr=model.eval_f_nr,
-    )
-
-
 def _check_dt(config: SimulationConfig, A: np.ndarray):
     lam = np.abs(np.linalg.eigvals(A)).max()
     if lam > 0 and config.dt > 0.1 / lam:
@@ -122,18 +93,15 @@ def integrate_closed_loop(
     The measured gust drives both the plant and the reference model; the
     nonlinear residual enters both (Eq. 4/5 structure) unless disabled via the
     config flags.  r defaults to zero (gust-load-alleviation regulation)."""
-    plant = _as_plant(model)
-    n = plant.A.shape[0]
-    m = plant.B_c.shape[1]
-    p = plant.B_g.shape[1]
+    n = model.A.shape[0]
+    m = model.B_c.shape[1]
+    p = model.B_g.shape[1]
     if reference.A_m.shape != (n, n):
         raise ValueError("reference model dimension does not match the plant")
-    _check_dt(config, plant.A)
+    _check_dt(config, model.A)
 
-    A_m, B_m, B_g = reference.A_m, reference.B_m, plant.B_g
+    A_m, B_m, B_g = reference.A_m, reference.B_m, model.B_g
     K0 = controller.K0
-    P, Gamma = design.P, design.Gamma
-    PB = P @ plant.B_c
     zero_r = np.zeros(m)
     ref_nl = config.reference_nonlinear and config.plant_nonlinear
 
@@ -152,11 +120,11 @@ def integrate_closed_loop(
         r = zero_r if r_fn is None else np.atleast_1d(r_fn(t))
         phi = np.concatenate([x, r])
         u_c = theta.T @ phi + K0 @ x
-        dx = plant.rhs(x, u_c, u_d, nonlinear=config.plant_nonlinear)
+        dx = model.rhs(x, u_c, u_d, nonlinear=config.plant_nonlinear)
         dxm = A_m @ xm + B_m @ r + B_g @ u_d
         if ref_nl:
-            dxm = dxm + plant.eval_f_nr(xm)
-        dtheta = -Gamma @ np.outer(phi, (x - xm) @ PB)
+            dxm = dxm + model.eval_f_nr(xm)
+        dtheta = theta_rate(theta, x - xm, phi, design, model.B_c)
         return dx, dxm, dtheta, u_c
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
@@ -181,8 +149,8 @@ def integrate_closed_loop(
         xs = np.array(log_x)
         xms = np.array(log_xm)
         return SimulationTrace(
-            time=t, x=xs, outputs=xs @ plant.C_out.T, u_d=np.array(log_ud),
-            output_labels=plant.output_labels, x_m=xms, e=xs - xms,
+            time=t, x=xs, outputs=xs @ model.C_out.T, u_d=np.array(log_ud),
+            output_labels=model.output_labels, x_m=xms, e=xs - xms,
             theta=np.array(log_th), u_c=np.array(log_uc), diverged=diverged,
         )
 
@@ -219,11 +187,10 @@ def integrate_closed_loop(
 def integrate_open_loop(model, gust, config: SimulationConfig,
                         x0: np.ndarray | None = None) -> SimulationTrace:
     """Uncontrolled gust response under the same RK4 scheme."""
-    plant = _as_plant(model)
-    n = plant.A.shape[0]
-    m = plant.B_c.shape[1]
-    p = plant.B_g.shape[1]
-    _check_dt(config, plant.A)
+    n = model.A.shape[0]
+    m = model.B_c.shape[1]
+    p = model.B_g.shape[1]
+    _check_dt(config, model.A)
     u0 = np.zeros(m)
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
@@ -246,12 +213,12 @@ def integrate_open_loop(model, gust, config: SimulationConfig,
         t = np.array(log_t)
         xs = np.array(log_x)
         return SimulationTrace(
-            time=t, x=xs, outputs=xs @ plant.C_out.T, u_d=np.array(log_ud),
-            output_labels=plant.output_labels, diverged=diverged,
+            time=t, x=xs, outputs=xs @ model.C_out.T, u_d=np.array(log_ud),
+            output_labels=model.output_labels, diverged=diverged,
         )
 
     def f(j, x):
-        return plant.rhs(x, u0, u_d_grid[j], nonlinear=config.plant_nonlinear)
+        return model.rhs(x, u0, u_d_grid[j], nonlinear=config.plant_nonlinear)
 
     log(0)
     for k in range(steps):

@@ -236,7 +236,7 @@ def test_criterion_08_lipschitz_monitor_consistency(rom):
     bound_ok = abs(design.lipschitz_bound - lam_min / (2 * p_norm)) <= 1e-12
 
     # (b) a linear model never triggers the monitor
-    rom_lin = dataclasses.replace(rom, f_nl_full=None)
+    rom_lin = dataclasses.replace(rom, nl=None)
     gust = OneCosineGust(0.14, 55.0)
     cfg = SimulationConfig(dt=0.02, duration=2 * gust.duration, log_stride=5)
     tr_lin = integrate_closed_loop(rom_lin, ref, design, state, gust, cfg)

@@ -185,3 +185,23 @@ class TestSweep:
         assert flags.count("True") == 1
         peaks = [float(r[header.index("peak_open")]) for r in rows]
         assert flags[int(np.argmax(peaks))] == "True"
+
+    def test_failed_point_becomes_error_row(self, tmp_path):
+        cfg = write_config(tmp_path / "run.yaml", sweep={"axis": "gamma", "grid": [-1.0, 0.5]},
+                           sim={"dt": 0.02, "duration": 10.0})
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        header, rows = read_csv(out / "sweep.csv")
+        status = [r[header.index("status")] for r in rows]
+        assert status == ["error: gamma must be positive", "ok"]
+
+    def test_too_short_gust_point_becomes_error_row(self, tmp_path):
+        # H_g = 0.0005 gives a default duration of 0.01 < dt
+        cfg = write_config(tmp_path / "run.yaml",
+                           sweep={"axis": "gust-gradient", "grid": [0.0005, 2.0]},
+                           sim={"dt": 0.02, "duration": None})
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        header, rows = read_csv(out / "sweep.csv")
+        status = [r[header.index("status")] for r in rows]
+        assert status == ["error: duration must be at least one step", "ok"]

@@ -4,7 +4,6 @@ import pytest
 from aeromrac.mrac import (
     ControllerState,
     MracError,
-    adapt_step,
     build_reference_model,
     control_input,
     ideal_gains,
@@ -17,6 +16,7 @@ from aeromrac.mrac import (
     theta_rate,
 )
 from aeromrac.numerics import transmission_zeros
+from aeromrac.romgen import Plant, PolyNonlinearity
 from conftest import random_stable
 
 
@@ -145,27 +145,23 @@ class TestDesign:
 
 
 class TestAdaptationLaw:
-    def test_scalar_euler_oracle(self):
-        # n = m = 1: theta' = theta - gamma * Gamma_blocks * phi * e * P * b * dt
+    def test_scalar_closed_form(self):
+        # n = m = 1: theta' = -Gamma phi e P b, with P = 1, Gamma = diag(1.0, 0.5)
         d = make_design(np.array([[-1.0]]), np.array([[2.0]]), gamma=0.5, m=1)
-        # P = 1, Gamma = diag(1.0, 0.5)
-        state = ControllerState(theta=np.array([[0.2], [0.1]]), K0=np.zeros((1, 1)))
-        e, x, r, dt = 0.3, 0.4, 0.7, 0.01
+        e, x, r = 0.3, 0.4, 0.7
         phi = regression_vector(x, r)
-        expected = np.array([[0.2], [0.1]]) - dt * np.array(
-            [[1.0 * x * e * 1.0 * 2.0], [0.5 * r * e * 1.0 * 2.0]]
-        )
-        adapt_step(state, e, phi, d, np.array([[2.0]]), dt)
-        assert np.allclose(state.theta, expected, atol=1e-15)
+        expected = -np.array([[1.0 * x * e * 1.0 * 2.0], [0.5 * r * e * 1.0 * 2.0]])
+        rate = theta_rate(np.array([[0.2], [0.1]]), np.array([e]), phi, d,
+                          np.array([[2.0]]))
+        assert np.allclose(rate, expected, atol=1e-15)
 
     def test_zero_error_freezes_gains(self, rom):
         ref = build_reference_model(rom, 1.5)
         d = make_design(ref.A_m, 0.03 * np.eye(rom.n), gamma=0.5, m=1)
         theta0 = np.random.default_rng(12).normal(size=(rom.n + 1, 1))
-        state = ControllerState(theta=theta0.copy(), K0=np.zeros((1, rom.n)))
         phi = regression_vector(np.ones(rom.n), [0.5])
-        adapt_step(state, np.zeros(rom.n), phi, d, rom.B_c, 0.1)
-        assert np.array_equal(state.theta, theta0)
+        rate = theta_rate(theta0, np.zeros(rom.n), phi, d, rom.B_c)
+        assert np.all(rate == 0.0)
 
     def test_rate_is_rank_one_in_phi(self, rom):
         ref = build_reference_model(rom, 1.5)
@@ -177,26 +173,6 @@ class TestAdaptationLaw:
         direction = d.Gamma @ phi
         ratio = rate[:, 0] / direction
         assert np.allclose(ratio, ratio[0], atol=1e-12)
-
-    def test_step_limit_equals_rate(self, rom):
-        ref = build_reference_model(rom, 1.5)
-        d = make_design(ref.A_m, np.eye(rom.n), gamma=1.0, m=1)
-        rng = np.random.default_rng(14)
-        e = rng.normal(size=rom.n)
-        phi = regression_vector(rng.normal(size=rom.n), [0.3])
-        theta0 = rng.normal(size=(rom.n + 1, 1))
-        state = ControllerState(theta=theta0.copy(), K0=np.zeros((1, rom.n)))
-        dt = 1e-8
-        adapt_step(state, e, phi, d, rom.B_c, dt)
-        fd = (state.theta - theta0) / dt
-        assert np.allclose(fd, theta_rate(theta0, e, phi, d, rom.B_c), rtol=1e-6)
-
-    def test_nonpositive_dt_rejected(self):
-        d = make_design(-np.eye(1), np.eye(1), gamma=1.0, m=1)
-        state = ControllerState(theta=np.zeros((2, 1)), K0=np.zeros((1, 1)))
-        with pytest.raises(MracError, match="dt"):
-            adapt_step(state, [0.0], [0.0, 0.0], d, [[1.0]], 0.0)
-
 
 class TestControlInput:
     def test_zero_gains_give_zero(self):
@@ -274,23 +250,19 @@ class TestMinimumPhaseCorrection:
         assert np.allclose(res.Kx, k, atol=1e-9)
 
 
+def _two_state_plant(G, cubic):
+    nl = PolyNonlinearity(G, np.array([[1.0, 0.0]]), np.zeros(1), np.array([cubic]))
+    return Plant(A=-np.eye(2), B_c=np.array([[0.0], [1.0]]), B_g=np.array([[1.0], [0.0]]),
+                 C_out=np.eye(2), output_labels=("y0", "y1"), nl=nl)
+
+
 class TestLipschitzMonitor:
     def _design(self):
         return make_design(-np.eye(2), np.eye(2), gamma=1.0, m=1)
 
-    class _LinearRom:
-        n = 2
-
-        @staticmethod
-        def eval_f_nr(x):
-            return np.zeros(2)
-
-    class _CubicRom:
-        n = 2
-
-        @staticmethod
-        def eval_f_nr(x):
-            return np.array([x[0] ** 3, 0.0])
+    # two-state plants with F(x) = 0 and F(x) = (x_0^3, 0)
+    _LinearRom = _two_state_plant(np.zeros((2, 1)), 0.0)
+    _CubicRom = _two_state_plant(np.array([[1.0], [0.0]]), 1.0)
 
     def test_bound_closed_form(self):
         # A_m = -I, Q = I: P = I/2, L_F = 1
@@ -301,18 +273,32 @@ class TestLipschitzMonitor:
         t = np.linspace(0.0, 1.0, 50)
         x = rng.normal(size=(50, 2))
         xm = rng.normal(size=(50, 2))
-        mon = lipschitz_margin(self._design(), self._LinearRom(), t, x, xm)
+        mon = lipschitz_margin(self._design(), self._LinearRom, t, x, xm)
         assert not mon.violation and mon.max_ratio == 0.0
 
     def test_ratio_matches_hand_value(self):
         x = np.array([[2.0, 0.0]])
         xm = np.array([[1.0, 0.0]])
-        r = lipschitz_ratio_series(self._CubicRom(), x, xm)
+        r = lipschitz_ratio_series(self._CubicRom, x, xm)
         assert r[0] == pytest.approx(7.0)  # (8 - 1) / 1
+
+    def test_series_matches_row_loop(self, rom):
+        rng = np.random.default_rng(17)
+        x = rng.normal(scale=0.3, size=(40, rom.n))
+        xm = rng.normal(scale=0.3, size=(40, rom.n))
+        xm[5] = x[5]  # one skipped row
+        want = np.array([
+            np.linalg.norm(rom.eval_f_nr(a) - rom.eval_f_nr(b)) / np.linalg.norm(a - b)
+            if not np.array_equal(a, b) else np.nan
+            for a, b in zip(x, xm)
+        ])
+        got = lipschitz_ratio_series(rom, x, xm)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0, equal_nan=True)
 
     def test_skip_on_coincident_states(self):
         x = np.array([[1.0, 0.0], [2.0, 0.0]])
-        mon = lipschitz_margin(self._design(), self._CubicRom(), [0.0, 1.0], x, x.copy())
+        mon = lipschitz_margin(self._design(), self._CubicRom, [0.0, 1.0], x, x.copy())
         assert mon.n_skipped == 2 and mon.n_evaluated == 0
         assert not mon.violation
 
@@ -320,7 +306,7 @@ class TestLipschitzMonitor:
         t = np.array([0.0, 1.0, 2.0])
         x = np.array([[0.1, 0.0], [0.1, 0.0], [3.0, 0.0]])
         xm = np.zeros((3, 2))
-        mon = lipschitz_margin(self._design(), self._CubicRom(), t, x, xm)
+        mon = lipschitz_margin(self._design(), self._CubicRom, t, x, xm)
         assert mon.violation
         assert mon.first_violation_time == 2.0
         assert mon.max_ratio == pytest.approx(9.0)

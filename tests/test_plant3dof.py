@@ -110,14 +110,15 @@ class TestFullOrderModel:
         for j in range(14):
             w = np.zeros(14)
             w[j] = eps
-            J[:, j] = (fom.rhs_linear(w) - fom.rhs_linear(-w)) / (2.0 * eps)
+            J[:, j] = (fom.rhs(w, 0.0, 0.0, nonlinear=False)
+                       - fom.rhs(-w, 0.0, 0.0, nonlinear=False)) / (2.0 * eps)
         assert np.allclose(J, fom.A_f, atol=1e-6)
 
     def test_nonlinear_residual_is_cubic(self, fom):
         rng = np.random.default_rng(5)
         w = rng.normal(scale=0.1, size=14)
-        r1 = fom.rhs(w) - fom.rhs_linear(w)
-        r2 = fom.rhs(2.0 * w) - fom.rhs_linear(2.0 * w)
+        r1 = fom.rhs(w, 0.0, 0.0) - fom.rhs(w, 0.0, 0.0, nonlinear=False)
+        r2 = fom.rhs(2.0 * w, 0.0, 0.0) - fom.rhs(2.0 * w, 0.0, 0.0, nonlinear=False)
         assert np.allclose(r2, 8.0 * r1, rtol=1e-12)
         # residual acts only on the structural momentum rows
         assert np.allclose(np.delete(r1, [3, 4, 5]), 0.0)
@@ -125,10 +126,10 @@ class TestFullOrderModel:
     def test_nonlinear_residual_off_for_zero_cubic(self):
         fom = assemble_fom(AerofoilParams(K_alpha3=0.0, K_xi3=0.0))
         w = np.random.default_rng(6).normal(size=14)
-        assert np.allclose(fom.eval_nonlinear(w), 0.0)
+        assert np.allclose(fom.eval_f_nr(w), 0.0)
 
     def test_control_enters_through_flap_channel(self, fom):
-        du = fom.rhs_linear(np.zeros(14), u_c=1.0) - fom.rhs_linear(np.zeros(14))
+        du = fom.rhs(np.zeros(14), 1.0, 0.0) - fom.rhs(np.zeros(14), 0.0, 0.0)
         assert np.allclose(du, fom.B_cf[:, 0])
         assert np.abs(du[3:6]).max() > 0  # structural momentum rows respond
 

@@ -139,7 +139,7 @@ class TestRomRoundTrip:
         rom = default_rom(fom, source_hash=file_sha256(src))
         path = tmp_path / "rom.npz"
         save_rom(rom, path)
-        rom2 = load_rom(path, f_nl_full=fom.eval_nonlinear, source_path=src)
+        rom2 = load_rom(path, source_path=src)
         for name in ("A", "B_c", "B_g", "Phi", "Psi", "C_out"):
             assert np.array_equal(getattr(rom, name), getattr(rom2, name))
         assert rom2.output_labels == rom.output_labels
@@ -148,14 +148,20 @@ class TestRomRoundTrip:
         assert np.abs(e1 - e2).max() < 1e-12
         assert [m.kind for m in rom2.modes] == [m.kind for m in rom.modes]
 
-    def test_reattached_nonlinearity(self, fom, rom, tmp_path):
+    def test_schema_v1_loads_linear_with_warning(self, rom, tmp_path):
         path = tmp_path / "rom.npz"
         save_rom(rom, path)
-        rom2 = load_rom(path, f_nl_full=fom.eval_nonlinear)
-        x = np.random.default_rng(30).normal(scale=0.3, size=rom.n)
-        assert np.array_equal(rom.eval_f_nr(x), rom2.eval_f_nr(x))
-        bare = load_rom(path)
-        assert np.all(bare.eval_f_nr(x) == 0.0)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data if k not in ("G", "H", "quad", "cubic")}
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta["schema_version"] = 1
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.warns(UserWarning, match="schema-v1"):
+            rom1 = load_rom(path)
+        assert rom1.nl is None
+        assert np.all(rom1.eval_f_nr(np.ones(rom.n)) == 0.0)
+        assert np.array_equal(rom1.A, rom.A)
 
     def test_stale_source_warns(self, fom, tmp_path):
         src = tmp_path / "params.yaml"
