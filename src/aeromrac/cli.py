@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 validation failure, 3 configuration error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import sys
 from pathlib import Path
 
@@ -372,11 +371,11 @@ def cmd_rom_build(cfg, outdir: Path, args) -> int:
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
-def _run_pair(cfg, rom, gust, gamma=None):
+def _run_pair(cfg, rom, gust):
     """Open/closed-loop pair on the same grid; returns (open, closed, design,
     reference, report)."""
     config = sim_config(cfg)
-    reference, design, state, report = build_controller(cfg, rom, gamma=gamma)
+    reference, design, state, report = build_controller(cfg, rom)
     tr_open = sim.integrate_open_loop(rom, gust, config)
     tr_closed = sim.integrate_closed_loop(rom, reference, design, state, gust, config)
     return tr_open, tr_closed, design, reference, report
@@ -394,6 +393,11 @@ def _metrics_row(metrics: sim.GlaMetrics):
         metrics.reduction_percent, float(np.degrees(metrics.max_flap_cmd)),
         metrics.rms_open, metrics.rms_closed, metrics.settled, metrics.settle_ratio,
     ]
+
+
+def _metrics_index(cfg, rom) -> int:
+    sel = cfg["sim"]["metrics_output"]
+    return rom.output_labels.index(sel) if isinstance(sel, str) else int(sel)
 
 
 def cmd_simulate(cfg, outdir: Path, args) -> int:
@@ -444,9 +448,7 @@ def cmd_simulate(cfg, outdir: Path, args) -> int:
     ]
     write_csv(outdir / "metrics.csv", _METRICS_HEADER, metrics_rows)
 
-    sel = cfg["sim"]["metrics_output"]
-    idx = rom.output_labels.index(sel) if isinstance(sel, str) else int(sel)
-    m = sim.compute_metrics(tr_open, tr_closed, idx)
+    m = sim.compute_metrics(tr_open, tr_closed, _metrics_index(cfg, rom))
     lines = [
         f"output {m.output}: peak open {m.peak_open:.6e}, peak closed "
         f"{m.peak_closed:.6e}, reduction {m.reduction_percent:.2f}%",
@@ -469,42 +471,73 @@ def cmd_simulate(cfg, outdir: Path, args) -> int:
 _POINT_ERRORS = (sim.SimulationError, ValueError)
 
 
-def _sweep_point(cfg, rom, axis, value):
-    if axis == "gamma":
+def _gamma_points(cfg, rom, grid):
+    """(metrics, error) per gamma point.  The points share one gust and one
+    open loop; their closed loops run as the lanes of batches."""
+    try:
         gust = build_gust(cfg, cfg["seed"])
-        tr_open, tr_closed, _, _, _ = _run_pair(cfg, rom, gust, gamma=float(value))
-    else:
-        point_cfg = {**cfg, "gust": {**cfg["gust"], "H_g": float(value)}}
-        gust = build_gust(point_cfg, cfg["seed"])
-        tr_open, tr_closed, _, _, _ = _run_pair(point_cfg, rom, gust)
-    sel = cfg["sim"]["metrics_output"]
-    idx = rom.output_labels.index(sel) if isinstance(sel, str) else int(sel)
-    return sim.compute_metrics(tr_open, tr_closed, idx)
+        config = sim_config(cfg)
+        idx = _metrics_index(cfg, rom)
+    except _POINT_ERRORS as exc:
+        return [(None, str(exc))] * len(grid)
+    results = [None] * len(grid)
+    lanes = []  # (point, reference, design, controller state)
+    for k, gamma in enumerate(grid):
+        try:
+            reference, design, state, _ = build_controller(cfg, rom, gamma=gamma)
+        except _POINT_ERRORS as exc:
+            results[k] = (None, str(exc))
+        else:
+            lanes.append((k, reference, design, state))
+    if not lanes:
+        return results
+    try:
+        tr_open = sim.integrate_open_loop(rom, gust, config)
+    except _POINT_ERRORS as exc:
+        for k, *_ in lanes:
+            results[k] = (None, str(exc))
+        return results
+    size = sim.batch_lanes(rom, config)
+    for start in range(0, len(lanes), size):
+        batch = lanes[start:start + size]
+        closed = sim.integrate_closed_loop_batch(
+            rom, batch[0][1], [lane[2] for lane in batch], [lane[3] for lane in batch],
+            gust, config)
+        for (k, *_), tr in zip(batch, closed):
+            if isinstance(tr, sim.SimulationError):
+                results[k] = (None, str(tr))
+            else:
+                results[k] = (sim.compute_metrics(tr_open, tr, idx), None)
+        del closed, tr  # the traces hold the batch log: free it before the next
+    return results
+
+
+def _gradient_point(cfg, rom, H_g):
+    point_cfg = {**cfg, "gust": {**cfg["gust"], "H_g": H_g}}
+    gust = build_gust(point_cfg, cfg["seed"])
+    tr_open, tr_closed, _, _, _ = _run_pair(point_cfg, rom, gust)
+    return sim.compute_metrics(tr_open, tr_closed, _metrics_index(cfg, rom))
 
 
 def cmd_sweep(cfg, outdir: Path, args) -> int:
     full, rom, _ = build_plant(cfg)
     axis = cfg["sweep"]["axis"]
     grid = [float(v) for v in cfg["sweep"]["grid"]]
-
-    def run(value):
-        try:
-            return value, _sweep_point(cfg, rom, axis, value), None
-        except _POINT_ERRORS as exc:
-            return value, None, str(exc)
-
-    workers = max(1, args.workers)
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, grid))
+    if axis == "gamma":
+        results = _gamma_points(cfg, rom, grid)
     else:
-        results = [run(v) for v in grid]
+        results = []
+        for value in grid:
+            try:
+                results.append((_gradient_point(cfg, rom, value), None))
+            except _POINT_ERRORS as exc:
+                results.append((None, str(exc)))
 
-    peaks = [r[1].peak_open if r[1] is not None else -np.inf for r in results]
+    peaks = [r[0].peak_open if r[0] is not None else -np.inf for r in results]
     worst = int(np.argmax(peaks)) if axis == "gust-gradient" else -1
     header = [axis, "status", "worst_case"] + _METRICS_HEADER
     rows = []
-    for k, (value, metrics, err) in enumerate(results):
+    for k, (value, (metrics, err)) in enumerate(zip(grid, results)):
         if metrics is None:
             rows.append([value, f"error: {err}", False] + [""] * len(_METRICS_HEADER))
         else:
@@ -513,7 +546,7 @@ def cmd_sweep(cfg, outdir: Path, args) -> int:
     write_plot_script(outdir / "plot_sweep.py", "sweep.csv", f"{axis} sweep",
                       ["reduction_percent", "max_flap_deg"])
     write_resolved_config(cfg, outdir)
-    n_fail = sum(1 for _, m, _ in results if m is None)
+    n_fail = sum(1 for m, _ in results if m is None)
     print(f"sweep over {axis}: {len(grid)} points, {n_fail} failed")
     return EXIT_OK
 
@@ -542,7 +575,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--workers", type=int, default=1,
-                       help="concurrent sweep points")
+                       help="accepted for compatibility; no effect (a gamma "
+                            "sweep runs its points as lanes of one batch)")
     return parser
 
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal
 
 
 class GustError(ValueError):
@@ -77,6 +76,8 @@ _LADDER_SLOPE = 5.0 / 6.0  # fractional amplitude slope being approximated
 def _vk_filter_sections(L_g: float, U_inf: float, dt: float):
     """Discretised first-order sections (b, a) of the unit-variance shaping
     filter cascade for white noise with per-sample variance pi/dt."""
+    import scipy.signal  # here, not at module load: it dominates the CLI import
+
     tau = 1.339 * L_g / U_inf
     sections = [(np.array([np.sqrt(8.0 / 3.0) * tau, 1.0]), np.array([tau, 1.0]))]
     r = 10.0**_LADDER_RATIO_EXP
@@ -144,6 +145,8 @@ class VonKarmanGust:
         if self.sigma_g == 0.0:
             w = np.zeros(n)
         else:
+            import scipy.signal
+
             sections = _vk_filter_sections(self.L_g, self.U_inf, self.dt)
             rng = np.random.default_rng(self.seed)
             # unit two-sided white-noise PSD in rad/s: per-sample variance pi/dt

@@ -259,14 +259,13 @@ def regression_vector(x: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.concatenate([np.atleast_1d(x), np.atleast_1d(r)])
 
 
-def theta_rate(theta, e, phi, design: LyapunovDesign, B_c) -> np.ndarray:
-    """Adaptation law theta_dot = -Gamma phi e^T P B_c."""
-    e = np.atleast_1d(e)
-    phi = np.atleast_1d(phi)
-    B_c = np.atleast_2d(B_c)
-    if B_c.shape[0] == 1 and e.shape[0] > 1:
-        B_c = B_c.T
-    return -design.Gamma @ np.outer(phi, e @ design.P @ B_c)
+def theta_rate(e, phi, Gamma, PB) -> np.ndarray:
+    """Adaptation law theta_dot = -Gamma phi e^T P B_c, given PB = P B_c.
+
+    Every argument may carry a leading lane axis, so that lanes with their
+    own Gamma (B, n+m, n+m) and P B_c (B, n, m) adapt in one call on errors
+    e (B, n) and regressors phi (B, n+m)."""
+    return -Gamma @ (phi[..., :, None] * (e[..., None, :] @ PB))
 
 
 def control_input(state: ControllerState, x, r) -> np.ndarray:

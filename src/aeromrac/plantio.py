@@ -55,6 +55,11 @@ class ExternalPlantBundle(Plant):
         for name, got, want in checks:
             if got != want:
                 raise PlantIOError(f"field '{name}': shape {got} incompatible with n = {n}")
+        for name in ("B_c", "B_g"):
+            shape = getattr(self, name).shape
+            if len(shape) != 2:
+                raise PlantIOError(
+                    f"field '{name}': shape {shape} is not (n, k), one column per input")
         if len(self.output_labels) != self.C_out.shape[0]:
             raise PlantIOError(
                 f"field 'output_labels': {len(self.output_labels)} labels for "

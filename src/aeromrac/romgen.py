@@ -184,8 +184,11 @@ class Plant:
         return self.nl(x)
 
     def rhs(self, x, u_c, u_d, nonlinear=True):
-        """Time derivative; ``nonlinear=False`` leaves out F(x)."""
-        dx = self.A @ x + self.B_c @ np.atleast_1d(u_c) + self.B_g @ np.atleast_1d(u_d)
+        """Time derivative of one state or a (B, n) batch of rows, whose
+        inputs are (B, m) and (B, p) rows or shared by every row;
+        ``nonlinear=False`` leaves out F(x)."""
+        dx = (x @ self.A.T + np.atleast_1d(u_c) @ self.B_c.T
+              + np.atleast_1d(u_d) @ self.B_g.T)
         if nonlinear and self.nl is not None:
             dx = dx + self.nl(x)
         return dx

@@ -1,13 +1,15 @@
 """The benchmark in perfbench/ wraps program functions and methods by name
 and recomputes the nonlinearity on its own.  This test runs the traced
 program in a fresh interpreter (so the class patches stay there) and checks
-that the names it hooks still exist and that its reduced force matches the
-program's."""
+that the names it hooks still exist, that its reduced force matches the
+program's, and that a gamma sweep builds one gust and runs one open loop."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,12 +48,24 @@ for name in ("romgen.ReducedOrderModel.rhs", "romgen.ReducedOrderModel.eval_f_nr
 c = dump["counters"]
 assert c["open_runs"] == 2 and c["closed_rows"] == tr.time.shape[0], c
 assert c["lipschitz_rows"] == tr.time.shape[0] and c["csv_rows"] == tr.time.shape[0], c
+
+open_runs, gust_builds = len(t.open_runs), len(t.gust_builds)
+assert cli.main(["sweep", "--config", {sweep_cfg!r}, "--out", {sweep_out!r}]) == 0
+open_runs, gust_builds = len(t.open_runs) - open_runs, len(t.gust_builds) - gust_builds
+assert open_runs == 1 and gust_builds == 1, (open_runs, gust_builds)
 print("ok")
 """
 
 
 def test_traced_program_matches_benchmark_checks(tmp_path):
-    script = SCRIPT.format(perfbench=str(ROOT / "perfbench"), csv=str(tmp_path / "r.csv"))
+    sweep_cfg = tmp_path / "sweep.yaml"
+    sweep_cfg.write_text(yaml.safe_dump({
+        "gust": {"kind": "one-cosine", "w_gmax": 0.14, "H_g": 2.0, "U_inf": 1.0},
+        "sim": {"dt": 0.02, "duration": 4.0},
+        "sweep": {"axis": "gamma", "grid": [0.1, 1.0]},
+    }))
+    script = SCRIPT.format(perfbench=str(ROOT / "perfbench"), csv=str(tmp_path / "r.csv"),
+                           sweep_cfg=str(sweep_cfg), sweep_out=str(tmp_path / "sweep"))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -18,6 +23,19 @@ def write_config(path, **sections):
             base[key] = val
     path.write_text(yaml.safe_dump(base))
     return path
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # only Von Karman gusts need scipy.signal; loading it costs most of the import
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, aeromrac.cli; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def read_csv(path):
@@ -194,6 +212,24 @@ class TestSweep:
         header, rows = read_csv(out / "sweep.csv")
         status = [r[header.index("status")] for r in rows]
         assert status == ["error: gamma must be positive", "ok"]
+
+    def test_diverged_point_fails_alone(self, tmp_path):
+        # gamma = 1e6 diverges near t = 2.5; the other points run on
+        outs = {}
+        for name, grid in (("with", [0.5, 1.0e6, 1.0]), ("without", [0.5, 1.0])):
+            cfg = write_config(tmp_path / f"{name}.yaml",
+                               sweep={"axis": "gamma", "grid": grid},
+                               sim={"dt": 0.02, "duration": 10.0})
+            out = tmp_path / name
+            assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+            outs[name] = read_csv(out / "sweep.csv")
+        header, rows = outs["with"]
+        status = [r[header.index("status")] for r in rows]
+        assert status[0] == status[2] == "ok"
+        assert status[1].startswith("error: state diverged at t = ")
+        col = header.index("peak_closed")
+        for got, want in zip([rows[0], rows[2]], outs["without"][1]):
+            assert float(got[col]) == pytest.approx(float(want[col]), rel=1e-12)
 
     def test_too_short_gust_point_becomes_error_row(self, tmp_path):
         # H_g = 0.0005 gives a default duration of 0.01 < dt

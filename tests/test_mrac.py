@@ -151,16 +151,14 @@ class TestAdaptationLaw:
         e, x, r = 0.3, 0.4, 0.7
         phi = regression_vector(x, r)
         expected = -np.array([[1.0 * x * e * 1.0 * 2.0], [0.5 * r * e * 1.0 * 2.0]])
-        rate = theta_rate(np.array([[0.2], [0.1]]), np.array([e]), phi, d,
-                          np.array([[2.0]]))
+        rate = theta_rate(np.array([e]), phi, d.Gamma, d.P @ np.array([[2.0]]))
         assert np.allclose(rate, expected, atol=1e-15)
 
     def test_zero_error_freezes_gains(self, rom):
         ref = build_reference_model(rom, 1.5)
         d = make_design(ref.A_m, 0.03 * np.eye(rom.n), gamma=0.5, m=1)
-        theta0 = np.random.default_rng(12).normal(size=(rom.n + 1, 1))
         phi = regression_vector(np.ones(rom.n), [0.5])
-        rate = theta_rate(theta0, np.zeros(rom.n), phi, d, rom.B_c)
+        rate = theta_rate(np.zeros(rom.n), phi, d.Gamma, d.P @ rom.B_c)
         assert np.all(rate == 0.0)
 
     def test_rate_is_rank_one_in_phi(self, rom):
@@ -168,7 +166,7 @@ class TestAdaptationLaw:
         d = make_design(ref.A_m, np.eye(rom.n), gamma=1.0, m=1)
         rng = np.random.default_rng(13)
         phi = regression_vector(rng.normal(size=rom.n), [1.0])
-        rate = theta_rate(np.zeros((rom.n + 1, 1)), rng.normal(size=rom.n), phi, d, rom.B_c)
+        rate = theta_rate(rng.normal(size=rom.n), phi, d.Gamma, d.P @ rom.B_c)
         # single column proportional to Gamma @ phi
         direction = d.Gamma @ phi
         ratio = rate[:, 0] / direction

@@ -42,6 +42,21 @@ class TestBundleValidation:
         with pytest.raises(PlantIOError, match="'quad'"):
             _bundle(quad=np.zeros(5))
 
+    def test_input_matrices_must_be_2d(self, tmp_path):
+        with pytest.raises(PlantIOError, match="'B_c'"):
+            _bundle(B_c=np.array([0.0, 1.0]))
+        with pytest.raises(PlantIOError, match="'B_g'"):
+            _bundle(B_g=np.array([1.0, 0.0]))
+        # a file holding a 1-D input matrix is rejected when loaded
+        path = tmp_path / "flat.npz"
+        save_plant(_bundle(), path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["B_c"] = np.array([0.0, 1.0])
+        np.savez(path, **arrays)
+        with pytest.raises(PlantIOError, match="'B_c'"):
+            load_plant(path)
+
     def test_label_count_mismatch(self):
         with pytest.raises(PlantIOError, match="output_labels"):
             _bundle(output_labels=("a", "b"))

@@ -1,6 +1,7 @@
-"""Property tests of the plant interface: a saved reduced model equals the
-original, a full-dimension reduction reproduces the full-order model, and a
-batch of states evaluates like its rows one by one."""
+"""Property tests of the plant interface and the integrator: a saved
+reduced model equals the original, a full-dimension reduction reproduces the
+full-order model, a batch of states evaluates like its rows one by one, and
+the lanes of a closed-loop batch run like serial runs."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from aeromrac.gusts import OneCosineGust
+from aeromrac.mrac import ControllerState, build_reference_model, make_design
 from aeromrac.plantio import load_rom, save_rom
 from aeromrac.romgen import default_rom
+from aeromrac.sim import (
+    SimulationConfig,
+    SimulationError,
+    integrate_closed_loop,
+    integrate_closed_loop_batch,
+)
 
 REL_TOL = 1e-12
 inputs = st.floats(-1.0, 1.0, allow_nan=False)
@@ -53,3 +62,56 @@ def test_batched_nonlinearity_equals_rows(rom, X):
     for row, x in zip(batch, X):
         want = rom.eval_f_nr(x)
         assert np.abs(row - want).max() <= REL_TOL * np.abs(want).max()
+
+
+BATCH_GUST = OneCosineGust(0.14, 2.0, 1.0)
+BATCH_CONFIG = SimulationConfig(dt=0.02, duration=6.0)
+TRACE_FIELDS = ("time", "x", "x_m", "theta", "u_c", "outputs")
+gamma_lists = st.lists(st.floats(0.01, 2.0), min_size=1, max_size=5)
+
+
+def _lanes(rom, gammas):
+    ref = build_reference_model(rom, 1.5)
+    designs = [make_design(ref.A_m, 0.03 * np.eye(rom.n), g, m=rom.m) for g in gammas]
+    states = [ControllerState(theta=np.zeros((rom.n + rom.m, rom.m)),
+                              K0=np.zeros((rom.m, rom.n))) for _ in gammas]
+    return ref, designs, states
+
+
+def _assert_close(got, want):
+    for name in TRACE_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape, name
+        assert np.abs(a - b).max() <= REL_TOL * np.abs(b).max(), name
+
+
+@settings(max_examples=10, deadline=None)
+@given(gammas=gamma_lists)
+def test_batched_lanes_equal_serial_runs(rom, gammas):
+    ref, designs, states = _lanes(rom, gammas)
+    batch = integrate_closed_loop_batch(rom, ref, designs, states, BATCH_GUST, BATCH_CONFIG)
+    for design, state, got in zip(designs, states, batch):
+        _, _, (serial,) = _lanes(rom, [design.gamma])
+        want = integrate_closed_loop(rom, ref, design, serial, BATCH_GUST, BATCH_CONFIG)
+        _assert_close(got, want)
+        assert np.array_equal(state.theta, got.theta[-1])
+
+
+@settings(max_examples=10, deadline=None)
+@given(gammas=gamma_lists, data=st.data())
+def test_diverged_lane_fails_alone(rom, gammas, data):
+    bad = data.draw(st.integers(0, len(gammas) - 1), label="diverging lane")
+    ref, designs, states = _lanes(rom, gammas)
+    # a gain far outside the stable range: the lane diverges within a few steps
+    states[bad].theta = np.full_like(states[bad].theta, 1e3)
+    batch = integrate_closed_loop_batch(rom, ref, designs, states, BATCH_GUST, BATCH_CONFIG)
+    failed = batch[bad]
+    assert isinstance(failed, SimulationError) and failed.trace.diverged
+    assert failed.trace.time[-1] < BATCH_CONFIG.duration
+    keep = [k for k in range(len(gammas)) if k != bad]
+    if keep:
+        ref, designs, states = _lanes(rom, [gammas[k] for k in keep])
+        rest = integrate_closed_loop_batch(rom, ref, designs, states, BATCH_GUST,
+                                           BATCH_CONFIG)
+        for k, want in zip(keep, rest):
+            _assert_close(batch[k], want)

@@ -107,6 +107,18 @@ class TestOpenLoop:
         assert trace.diverged
         assert trace.time[-1] < 20.0
 
+    def test_divergence_logs_the_diverged_state(self):
+        # as in the closed loop, the last row is the finite state that left
+        # the bound, at the time the message names
+        plant = TinyPlant([[-0.5, 1.0], [-1.0, -0.5]], quad=4.0)
+        cfg = SimulationConfig(dt=0.01, duration=20.0, divergence_threshold=1e6)
+        with pytest.raises(SimulationError) as exc:
+            integrate_open_loop(plant, OneCosineGust(3.0, 2.0, 1.0), cfg)
+        trace = exc.value.trace
+        last = np.abs(trace.x[-1]).max()
+        assert np.isfinite(last) and last > 1e6
+        assert f"t = {trace.time[-1]:.6g} " in str(exc.value)
+
 
 class TestClosedLoop:
     def test_zero_gust_zero_gains_stay_zero(self, rom):
