@@ -43,7 +43,6 @@ _DEFAULTS = {
         "damping": 1.5,
         "Q": {"kind": "identity", "scale": 0.03, "diag": None},
         "gamma": 0.5,
-        "B_m": None,
         "zero_correction": False,
         "zero_output": 0,
         "certificate": "off",
@@ -85,7 +84,7 @@ def _merge(defaults, user, path="config"):
     for key, val in user.items():
         if key not in defaults:
             raise ConfigError(f"{path}.{key}: unknown field")
-        if isinstance(defaults[key], dict) and key != "damping":
+        if isinstance(defaults[key], dict):
             out[key] = _merge(defaults[key], val, f"{path}.{key}")
         else:
             out[key] = val
@@ -112,6 +111,14 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _number(value, field: str) -> float:
+    """float(value), as the commands read it, or ConfigError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field}: expected a number, got {value!r}") from None
+
+
 def validate_config(cfg: dict) -> None:
     plant = cfg["plant"]
     if plant["source"] not in ("aerofoil", "external"):
@@ -126,7 +133,7 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"controller.Q.kind: unknown kind {q['kind']!r}")
     if q["kind"] == "diag" and not q["diag"]:
         raise ConfigError("controller.Q.kind = diag requires controller.Q.diag")
-    if cfg["controller"]["gamma"] <= 0:
+    if _number(cfg["controller"]["gamma"], "controller.gamma") <= 0:
         raise ConfigError("controller.gamma must be positive")
     if cfg["controller"]["certificate"] not in ("off", "error-only"):
         raise ConfigError("controller.certificate must be 'off' or 'error-only'")
@@ -134,14 +141,21 @@ def validate_config(cfg: dict) -> None:
     if gust["kind"] not in ("one-cosine", "von-karman", "zero"):
         raise ConfigError(f"gust.kind: unknown kind {gust['kind']!r}")
     s = cfg["sim"]
-    if s["dt"] <= 0:
+    if _number(s["dt"], "sim.dt") <= 0:
         raise ConfigError("sim.dt must be positive")
+    if s["duration"] is not None:
+        _number(s["duration"], "sim.duration")
+    if type(s["log_stride"]) is not int:
+        raise ConfigError(f"sim.log_stride: expected an integer, got {s['log_stride']!r}")
     if gust["kind"] != "one-cosine" and s["duration"] is None:
         raise ConfigError(f"gust.kind = {gust['kind']} requires an explicit sim.duration")
     if cfg["sweep"]["axis"] not in ("gamma", "gust-gradient"):
         raise ConfigError("sweep.axis must be 'gamma' or 'gust-gradient'")
-    if not cfg["sweep"]["grid"]:
-        raise ConfigError("sweep.grid must be non-empty")
+    grid = cfg["sweep"]["grid"]
+    if not isinstance(grid, list) or not grid:
+        raise ConfigError("sweep.grid must be a non-empty list")
+    for value in grid:
+        _number(value, "sweep.grid")
 
 
 def _sim_duration(cfg) -> float:
@@ -178,7 +192,7 @@ def build_gust(cfg, seed: int):
     if g["kind"] == "one-cosine":
         return OneCosineGust(w_gmax=g["w_gmax"], H_g=g["H_g"], U_inf=g["U_inf"])
     return VonKarmanGust(
-        sigma_g=g["sigma"], L_g=g["L"], U_inf=g["U_inf"], dt=cfg["sim"]["dt"],
+        sigma_g=g["sigma"], L_g=g["L"], U_inf=g["U_inf"], dt=float(cfg["sim"]["dt"]),
         duration=_sim_duration(cfg), seed=seed,
     )
 
@@ -195,20 +209,36 @@ def build_weighting(cfg, n: int) -> np.ndarray:
     return float(q["scale"]) * np.eye(n)
 
 
+def _output_index(cfg, rom, section: str, key: str) -> int:
+    """The model output that cfg[section][key] selects by label or index."""
+    sel, labels = cfg[section][key], rom.output_labels
+    if sel in labels:
+        return labels.index(sel)
+    if type(sel) is not int or not -len(labels) <= sel < len(labels):
+        raise ConfigError(f"{section}.{key}: {sel!r} selects none of the outputs {labels}")
+    return sel
+
+
+def _check_outputs(cfg, rom) -> int:
+    """Resolve the output selectors before any integration; returns the
+    metrics output."""
+    if cfg["controller"]["zero_correction"]:
+        _output_index(cfg, rom, "controller", "zero_output")
+    return _output_index(cfg, rom, "sim", "metrics_output")
+
+
 def build_controller(cfg, rom, gamma: float | None = None):
     """(reference, design, controller state, zero-correction report or None)."""
     ctl = cfg["controller"]
-    B_m = None if ctl["B_m"] is None else np.asarray(ctl["B_m"], dtype=float)
-    reference = mrac.build_reference_model(rom, ctl["damping"], B_m=B_m)
+    reference = mrac.build_reference_model(rom, ctl["damping"])
     Q = build_weighting(cfg, rom.n)
     design = mrac.make_design(
-        reference.A_m, Q, ctl["gamma"] if gamma is None else gamma, m=rom.m
+        reference.A_m, Q, float(ctl["gamma"]) if gamma is None else gamma, m=rom.m
     )
     report = None
     K0 = np.zeros((rom.m, rom.n))
     if ctl["zero_correction"]:
-        sel = ctl["zero_output"]
-        idx = rom.output_labels.index(sel) if isinstance(sel, str) else int(sel)
+        idx = _output_index(cfg, rom, "controller", "zero_output")
         K0, _, report = mrac.minimum_phase_correct(rom.A, rom.B_c, rom.C_out[idx])
     state = mrac.ControllerState(theta=np.zeros((rom.n + rom.m, rom.m)), K0=K0)
     return reference, design, state, report
@@ -216,10 +246,13 @@ def build_controller(cfg, rom, gamma: float | None = None):
 
 def sim_config(cfg) -> sim.SimulationConfig:
     s = cfg["sim"]
-    return sim.SimulationConfig(
-        dt=s["dt"], duration=_sim_duration(cfg), plant_nonlinear=s["plant_nonlinear"],
-        reference_nonlinear=s["reference_nonlinear"], log_stride=s["log_stride"],
-    )
+    try:
+        return sim.SimulationConfig(
+            dt=float(s["dt"]), duration=_sim_duration(cfg), plant_nonlinear=s["plant_nonlinear"],
+            reference_nonlinear=s["reference_nonlinear"], log_stride=s["log_stride"],
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +340,7 @@ def cmd_validate(cfg, outdir: Path, args) -> int:
 
 def cmd_gust_gen(cfg, outdir: Path, args) -> int:
     gust = build_gust(cfg, cfg["seed"])
-    dt = cfg["sim"]["dt"]
+    dt = float(cfg["sim"]["dt"])
     duration = _sim_duration(cfg)
     t = np.arange(int(round(duration / dt)) + 1) * dt
     w = np.asarray(gust(t), dtype=float)
@@ -395,13 +428,9 @@ def _metrics_row(metrics: sim.GlaMetrics):
     ]
 
 
-def _metrics_index(cfg, rom) -> int:
-    sel = cfg["sim"]["metrics_output"]
-    return rom.output_labels.index(sel) if isinstance(sel, str) else int(sel)
-
-
 def cmd_simulate(cfg, outdir: Path, args) -> int:
     full, rom, _ = build_plant(cfg)
+    idx = _check_outputs(cfg, rom)
     gust = build_gust(cfg, cfg["seed"])
     try:
         tr_open, tr_closed, design, reference, zreport = _run_pair(cfg, rom, gust)
@@ -448,7 +477,7 @@ def cmd_simulate(cfg, outdir: Path, args) -> int:
     ]
     write_csv(outdir / "metrics.csv", _METRICS_HEADER, metrics_rows)
 
-    m = sim.compute_metrics(tr_open, tr_closed, _metrics_index(cfg, rom))
+    m = sim.compute_metrics(tr_open, tr_closed, idx)
     lines = [
         f"output {m.output}: peak open {m.peak_open:.6e}, peak closed "
         f"{m.peak_closed:.6e}, reduction {m.reduction_percent:.2f}%",
@@ -474,10 +503,10 @@ _POINT_ERRORS = (sim.SimulationError, ValueError)
 def _gamma_points(cfg, rom, grid):
     """(metrics, error) per gamma point.  The points share one gust and one
     open loop; their closed loops run as the lanes of batches."""
+    idx = _output_index(cfg, rom, "sim", "metrics_output")
     try:
         gust = build_gust(cfg, cfg["seed"])
         config = sim_config(cfg)
-        idx = _metrics_index(cfg, rom)
     except _POINT_ERRORS as exc:
         return [(None, str(exc))] * len(grid)
     results = [None] * len(grid)
@@ -516,11 +545,13 @@ def _gradient_point(cfg, rom, H_g):
     point_cfg = {**cfg, "gust": {**cfg["gust"], "H_g": H_g}}
     gust = build_gust(point_cfg, cfg["seed"])
     tr_open, tr_closed, _, _, _ = _run_pair(point_cfg, rom, gust)
-    return sim.compute_metrics(tr_open, tr_closed, _metrics_index(cfg, rom))
+    return sim.compute_metrics(tr_open, tr_closed,
+                               _output_index(cfg, rom, "sim", "metrics_output"))
 
 
 def cmd_sweep(cfg, outdir: Path, args) -> int:
     full, rom, _ = build_plant(cfg)
+    _check_outputs(cfg, rom)  # a bad selector ends the sweep, not each point
     axis = cfg["sweep"]["axis"]
     grid = [float(v) for v in cfg["sweep"]["grid"]]
     if axis == "gamma":

@@ -1,6 +1,5 @@
-"""Disturbance signals: deterministic "1-cosine" discrete gusts, seeded
-stochastic turbulence realisations with the Von Karman vertical spectrum, and
-the worst-case gust-gradient sweep."""
+"""Disturbance signals: deterministic "1-cosine" discrete gusts and seeded
+stochastic turbulence realisations with the Von Karman vertical spectrum."""
 
 from __future__ import annotations
 
@@ -164,27 +163,3 @@ class VonKarmanGust:
         t = np.asarray(t, dtype=float)
         idx = np.clip((t / self.dt + 0.5).astype(int), 0, self.samples.shape[0] - 1)
         return np.where(t < 0, 0.0, self.samples[idx])
-
-
-def von_karman_realization(
-    sigma_g: float, L_g: float, U_inf: float, dt: float, duration: float, seed: int
-) -> VonKarmanGust:
-    return VonKarmanGust(
-        sigma_g=sigma_g, L_g=L_g, U_inf=U_inf, dt=dt, duration=duration, seed=seed
-    )
-
-
-def worst_case_gradient_sweep(run_peak, Hg_values, W0: float):
-    """Sweep the gust gradient and return (H_g*, table).
-
-    ``run_peak(gust)`` maps a OneCosineGust to the peak |output| of the chosen
-    configuration (open or closed loop); the table rows are (H_g, peak)."""
-    Hg_values = np.atleast_1d(np.asarray(Hg_values, dtype=float))
-    if Hg_values.size == 0:
-        raise GustError("empty gust-gradient range")
-    table = []
-    for hg in Hg_values:
-        peak = float(run_peak(OneCosineGust(w_gmax=W0, H_g=float(hg))))
-        table.append((float(hg), peak))
-    best = max(table, key=lambda row: row[1])
-    return best[0], table

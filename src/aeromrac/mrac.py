@@ -5,7 +5,9 @@ the Lipschitz stability monitor and the minimum-phase pre-correction.
 Gain-storage convention (fixed once to prevent transpose bugs): the adaptive
 gain matrix is theta in R^{(n+m) x m} acting on the regression vector
 phi = [x; r], so u_c = theta^T phi + K0 x.  The first n rows of theta are
-Kx^T and the last m rows are Kr^T.
+Kx^T and the last m rows are Kr^T.  Gust-load alleviation is regulation: the
+reference command r is zero, so only Kx acts.  ``sim._control`` computes
+u_c; ``theta_rate`` below is the adaptation law.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ def _modal_blocks(A: np.ndarray):
 def build_reference_model(
     rom,
     damping_spec=None,
-    B_m: np.ndarray | None = None,
     allow_destabilizing: bool = False,
 ) -> ReferenceModel:
     """Reference model with selectively increased modal damping.
@@ -83,7 +84,7 @@ def build_reference_model(
     either a factor >= 1 or an explicit (sigma_m, omega_dm) pair.  Real
     (gust-coupling) modes keep their open-loop eigenvalues.  The damped
     frequency is kept at its open-loop value unless explicitly overridden.
-    B_m defaults to B_c so the ideal feedforward gain is the identity.
+    B_m is B_c, so the ideal feedforward gain is the identity.
     """
     A = np.asarray(rom.A, dtype=float)
     blocks = _modal_blocks(A)
@@ -132,8 +133,8 @@ def build_reference_model(
         worst = eigs[np.argmax(eigs.real)]
         raise MracError(f"reference model is not Hurwitz: eigenvalue {worst}")
 
-    B_m = np.array(rom.B_c, dtype=float) if B_m is None else np.asarray(B_m, dtype=float)
-    return ReferenceModel(A_m=A_m, B_m=B_m, damping=tuple(damping))
+    return ReferenceModel(A_m=A_m, B_m=np.array(rom.B_c, dtype=float),
+                          damping=tuple(damping))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +231,7 @@ def make_design(A_m: np.ndarray, Q: np.ndarray, gamma: float, m: int) -> Lyapuno
 
 
 # ---------------------------------------------------------------------------
-# adaptation law and control input
+# adaptation law
 
 
 @dataclass
@@ -240,24 +241,6 @@ class ControllerState:
     theta: np.ndarray  # (n+m, m)
     K0: np.ndarray  # (m, n) minimum-phase / pre-stabilisation gain
 
-    @property
-    def n(self) -> int:
-        return self.K0.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.theta.shape[1]
-
-    def Kx(self) -> np.ndarray:
-        return self.theta[: self.n, :].T
-
-    def Kr(self) -> np.ndarray:
-        return self.theta[self.n :, :].T
-
-
-def regression_vector(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.atleast_1d(x), np.atleast_1d(r)])
-
 
 def theta_rate(e, phi, Gamma, PB) -> np.ndarray:
     """Adaptation law theta_dot = -Gamma phi e^T P B_c, given PB = P B_c.
@@ -266,13 +249,6 @@ def theta_rate(e, phi, Gamma, PB) -> np.ndarray:
     own Gamma (B, n+m, n+m) and P B_c (B, n, m) adapt in one call on errors
     e (B, n) and regressors phi (B, n+m)."""
     return -Gamma @ (phi[..., :, None] * (e[..., None, :] @ PB))
-
-
-def control_input(state: ControllerState, x, r) -> np.ndarray:
-    """Total control u_c = theta^T [x; r] + K0 x."""
-    x = np.atleast_1d(x)
-    phi = regression_vector(x, r)
-    return state.theta.T @ phi + state.K0 @ x
 
 
 # ---------------------------------------------------------------------------

@@ -163,11 +163,6 @@ def transmission_zeros(
     return np.sort_complex(zeros)
 
 
-def charpoly(A: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial coefficients, highest power first."""
-    return np.poly(np.asarray(A, dtype=float))
-
-
 def controllability_matrix(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -195,13 +190,8 @@ def bass_gura_place(A: np.ndarray, b: np.ndarray, desired_poly: np.ndarray) -> n
     if rank < n:
         raise NumericsError(f"(A, b) uncontrollable: controllability matrix rank {rank} < {n}")
 
-    a = charpoly(A)  # [1, a1, ..., an]
+    a = np.poly(A)  # [1, a1, ..., an]
     # Toeplitz W with first row [1, a1, ..., a_{n-1}]
     W = scipy.linalg.toeplitz(np.r_[1.0, np.zeros(n - 1)], a[:n])
     K0 = np.linalg.solve((ctrb @ W).T, desired[1:] - a[1:])
     return K0
-
-
-def place_poles_single_input(A: np.ndarray, b: np.ndarray, poles) -> np.ndarray:
-    """Convenience wrapper: gain for a desired pole multiset (conjugate-closed)."""
-    return bass_gura_place(A, b, np.real_if_close(np.poly(np.asarray(poles))).real)

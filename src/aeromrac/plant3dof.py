@@ -15,7 +15,7 @@ flap rotation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -124,16 +124,6 @@ def theodorsen_constants(a: float, c_h: float) -> dict[str, float]:
     T["T12"] = s * (2.0 + c) - mu * (2.0 * c + 1.0)
     T["T13"] = 0.5 * (-T["T7"] - (c - a) * T["T1"])
     return T
-
-
-def wagner_kussner_coeffs(params: AerofoilParams) -> dict[str, tuple[float, ...]]:
-    """Lag-constant bundle for the indicial lift and gust build-up filters."""
-    return {
-        "wagner_weights": tuple(params.wagner_weights),
-        "wagner_rates": tuple(params.wagner_rates),
-        "kussner_rates": (params.kussner_rate, params.kussner_rate),
-        "kussner_weights": tuple(params.kussner_weights),
-    }
 
 
 def wagner_function(tau: np.ndarray, params: AerofoilParams) -> np.ndarray:
@@ -268,13 +258,10 @@ class FullOrderModel(Plant):
 
     params: AerofoilParams
     M_inv: np.ndarray  # (3, 3) inverse aeroelastic mass matrix
-    state_labels: tuple[str, ...] = field(default=(), compare=False)
 
     # Full-order names of the plant fields, still read by perfbench/checks.py.
     A_f = property(lambda self: self.A)
-    B_cf = property(lambda self: self.B_c)
     B_gf = property(lambda self: self.B_g)
-    C_phys = property(lambda self: self.C_out)
     cubic_coeffs = property(lambda self: self.nl.cubic)
 
 
@@ -325,12 +312,6 @@ def assemble_fom(params: AerofoilParams) -> FullOrderModel:
         ]
     )
 
-    labels = (
-        "xi", "alpha", "beta",
-        "xi_dot", "alpha_dot", "beta_dot",
-        "lag_xi_1", "lag_xi_2", "lag_alpha_1", "lag_alpha_2", "lag_beta_1", "lag_beta_2",
-        "gust_1", "gust_2",
-    )
     G_nl = np.zeros((N, 3))
     G_nl[3:6] = -M_inv
     return FullOrderModel(
@@ -342,7 +323,6 @@ def assemble_fom(params: AerofoilParams) -> FullOrderModel:
         nl=PolyNonlinearity(G_nl, np.eye(N)[:3], np.zeros(3), cubic),
         params=params,
         M_inv=M_inv,
-        state_labels=labels,
     )
 
 

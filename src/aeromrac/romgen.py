@@ -65,7 +65,7 @@ def select_modes(
     decomp: SpectralDecomposition,
     B_gf: np.ndarray,
     criteria: SelectionCriteria,
-    B_cf: np.ndarray | None = None,
+    B_c: np.ndarray | None = None,
 ) -> list[int]:
     """Indices of retained modes: lowest-frequency oscillatory pairs first,
     real modes ranked by gust participation.  Conjugate pairs are always
@@ -76,8 +76,8 @@ def select_modes(
     eigs = decomp.eigenvalues
     part = _participation(decomp, B_gf, criteria.output_map)
     ctrl = (
-        _participation(decomp, B_cf, criteria.output_map)
-        if B_cf is not None
+        _participation(decomp, B_c, criteria.output_map)
+        if B_c is not None
         else np.zeros(N)
     )
 
@@ -251,5 +251,5 @@ def default_rom(fom, n: int = 8, n_real: int = 2,
     outputs."""
     decomp = eig_biorthogonal(fom.A)
     crit = SelectionCriteria(n=n, n_real=n_real, output_map=fom.C_out)
-    modes = select_modes(decomp, fom.B_g, crit, B_cf=fom.B_c)
+    modes = select_modes(decomp, fom.B_g, crit, B_c=fom.B_c)
     return build_nrom(fom, modes, decomp=decomp, source_hash=source_hash)

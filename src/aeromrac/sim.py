@@ -152,17 +152,14 @@ def _control(theta, phi, K0):
 
 
 def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
-                 config: SimulationConfig, r_fn=None, x0=None, xm0=None):
-    """One trace or SimulationError per (design, controller) lane.  A single
-    lane runs as a 1-D state, several as the rows of one batch."""
+                 config: SimulationConfig):
+    """One trace or SimulationError per (design, controller) lane from zero
+    state.  A single lane runs as a 1-D state, several as the rows of a batch."""
     n, m = model.B_c.shape
     if reference.A_m.shape != (n, n):
         raise ValueError("reference model dimension does not match the plant")
     dt = config.dt
     u_d_grid = _gust_grid(gust, config, model.B_g.shape[1])
-    r_grid = None if r_fn is None else np.array(
-        [np.atleast_1d(r_fn(t)) for t in 0.5 * dt * np.arange(u_d_grid.shape[0])],
-        dtype=float)
 
     def stack(arrays):
         return np.stack(arrays) if len(designs) > 1 else arrays[0]
@@ -170,14 +167,12 @@ def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
     Gamma = stack([d.Gamma for d in designs])
     PB = stack([d.P @ model.B_c for d in designs])
     K0 = stack([np.vstack([c.K0.T, np.zeros((m, m))]) for c in controllers])
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    xm = np.zeros(n) if xm0 is None else np.array(xm0, dtype=float)
-    y = stack([np.concatenate([x, xm, np.ravel(c.theta)]) for c in controllers])
+    y = stack([np.concatenate([np.zeros(2 * n), np.ravel(c.theta)]) for c in controllers])
 
     lead = y.shape[:-1]
     theta_shape = lead + (n + m, m)
-    zero_r = np.zeros(lead + (m,))
-    A_mT, B_mT, B_gT = reference.A_m.T, reference.B_m.T, model.B_g.T
+    zero_r = np.zeros(lead + (m,))  # phi = [x, r] with r = 0 (regulation)
+    A_mT, B_gT = reference.A_m.T, model.B_g.T
     rhs, eval_f_nr = model.rhs, model.eval_f_nr
     plant_nl = config.plant_nonlinear
     ref_nl = config.reference_nonlinear and plant_nl
@@ -185,14 +180,10 @@ def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
     def deriv(j, y):
         x, xm = y[..., :n], y[..., n:2 * n]
         u_d = u_d_grid[j]
-        r = zero_r if r_grid is None else r_grid[j]
-        phi = np.concatenate([x, r], axis=-1)
+        phi = np.concatenate([x, zero_r], axis=-1)
         u_c = _control(y[..., 2 * n:].reshape(theta_shape), phi, K0)
         dx = rhs(x, u_c, u_d, nonlinear=plant_nl)
-        dxm = xm @ A_mT
-        if r_grid is not None:
-            dxm = dxm + r @ B_mT
-        dxm = dxm + u_d @ B_gT
+        dxm = xm @ A_mT + u_d @ B_gT
         if ref_nl:
             dxm = dxm + eval_f_nr(xm)
         dtheta = theta_rate(x - xm, phi, Gamma, PB)
@@ -203,11 +194,11 @@ def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
     for b, (steps, ys, error) in enumerate(_rk4(deriv, y, config)):
         x, xm = ys[:, :n], ys[:, n:2 * n]
         theta = ys[:, 2 * n:].reshape(-1, n + m, m)
-        r = np.zeros((steps.shape[0], m)) if r_grid is None else r_grid[2 * steps]
+        phi = np.concatenate([x, np.zeros((steps.shape[0], m))], axis=1)
         trace = SimulationTrace(
             time=steps * dt, x=x, outputs=x @ model.C_out.T, u_d=u_d_grid[2 * steps],
             output_labels=model.output_labels, x_m=xm, e=x - xm, theta=theta,
-            u_c=_control(theta, np.concatenate([x, r], axis=1), lane_K0[b]),
+            u_c=_control(theta, phi, lane_K0[b]),
             diverged=error is not None,
         )
         if error is None:
@@ -225,19 +216,15 @@ def integrate_closed_loop(
     controller: ControllerState,
     gust,
     config: SimulationConfig,
-    r_fn=None,
-    x0: np.ndarray | None = None,
-    xm0: np.ndarray | None = None,
 ) -> SimulationTrace:
     """Advance plant, reference model and adaptive gains as one RK4 system.
 
     The measured gust drives both the plant and the reference model; the
     nonlinear residual enters both (Eq. 4/5 structure) unless disabled via the
-    config flags.  r defaults to zero (gust-load-alleviation regulation).
-    The final gains are written back to ``controller.theta``."""
+    config flags.  Both start from zero and r is zero (gust-load-alleviation
+    regulation).  The final gains are written back to ``controller.theta``."""
     _check_dt(config, model.A)
-    (result,) = _closed_loop(model, reference, [design], [controller], gust, config,
-                             r_fn, x0, xm0)
+    (result,) = _closed_loop(model, reference, [design], [controller], gust, config)
     if isinstance(result, SimulationError):
         raise result
     return result

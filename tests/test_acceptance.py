@@ -15,10 +15,10 @@ import yaml
 from aeromrac import cli, mrac, sim
 from aeromrac.gusts import (
     OneCosineGust,
+    VonKarmanGust,
     ZeroGust,
     one_cosine,
     von_karman_psd,
-    von_karman_realization,
 )
 from aeromrac.numerics import solve_lyapunov, transmission_zeros
 from aeromrac.romgen import default_rom
@@ -132,7 +132,7 @@ def test_criterion_03_ideal_gain_tracking(rom):
     worst = 0.0
     for gust in (
         OneCosineGust(0.14, 55.0),
-        von_karman_realization(0.05, 12.0, 1.0, 0.02, 200.0, seed=3),
+        VonKarmanGust(0.05, 12.0, 1.0, 0.02, 200.0, seed=3),
         ZeroGust(),
     ):
         state = mrac.ControllerState(theta=theta_star.copy(), K0=np.zeros((1, 8)))
@@ -281,7 +281,7 @@ def test_criterion_10_stochastic_gust(rom):
     U, L, sigma, dt, duration = 59.0, 200.0, 1.0, 0.02, 2000.0
     variances, psds = [], []
     for seed in range(20):
-        g = von_karman_realization(sigma, L, U, dt, duration, seed)
+        g = VonKarmanGust(sigma, L, U, dt, duration, seed)
         variances.append(g.samples.var())
         f, P = scipy.signal.welch(g.samples, fs=1.0 / dt, nperseg=8192)
         psds.append(P)
@@ -296,7 +296,7 @@ def test_criterion_10_stochastic_gust(rom):
     ordering_ok = True
     details = []
     for seed in (0, 1):
-        gust = von_karman_realization(0.05, 12.0, 1.0, 0.02, 600.0, seed)
+        gust = VonKarmanGust(0.05, 12.0, 1.0, 0.02, 600.0, seed)
         cfg = SimulationConfig(dt=0.02, duration=600.0, log_stride=5)
         tr_open = integrate_open_loop(rom, gust, cfg)
         peak_red, rms_red = [], []

@@ -78,6 +78,52 @@ class TestValidate:
         cfg = write_config(tmp_path / "run.yaml", schema_version=99)
         assert cli.main(["validate", "--config", str(cfg)]) == cli.EXIT_CONFIG
 
+    def test_reference_input_map_is_not_a_field(self, tmp_path, capsys):
+        # regulation (r = 0) leaves B_m nothing to act on
+        cfg = write_config(tmp_path / "run.yaml", controller={"B_m": [[1.0]]})
+        assert cli.main(["validate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert "controller.B_m: unknown field" in capsys.readouterr().err
+
+
+# each malformed value stops the command with exit 3 before any integration
+_BAD_NUMBERS = [
+    ("simulate", {"controller": {"gamma": "abc"}}, "controller.gamma"),
+    ("simulate", {"sim": {"dt": "abc"}}, "sim.dt"),
+    ("sweep", {"sweep": {"axis": "gamma", "grid": [0.5, "a"]}}, "sweep.grid"),
+    ("simulate", {"sim": {"log_stride": 0}}, "log_stride"),
+    ("simulate", {"sim": {"dt": 0.02, "duration": 0.01}}, "duration"),
+]
+
+
+@pytest.mark.parametrize("command, sections, message", _BAD_NUMBERS,
+                         ids=[m for _, _, m in _BAD_NUMBERS])
+def test_malformed_number_is_a_config_error(tmp_path, capsys, command, sections, message):
+    cfg = write_config(tmp_path / "run.yaml", **sections)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+_BAD_SELECTORS = [
+    {"sim": {"metrics_output": 7}},
+    {"sim": {"metrics_output": "yaw"}},
+    {"controller": {"zero_correction": True, "zero_output": 7}},
+    {"controller": {"zero_correction": True, "zero_output": "yaw"}},
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("sections", _BAD_SELECTORS,
+                         ids=["metrics-7", "metrics-yaw", "zero-7", "zero-yaw"])
+def test_bad_output_selector_is_a_config_error(tmp_path, capsys, command, sections):
+    cfg = write_config(tmp_path / "run.yaml", sweep={"axis": "gamma", "grid": [0.5]},
+                       **sections)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "selects none of the outputs" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
 
 class TestGustGen:
     def test_deterministic_and_artifacts(self, tmp_path):

@@ -12,8 +12,6 @@ from aeromrac.gusts import (
     ZeroGust,
     one_cosine,
     von_karman_psd,
-    von_karman_realization,
-    worst_case_gradient_sweep,
 )
 
 
@@ -74,22 +72,22 @@ class TestVonKarmanSpectrum:
 
 class TestVonKarmanRealization:
     def test_deterministic_per_seed(self):
-        a = von_karman_realization(1.0, 50.0, 25.0, 0.05, 100.0, seed=11)
-        b = von_karman_realization(1.0, 50.0, 25.0, 0.05, 100.0, seed=11)
-        c = von_karman_realization(1.0, 50.0, 25.0, 0.05, 100.0, seed=12)
+        a = VonKarmanGust(1.0, 50.0, 25.0, 0.05, 100.0, seed=11)
+        b = VonKarmanGust(1.0, 50.0, 25.0, 0.05, 100.0, seed=11)
+        c = VonKarmanGust(1.0, 50.0, 25.0, 0.05, 100.0, seed=12)
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
     def test_zero_mean_and_zero_intensity(self):
-        g = von_karman_realization(1.0, 50.0, 25.0, 0.05, 200.0, seed=1)
+        g = VonKarmanGust(1.0, 50.0, 25.0, 0.05, 200.0, seed=1)
         assert abs(g.samples.mean()) < 1e-12
-        z = von_karman_realization(0.0, 50.0, 25.0, 0.05, 10.0, seed=1)
+        z = VonKarmanGust(0.0, 50.0, 25.0, 0.05, 10.0, seed=1)
         assert np.all(z.samples == 0.0)
 
     def test_short_duration_flag(self):
-        short = von_karman_realization(1.0, 50.0, 25.0, 0.05, 50.0, seed=1)
+        short = VonKarmanGust(1.0, 50.0, 25.0, 0.05, 50.0, seed=1)
         assert short.short_duration
-        long = von_karman_realization(1.0, 50.0, 25.0, 0.05, 500.0, seed=1)
+        long = VonKarmanGust(1.0, 50.0, 25.0, 0.05, 500.0, seed=1)
         assert not long.short_duration
 
     def test_invalid_parameters(self):
@@ -99,27 +97,12 @@ class TestVonKarmanRealization:
             VonKarmanGust(sigma_g=-1.0, L_g=1.0, U_inf=1.0, dt=0.01, duration=1.0, seed=0)
 
     def test_variance_single_seed(self):
-        g = von_karman_realization(1.0, 200.0, 59.0, 0.02, 2000.0, seed=0)
+        g = VonKarmanGust(1.0, 200.0, 59.0, 0.02, 2000.0, seed=0)
         assert 0.8 < g.samples.var() < 1.2
 
     def test_callable_holds_samples(self):
-        g = von_karman_realization(1.0, 50.0, 25.0, 0.05, 10.0, seed=2)
+        g = VonKarmanGust(1.0, 50.0, 25.0, 0.05, 10.0, seed=2)
         t = g.time[3]
         assert g(t) == g.samples[3]
         assert g(-1.0) == 0.0
         assert g(1e9) == g.samples[-1]
-
-
-class TestWorstCaseSweep:
-    def test_analytic_maximizer(self):
-        # peak response model with a known interior maximum at H_g = 55
-        hg = np.linspace(30.0, 80.0, 51)
-        best, table = worst_case_gradient_sweep(
-            lambda g: -((g.H_g - 55.0) ** 2), hg, W0=0.1
-        )
-        assert best == pytest.approx(55.0)
-        assert len(table) == hg.size
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(GustError):
-            worst_case_gradient_sweep(lambda g: 0.0, [], W0=0.1)

@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 
 from aeromrac.mrac import (
-    ControllerState,
     MracError,
     build_reference_model,
-    control_input,
     ideal_gains,
     lipschitz_margin,
     lipschitz_ratio_series,
     lyapunov_certificate,
     make_design,
     minimum_phase_correct,
-    regression_vector,
     theta_rate,
 )
 from aeromrac.numerics import transmission_zeros
@@ -149,7 +146,7 @@ class TestAdaptationLaw:
         # n = m = 1: theta' = -Gamma phi e P b, with P = 1, Gamma = diag(1.0, 0.5)
         d = make_design(np.array([[-1.0]]), np.array([[2.0]]), gamma=0.5, m=1)
         e, x, r = 0.3, 0.4, 0.7
-        phi = regression_vector(x, r)
+        phi = np.array([x, r])
         expected = -np.array([[1.0 * x * e * 1.0 * 2.0], [0.5 * r * e * 1.0 * 2.0]])
         rate = theta_rate(np.array([e]), phi, d.Gamma, d.P @ np.array([[2.0]]))
         assert np.allclose(rate, expected, atol=1e-15)
@@ -157,7 +154,7 @@ class TestAdaptationLaw:
     def test_zero_error_freezes_gains(self, rom):
         ref = build_reference_model(rom, 1.5)
         d = make_design(ref.A_m, 0.03 * np.eye(rom.n), gamma=0.5, m=1)
-        phi = regression_vector(np.ones(rom.n), [0.5])
+        phi = np.concatenate([np.ones(rom.n), [0.5]])
         rate = theta_rate(np.zeros(rom.n), phi, d.Gamma, d.P @ rom.B_c)
         assert np.all(rate == 0.0)
 
@@ -165,31 +162,12 @@ class TestAdaptationLaw:
         ref = build_reference_model(rom, 1.5)
         d = make_design(ref.A_m, np.eye(rom.n), gamma=1.0, m=1)
         rng = np.random.default_rng(13)
-        phi = regression_vector(rng.normal(size=rom.n), [1.0])
+        phi = np.concatenate([rng.normal(size=rom.n), [1.0]])
         rate = theta_rate(rng.normal(size=rom.n), phi, d.Gamma, d.P @ rom.B_c)
         # single column proportional to Gamma @ phi
         direction = d.Gamma @ phi
         ratio = rate[:, 0] / direction
         assert np.allclose(ratio, ratio[0], atol=1e-12)
-
-class TestControlInput:
-    def test_zero_gains_give_zero(self):
-        state = ControllerState(theta=np.zeros((4, 1)), K0=np.zeros((1, 3)))
-        assert control_input(state, np.ones(3), [2.0]) == pytest.approx(0.0)
-
-    def test_zero_reference_drops_kr(self):
-        rng = np.random.default_rng(15)
-        theta = rng.normal(size=(4, 1))
-        state = ControllerState(theta=theta, K0=np.zeros((1, 3)))
-        x = rng.normal(size=3)
-        u = control_input(state, x, [0.0])
-        assert u[0] == pytest.approx(theta[:3, 0] @ x)
-
-    def test_pre_gain_adds_linearly(self):
-        K0 = np.array([[1.0, -2.0]])
-        state = ControllerState(theta=np.zeros((3, 1)), K0=K0)
-        x = np.array([0.5, 0.25])
-        assert control_input(state, x, [0.0])[0] == pytest.approx(K0[0] @ x)
 
 
 class TestMinimumPhaseCorrection:

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from aeromrac.numerics import (
     NumericsError,
     bass_gura_place,
-    charpoly,
     controllability_matrix,
     eig_biorthogonal,
-    place_poles_single_input,
     solve_lyapunov,
     transmission_zeros,
 )
@@ -144,7 +142,7 @@ class TestPolePlacement:
             if np.linalg.cond(controllability_matrix(A, b)) > 1e8:
                 continue
             poles = -rng.uniform(0.5, 4.0, size=n)
-            K = place_poles_single_input(A, b, poles)
+            K = bass_gura_place(A, b, np.poly(poles).real)
             ref = scipy.signal.place_poles(A, b[:, None], np.sort(poles))
             got = np.sort(np.linalg.eigvals(A - np.outer(b, K)).real)
             assert np.allclose(got, np.sort(ref.computed_poles.real), atol=1e-6)
@@ -154,7 +152,7 @@ class TestPolePlacement:
         b = np.array([0.0, 1.0])
         desired = np.poly([-1.0, -2.0])
         K = bass_gura_place(A, b, desired)
-        assert np.allclose(charpoly(A - np.outer(b, K)), desired, atol=1e-10)
+        assert np.allclose(np.poly(A - np.outer(b, K)), desired, atol=1e-10)
 
     def test_uncontrollable_rejected(self):
         A = np.diag([-1.0, -2.0])

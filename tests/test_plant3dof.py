@@ -12,7 +12,6 @@ from aeromrac.plant3dof import (
     load_params,
     theodorsen_constants,
     wagner_function,
-    wagner_kussner_coeffs,
 )
 
 
@@ -72,15 +71,15 @@ class TestAeroCoefficients:
             assert T[name] == pytest.approx(0.0, abs=1e-12)
 
     def test_kussner_rates_repeated(self):
-        coeffs = wagner_kussner_coeffs(default_params())
-        assert coeffs["kussner_rates"] == (-0.1393, -0.1393)
-        assert sum(coeffs["kussner_weights"]) == pytest.approx(1.0)
+        params = default_params()
+        assert params.kussner_rate == -0.1393
+        assert sum(params.kussner_weights) == pytest.approx(1.0)
 
 
 class TestFullOrderModel:
     def test_dimensions_and_structure(self, fom):
         assert fom.A_f.shape == (14, 14)
-        assert fom.B_cf.shape == (14, 1)
+        assert fom.B_c.shape == (14, 1)
         assert fom.B_gf.shape == (14, 1)
         # gust input drives only the gust-lag states
         nz = np.flatnonzero(fom.B_gf[:, 0])
@@ -130,11 +129,11 @@ class TestFullOrderModel:
 
     def test_control_enters_through_flap_channel(self, fom):
         du = fom.rhs(np.zeros(14), 1.0, 0.0) - fom.rhs(np.zeros(14), 0.0, 0.0)
-        assert np.allclose(du, fom.B_cf[:, 0])
+        assert np.allclose(du, fom.B_c[:, 0])
         assert np.abs(du[3:6]).max() > 0  # structural momentum rows respond
 
     def test_output_map(self, fom):
-        C = fom.C_phys
+        C = fom.C_out
         assert C.shape == (3, 14)
         w = np.arange(14.0)
         assert np.allclose(C @ w, [w[1], w[0], w[2]])  # (pitch, plunge, flap)

@@ -102,7 +102,7 @@ class TestReducedModel:
             np.sort(np.linalg.eigvals(rom14.A).real), np.sort(np.linalg.eigvals(fom.A_f).real), atol=1e-9
         )
         # Markov parameters agree: C A^k B matches the full model
-        Af, Bf, Cf = fom.A_f, fom.B_gf, fom.C_phys
+        Af, Bf, Cf = fom.A_f, fom.B_gf, fom.C_out
         Ar, Br, Cr = rom14.A, rom14.B_g, rom14.C_out
         for k in range(4):
             assert np.allclose(
@@ -113,8 +113,8 @@ class TestReducedModel:
 
     def test_build_from_explicit_modes(self, fom):
         decomp = eig_biorthogonal(fom.A_f)
-        crit = SelectionCriteria(n=4, n_real=2, output_map=fom.C_phys)
-        modes = select_modes(decomp, fom.B_gf, crit, B_cf=fom.B_cf)
+        crit = SelectionCriteria(n=4, n_real=2, output_map=fom.C_out)
+        modes = select_modes(decomp, fom.B_gf, crit, B_c=fom.B_c)
         rom4 = build_nrom(fom, modes, decomp=decomp)
         assert rom4.n == 4
         assert sum(m.kind == "real-gust" for m in rom4.modes) == 2

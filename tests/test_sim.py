@@ -155,6 +155,19 @@ class TestClosedLoop:
         assert np.array_equal(state.theta, trace.theta[-1])
         assert np.abs(state.theta).max() > 0.0
 
+    def test_logged_control_is_the_law(self, rom):
+        # u_c = theta^T [x; r] + K0 x with r = 0: the Kr rows of theta stay idle
+        ref, design, _ = _controller(rom)
+        rng = np.random.default_rng(21)
+        K0 = 0.01 * rng.normal(size=(1, rom.n))
+        state = ControllerState(theta=0.01 * rng.normal(size=(rom.n + 1, 1)), K0=K0)
+        trace = integrate_closed_loop(rom, ref, design, state, OneCosineGust(0.14, 2.0, 1.0),
+                                      SimulationConfig(dt=0.02, duration=10.0))
+        want = np.einsum("ti,tik->tk", trace.x, trace.theta[:, :rom.n]) + trace.x @ K0.T
+        assert np.abs(want).max() > 0.0
+        np.testing.assert_allclose(trace.u_c, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
     def test_adaptation_is_gust_driven(self, rom):
         # gains start moving while the gust acts, then settle once the
         # transient has rung down
