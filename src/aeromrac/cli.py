@@ -240,7 +240,7 @@ def build_controller(cfg, rom, gamma: float | None = None):
     if ctl["zero_correction"]:
         idx = _output_index(cfg, rom, "controller", "zero_output")
         K0, _, report = mrac.minimum_phase_correct(rom.A, rom.B_c, rom.C_out[idx])
-    state = mrac.ControllerState(theta=np.zeros((rom.n + rom.m, rom.m)), K0=K0)
+    state = mrac.ControllerState(theta=np.zeros((rom.n, rom.m)), K0=K0)
     return reference, design, state, report
 
 
@@ -268,8 +268,13 @@ def _fmt(val) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> None:
+    """Header, then one line per row; a float array is formatted a row at a time."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+            line = ",".join([_FLOAT_FMT] * rows.shape[1]) + "\n"
+            fh.writelines(line % tuple(row) for row in rows.tolist())
+            return
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 

@@ -2,12 +2,13 @@
 augmentation, ideal-gain model matching, Lyapunov design, the adaptation law,
 the Lipschitz stability monitor and the minimum-phase pre-correction.
 
+Gust-load alleviation is regulation: there is no reference command, and the
+reference model is driven by the measured gust.  So the controller is
+state-feedback MRAC (Lavretsky & Wise, Robust and Adaptive Control, 2013).
 Gain-storage convention (fixed once to prevent transpose bugs): the adaptive
-gain matrix is theta in R^{(n+m) x m} acting on the regression vector
-phi = [x; r], so u_c = theta^T phi + K0 x.  The first n rows of theta are
-Kx^T and the last m rows are Kr^T.  Gust-load alleviation is regulation: the
-reference command r is zero, so only Kx acts.  ``sim._control`` computes
-u_c; ``theta_rate`` below is the adaptation law.
+gain matrix is theta = Kx^T in R^{n x m} acting on the regression vector
+phi = x, so u_c = theta^T x + K0 x.  ``sim._control`` computes u_c;
+``theta_rate`` below is the adaptation law, with Gamma = gamma Q.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .numerics import (
     NumericsError,
@@ -44,16 +44,7 @@ class ReferenceModel:
     modes carry omega_dm = 0)."""
 
     A_m: np.ndarray  # (n, n)
-    B_m: np.ndarray  # (n, m)
     damping: tuple[tuple[float, float, float], ...]
-
-    @property
-    def n(self) -> int:
-        return self.A_m.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B_m.shape[1]
 
 
 def _modal_blocks(A: np.ndarray):
@@ -84,7 +75,7 @@ def build_reference_model(
     either a factor >= 1 or an explicit (sigma_m, omega_dm) pair.  Real
     (gust-coupling) modes keep their open-loop eigenvalues.  The damped
     frequency is kept at its open-loop value unless explicitly overridden.
-    B_m is B_c, so the ideal feedforward gain is the identity.
+    The measured gust drives the reference model through the plant's B_g.
     """
     A = np.asarray(rom.A, dtype=float)
     blocks = _modal_blocks(A)
@@ -133,8 +124,7 @@ def build_reference_model(
         worst = eigs[np.argmax(eigs.real)]
         raise MracError(f"reference model is not Hurwitz: eigenvalue {worst}")
 
-    return ReferenceModel(A_m=A_m, B_m=np.array(rom.B_c, dtype=float),
-                          damping=tuple(damping))
+    return ReferenceModel(A_m=A_m, damping=tuple(damping))
 
 
 # ---------------------------------------------------------------------------
@@ -144,45 +134,32 @@ def build_reference_model(
 @dataclass(frozen=True)
 class MatchingResult:
     Kx: np.ndarray  # (m, n)
-    Kr: np.ndarray  # (m, m)
     residual_A: float  # ||A + B_c Kx - A_m||_F
-    residual_B: float  # ||B_c Kr - B_m||_F
     feasible: bool
 
     @property
     def theta_star(self) -> np.ndarray:
-        """Ideal gain matrix in the (n+m) x m storage convention."""
-        return np.vstack([self.Kx.T, self.Kr.T])
+        """Ideal gain matrix in the n x m storage convention."""
+        return self.Kx.T
 
 
-def ideal_gains(A, B_c, A_m, B_m, tol: float = 1e-8) -> MatchingResult:
-    """Least-squares model-matching gains: A + B_c Kx = A_m, B_c Kr = B_m.
+def ideal_gains(A, B_c, A_m, tol: float = 1e-8) -> MatchingResult:
+    """Least-squares model-matching gain: A + B_c Kx = A_m.
 
-    Exact when the matching conditions hold; otherwise the normal-equations
-    minimiser with the residual norms reported."""
+    Exact when the matching condition holds; otherwise the normal-equations
+    minimiser with the residual norm reported."""
     A = np.asarray(A, dtype=float)
     B_c = np.atleast_2d(np.asarray(B_c, dtype=float))
     if B_c.shape[0] == 1 and A.shape[0] > 1:
         B_c = B_c.T
     A_m = np.asarray(A_m, dtype=float)
-    B_m = np.atleast_2d(np.asarray(B_m, dtype=float))
-    if B_m.shape[0] == 1 and A.shape[0] > 1:
-        B_m = B_m.T
     if np.linalg.matrix_rank(B_c) == 0:
         raise MracError("B_c is identically zero; matching gains undefined")
 
     Kx, _, _, _ = np.linalg.lstsq(B_c, A_m - A, rcond=None)
-    Kr, _, _, _ = np.linalg.lstsq(B_c, B_m, rcond=None)
     res_A = float(np.linalg.norm(A + B_c @ Kx - A_m))
-    res_B = float(np.linalg.norm(B_c @ Kr - B_m))
     scale = max(1.0, float(np.linalg.norm(A_m)))
-    return MatchingResult(
-        Kx=Kx,
-        Kr=Kr,
-        residual_A=res_A,
-        residual_B=res_B,
-        feasible=(res_A <= tol * scale and res_B <= tol * max(1.0, np.linalg.norm(B_m))),
-    )
+    return MatchingResult(Kx=Kx, residual_A=res_A, feasible=res_A <= tol * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +170,13 @@ def ideal_gains(A, B_c, A_m, B_m, tol: float = 1e-8) -> MatchingResult:
 class LyapunovDesign:
     """Weighting Q, Lyapunov solution P and adaptation-rate matrix Gamma.
 
-    With the gamma parameterization, Gamma = blkdiag(gamma Q, gamma I_m): the
-    state block follows the weighting matrix and the reference block (which Q
-    does not cover) defaults to the identity.
+    With the gamma parameterization, Gamma = gamma Q follows the weighting
+    matrix.
     """
 
     Q: np.ndarray  # (n, n) SPD
     P: np.ndarray  # (n, n) SPD
-    Gamma: np.ndarray  # (n+m, n+m) SPD
+    Gamma: np.ndarray  # (n, n) SPD
     gamma: float | None = None
     Gamma_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -221,13 +197,15 @@ class LyapunovDesign:
 
 
 def make_design(A_m: np.ndarray, Q: np.ndarray, gamma: float, m: int) -> LyapunovDesign:
-    """Solve A_m^T P + P A_m = -Q and build Gamma = blkdiag(gamma Q, gamma I_m)."""
+    """Solve A_m^T P + P A_m = -Q and build Gamma = gamma Q.
+
+    ``m`` (the number of control inputs) does not enter the design; it is
+    kept because the benchmark's checks (``perfbench/checks.py``) pass it."""
     if gamma <= 0:
         raise MracError("gamma must be positive")
     Q = np.asarray(Q, dtype=float)
     P = solve_lyapunov(A_m, Q)
-    Gamma = scipy.linalg.block_diag(gamma * Q, gamma * np.eye(m))
-    return LyapunovDesign(Q=Q, P=P, Gamma=Gamma, gamma=gamma)
+    return LyapunovDesign(Q=Q, P=P, Gamma=gamma * Q, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +216,17 @@ def make_design(A_m: np.ndarray, Q: np.ndarray, gamma: float, m: int) -> Lyapuno
 class ControllerState:
     """Adaptive gains plus the fixed pre-gain; advanced by the simulator."""
 
-    theta: np.ndarray  # (n+m, m)
+    theta: np.ndarray  # (n, m)
     K0: np.ndarray  # (m, n) minimum-phase / pre-stabilisation gain
 
 
 def theta_rate(e, phi, Gamma, PB) -> np.ndarray:
-    """Adaptation law theta_dot = -Gamma phi e^T P B_c, given PB = P B_c.
+    """Adaptation law theta_dot = -Gamma phi e^T P B_c, given PB = P B_c and
+    the regressor phi = x.
 
     Every argument may carry a leading lane axis, so that lanes with their
-    own Gamma (B, n+m, n+m) and P B_c (B, n, m) adapt in one call on errors
-    e (B, n) and regressors phi (B, n+m)."""
+    own Gamma (B, n, n) and P B_c (B, n, m) adapt in one call on errors
+    e (B, n) and regressors phi (B, n)."""
     return -Gamma @ (phi[..., :, None] * (e[..., None, :] @ PB))
 
 

@@ -1,10 +1,11 @@
 """Fixed-step closed-loop and open-loop time integration.
 
-One classical fourth-order Runge-Kutta kernel advances every run.  The
-closed loop packs the augmented state as one flat vector [x, x_m, vec theta],
-so the adaptation law is integrated with the same stages as the plant and
-reference states.  The kernel takes one state (N,) or a batch of B lanes as
-rows (B, N); a gamma sweep runs its points as the lanes of one batch.
+One classical fourth-order Runge-Kutta kernel advances every run, on one
+state (N,) in the open loop or on a batch of B lanes as rows (B, N) in the
+closed loop; a gamma sweep runs its points as the lanes of one batch.  A
+closed-loop lane is the flat row [x, x_m, vec theta]: plant and reference
+model advance as one stacked Plant, so each RK4 stage makes one
+``Plant.rhs`` call and one adaptation-law call.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mrac import ControllerState, LyapunovDesign, ReferenceModel, theta_rate
+from .romgen import Plant, PolyNonlinearity
 
 DIVERGENCE_DEFAULT = 1e8
 # Log memory one closed-loop batch may hold; it sets the lanes per batch.
@@ -62,7 +64,7 @@ class SimulationTrace:
     output_labels: tuple[str, ...]
     x_m: np.ndarray | None = None  # (T, n) closed loop only
     e: np.ndarray | None = None  # (T, n)
-    theta: np.ndarray | None = None  # (T, n+m, m)
+    theta: np.ndarray | None = None  # (T, n, m)
     u_c: np.ndarray | None = None  # (T, m)
     diverged: bool = False
 
@@ -145,61 +147,65 @@ def _rk4(f, y, config: SimulationConfig):
             for b in range(lanes.shape[1])]
 
 
-def _control(theta, phi, K0):
-    """u_c = theta^T phi + K0 x, with K0 given as [K0^T; 0] in theta's shape;
+def _control(theta, x, K0):
+    """u_c = theta^T x + K0 x, with K0 given as K0^T in theta's (n, m) shape;
     any leading axes are lanes or log rows."""
-    return (phi[..., None, :] @ (theta + K0))[..., 0, :]
+    return (x[..., None, :] @ (theta + K0))[..., 0, :]
+
+
+def _stacked_plant(model, reference: ReferenceModel, config: SimulationConfig) -> Plant:
+    """Plant and reference model as one Plant on [x, x_m]: A = diag(A, A_m),
+    B_c = [B_c; 0], B_g = [B_g; B_g] (the measured gust drives both) and a
+    block-diagonal F whose reference block is zero for a linear reference
+    model.  A linear plant gets no F and a linear reference model."""
+    n = model.A.shape[0]
+    nl = model.nl if config.plant_nonlinear else None
+    if nl is not None:
+        Z = np.zeros((n, nl.H.shape[0]))
+        G_m = nl.G if config.reference_nonlinear else Z
+        nl = PolyNonlinearity(G=np.block([[nl.G, Z], [Z, G_m]]),
+                              H=np.block([[nl.H, Z.T], [Z.T, nl.H]]),
+                              quad=np.tile(nl.quad, 2), cubic=np.tile(nl.cubic, 2))
+    Z = np.zeros((n, n))
+    return Plant(A=np.block([[model.A, Z], [Z, reference.A_m]]),
+                 B_c=np.vstack([model.B_c, np.zeros_like(model.B_c)]),
+                 B_g=np.vstack([model.B_g, model.B_g]),
+                 C_out=np.hstack([model.C_out, np.zeros_like(model.C_out)]),
+                 output_labels=model.output_labels, nl=nl)
 
 
 def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
                  config: SimulationConfig):
     """One trace or SimulationError per (design, controller) lane from zero
-    state.  A single lane runs as a 1-D state, several as the rows of a batch."""
+    state; the lanes are the rows (B, N) of one batch."""
     n, m = model.B_c.shape
     if reference.A_m.shape != (n, n):
         raise ValueError("reference model dimension does not match the plant")
-    dt = config.dt
+    if any(np.shape(c.theta) != (n, m) for c in controllers):
+        raise ValueError(f"controller theta must have shape {(n, m)}")
+    dt, lanes = config.dt, len(designs)
     u_d_grid = _gust_grid(gust, config, model.B_g.shape[1])
-
-    def stack(arrays):
-        return np.stack(arrays) if len(designs) > 1 else arrays[0]
-
-    Gamma = stack([d.Gamma for d in designs])
-    PB = stack([d.P @ model.B_c for d in designs])
-    K0 = stack([np.vstack([c.K0.T, np.zeros((m, m))]) for c in controllers])
-    y = stack([np.concatenate([np.zeros(2 * n), np.ravel(c.theta)]) for c in controllers])
-
-    lead = y.shape[:-1]
-    theta_shape = lead + (n + m, m)
-    zero_r = np.zeros(lead + (m,))  # phi = [x, r] with r = 0 (regulation)
-    A_mT, B_gT = reference.A_m.T, model.B_g.T
-    rhs, eval_f_nr = model.rhs, model.eval_f_nr
-    plant_nl = config.plant_nonlinear
-    ref_nl = config.reference_nonlinear and plant_nl
+    rhs = _stacked_plant(model, reference, config).rhs
+    Gamma = np.stack([d.Gamma for d in designs])
+    PB = np.stack([d.P @ model.B_c for d in designs])
+    K0 = np.stack([c.K0.T for c in controllers])
+    y = np.hstack([np.zeros((lanes, 2 * n)), np.stack([np.ravel(c.theta) for c in controllers])])
 
     def deriv(j, y):
-        x, xm = y[..., :n], y[..., n:2 * n]
-        u_d = u_d_grid[j]
-        phi = np.concatenate([x, zero_r], axis=-1)
-        u_c = _control(y[..., 2 * n:].reshape(theta_shape), phi, K0)
-        dx = rhs(x, u_c, u_d, nonlinear=plant_nl)
-        dxm = xm @ A_mT + u_d @ B_gT
-        if ref_nl:
-            dxm = dxm + eval_f_nr(xm)
-        dtheta = theta_rate(x - xm, phi, Gamma, PB)
-        return np.concatenate([dx, dxm, dtheta.reshape(lead + (-1,))], axis=-1)
+        x = y[:, :n]
+        u_c = _control(y[:, 2 * n:].reshape(lanes, n, m), x, K0)
+        dtheta = theta_rate(x - y[:, n:2 * n], x, Gamma, PB)
+        return np.concatenate([rhs(y[:, :2 * n], u_c, u_d_grid[j]),
+                               dtheta.reshape(lanes, -1)], axis=1)
 
     results = []
-    lane_K0 = K0.reshape(-1, n + m, m)
     for b, (steps, ys, error) in enumerate(_rk4(deriv, y, config)):
         x, xm = ys[:, :n], ys[:, n:2 * n]
-        theta = ys[:, 2 * n:].reshape(-1, n + m, m)
-        phi = np.concatenate([x, np.zeros((steps.shape[0], m))], axis=1)
+        theta = ys[:, 2 * n:].reshape(-1, n, m)
         trace = SimulationTrace(
             time=steps * dt, x=x, outputs=x @ model.C_out.T, u_d=u_d_grid[2 * steps],
             output_labels=model.output_labels, x_m=xm, e=x - xm, theta=theta,
-            u_c=_control(theta, phi, lane_K0[b]),
-            diverged=error is not None,
+            u_c=_control(theta, x, K0[b]), diverged=error is not None,
         )
         if error is None:
             controllers[b].theta = theta[-1].copy()
@@ -221,8 +227,9 @@ def integrate_closed_loop(
 
     The measured gust drives both the plant and the reference model; the
     nonlinear residual enters both (Eq. 4/5 structure) unless disabled via the
-    config flags.  Both start from zero and r is zero (gust-load-alleviation
-    regulation).  The final gains are written back to ``controller.theta``."""
+    config flags.  Both start from zero; there is no reference command
+    (gust-load-alleviation regulation).  The final gains are written back to
+    ``controller.theta``."""
     _check_dt(config, model.A)
     (result,) = _closed_loop(model, reference, [design], [controller], gust, config)
     if isinstance(result, SimulationError):
@@ -249,7 +256,7 @@ def batch_lanes(model, config: SimulationConfig) -> int:
     least one)."""
     n, m = model.B_c.shape
     rows = -(-config.n_steps // config.log_stride) + 1
-    return max(1, BATCH_LOG_BYTES // (rows * (2 * n + (n + m) * m) * 8))
+    return max(1, BATCH_LOG_BYTES // (rows * (2 * n + n * m) * 8))
 
 
 def integrate_open_loop(model, gust, config: SimulationConfig,

@@ -78,7 +78,7 @@ def _random_adaptive_config(rng):
 def _canonical_controller(rom, gamma=0.5, q_scale=0.03):
     ref = mrac.build_reference_model(rom, 1.5)
     design = mrac.make_design(ref.A_m, q_scale * np.eye(rom.n), gamma, m=1)
-    state = mrac.ControllerState(theta=np.zeros((rom.n + 1, 1)), K0=np.zeros((1, rom.n)))
+    state = mrac.ControllerState(theta=np.zeros((rom.n, 1)), K0=np.zeros((1, rom.n)))
     return ref, design, state
 
 
@@ -107,13 +107,13 @@ def test_criterion_02_random_config_stability():
         A, B, B_g, Q, gamma, A_m = _random_adaptive_config(rng)
         n = A.shape[0]
         plant = LinearPlant(A, B, B_g)
-        ref = mrac.ReferenceModel(A_m=A_m, B_m=B.copy(), damping=())
+        ref = mrac.ReferenceModel(A_m=A_m, damping=())
         design = mrac.make_design(A_m, Q, gamma, m=1)
-        state = mrac.ControllerState(theta=np.zeros((n + 1, 1)), K0=np.zeros((1, n)))
+        state = mrac.ControllerState(theta=np.zeros((n, 1)), K0=np.zeros((1, n)))
         gust = OneCosineGust(w_gmax=1.0, H_g=10.0)
         cfg = SimulationConfig(dt=0.02, duration=5 * gust.duration, plant_nonlinear=False)
         trace = integrate_closed_loop(plant, ref, design, state, gust, cfg)
-        theta_star = mrac.ideal_gains(A, B, A_m, B).theta_star
+        theta_star = mrac.ideal_gains(A, B, A_m).theta_star
         cert = mrac.lyapunov_certificate(trace.time, trace.e, design, trace.theta, theta_star)
         e_norm = np.linalg.norm(trace.e, axis=1)
         if not (cert.passed and e_norm[-1] <= 1e-4 * e_norm.max()):
@@ -126,9 +126,9 @@ def test_criterion_02_random_config_stability():
 def test_criterion_03_ideal_gain_tracking(rom):
     kx = np.array([[-0.02, 0.01, 0.03, -0.01, 0.02, 0.0, 0.01, -0.02]])
     A_m = rom.A + np.atleast_2d(rom.B_c) @ kx
-    ref = mrac.ReferenceModel(A_m=A_m, B_m=np.atleast_2d(rom.B_c).copy(), damping=())
+    ref = mrac.ReferenceModel(A_m=A_m, damping=())
     design = mrac.make_design(A_m, 0.03 * np.eye(8), 0.5, m=1)
-    theta_star = mrac.ideal_gains(rom.A, rom.B_c, A_m, ref.B_m).theta_star
+    theta_star = mrac.ideal_gains(rom.A, rom.B_c, A_m).theta_star
     worst = 0.0
     for gust in (
         OneCosineGust(0.14, 55.0),
@@ -208,14 +208,14 @@ def test_criterion_07_zero_relocation_and_adaptive_run():
 
     A_m = np.array([[0.0, 1.0], [-3.0, -4.0]])  # A + b k, k = [-1, -1]
     plant = LinearPlant(A, b, np.array([1.0, 0.0]))
-    ref = mrac.ReferenceModel(A_m=A_m, B_m=b[:, None].copy(), damping=())
+    ref = mrac.ReferenceModel(A_m=A_m, damping=())
     design = mrac.make_design(A_m, np.eye(2), 0.5, m=1)
-    state = mrac.ControllerState(theta=np.zeros((3, 1)), K0=K0)
+    state = mrac.ControllerState(theta=np.zeros((2, 1)), K0=K0)
     gust = OneCosineGust(1.0, 10.0)
     cfg = SimulationConfig(dt=0.01, duration=5 * gust.duration, plant_nonlinear=False)
     trace = integrate_closed_loop(plant, ref, design, state, gust, cfg)
     # matching target accounts for the pre-gain: A + b(K0 + Kx*) = A_m
-    theta_star = mrac.ideal_gains(A + np.outer(b, K0[0]), b[:, None], A_m, b[:, None]).theta_star
+    theta_star = mrac.ideal_gains(A + np.outer(b, K0[0]), b[:, None], A_m).theta_star
     cert = mrac.lyapunov_certificate(trace.time, trace.e, design, trace.theta, theta_star)
     e_norm = np.linalg.norm(trace.e, axis=1)
     settled = e_norm[-1] <= 1e-4 * e_norm.max()

@@ -34,7 +34,7 @@ gust = gusts.OneCosineGust(0.14, 2.0, 1.0)
 config = sim.SimulationConfig(dt=0.02, duration=4.0)
 reference = mrac.build_reference_model(rom, 1.5)
 design = mrac.make_design(reference.A_m, 0.03 * np.eye(rom.n), 0.5, m=rom.m)
-state = mrac.ControllerState(theta=np.zeros((rom.n + 1, 1)), K0=np.zeros((1, rom.n)))
+state = mrac.ControllerState(theta=np.zeros((rom.n, 1)), K0=np.zeros((1, rom.n)))
 sim.integrate_open_loop(fom, gust, config)
 sim.integrate_open_loop(rom, gust, config)
 tr = sim.integrate_closed_loop(rom, reference, design, state, gust, config)

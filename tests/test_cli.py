@@ -26,16 +26,26 @@ def write_config(path, **sections):
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    # only Von Karman gusts need scipy.signal; loading it costs most of the import
+    # only Von Karman gusts need scipy.signal and only zero correction needs
+    # scipy.linalg; the CLI import loads no scipy module at all
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, aeromrac.cli; print('scipy.signal' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120)
+    code = ("import sys, aeromrac.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_float_array_csv_matches_value_by_value_format(tmp_path):
+    rows = np.array([[np.nan, np.inf, -np.inf, -0.0],
+                     [5e-324, 1e308, 0.1, -1.0 / 3.0]])
+    cli.write_csv(tmp_path / "a.csv", ["a", "b", "c", "d"], rows)
+    want = "a,b,c,d\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+    assert (tmp_path / "a.csv").read_text() == want
 
 
 def read_csv(path):

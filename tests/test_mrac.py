@@ -21,7 +21,6 @@ class TestReferenceModel:
     def test_identity_spec_reproduces_plant(self, rom):
         ref = build_reference_model(rom, damping_spec=1.0)
         assert np.allclose(ref.A_m, rom.A, atol=1e-12)
-        assert np.allclose(ref.B_m, rom.B_c)
 
     def test_scalar_factor_scales_real_parts_only(self, rom):
         ref = build_reference_model(rom, damping_spec=3.0)
@@ -75,21 +74,19 @@ class TestIdealGains:
         A = random_stable(rng, 3)
         B = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
         A_m = random_stable(rng, 3)
-        res = ideal_gains(A, B, A_m, B)
+        res = ideal_gains(A, B, A_m)
         assert res.feasible
         assert np.allclose(res.Kx, np.linalg.solve(B, A_m - A), atol=1e-9)
-        assert np.allclose(res.Kr, np.eye(3), atol=1e-10)
 
-    def test_trivial_match_is_zero_and_identity(self, rom):
-        res = ideal_gains(rom.A, rom.B_c, rom.A, rom.B_c)
+    def test_trivial_match_is_zero(self, rom):
+        res = ideal_gains(rom.A, rom.B_c, rom.A)
         assert res.feasible
         assert np.allclose(res.Kx, 0.0, atol=1e-12)
-        assert np.allclose(res.Kr, 1.0, atol=1e-12)
 
     def test_reachable_target_exact(self, rom):
         kx = np.linspace(-0.02, 0.02, rom.n)[None, :]
         A_m = rom.A + rom.B_c @ kx
-        res = ideal_gains(rom.A, rom.B_c, A_m, rom.B_c)
+        res = ideal_gains(rom.A, rom.B_c, A_m)
         assert res.feasible and res.residual_A <= 1e-8
         assert np.allclose(res.Kx, kx, atol=1e-9)
 
@@ -98,7 +95,7 @@ class TestIdealGains:
         A = random_stable(rng, 4)
         b = rng.normal(size=(4, 1))
         A_m = random_stable(rng, 4)
-        res = ideal_gains(A, b, A_m, b)
+        res = ideal_gains(A, b, A_m)
         # normal-equations oracle for the rank-1 column space of b
         Kx_ref = np.linalg.lstsq(b, A_m - A, rcond=None)[0]
         assert np.allclose(res.Kx, Kx_ref, atol=1e-10)
@@ -107,24 +104,23 @@ class TestIdealGains:
 
     def test_zero_input_matrix_rejected(self):
         with pytest.raises(MracError, match="identically zero"):
-            ideal_gains(-np.eye(2), np.zeros((2, 1)), -2 * np.eye(2), np.zeros((2, 1)))
+            ideal_gains(-np.eye(2), np.zeros((2, 1)), -2 * np.eye(2))
 
     def test_theta_star_layout(self, rom):
-        res = ideal_gains(rom.A, rom.B_c, rom.A, rom.B_c)
+        kx = np.linspace(-0.02, 0.02, rom.n)[None, :]
+        res = ideal_gains(rom.A, rom.B_c, rom.A + rom.B_c @ kx)
         th = res.theta_star
-        assert th.shape == (rom.n + 1, 1)
-        assert np.allclose(th[: rom.n, 0], res.Kx[0])
-        assert th[rom.n, 0] == pytest.approx(res.Kr[0, 0])
+        assert th.shape == (rom.n, 1)
+        assert np.array_equal(th, res.Kx.T)
 
 
 class TestDesign:
-    def test_gamma_block_structure(self):
+    def test_gamma_is_scaled_weighting(self):
         A_m = -np.eye(3)
         Q = np.diag([1.0, 2.0, 4.0])
         d = make_design(A_m, Q, gamma=0.5, m=1)
-        assert np.allclose(d.Gamma[:3, :3], 0.5 * Q)
-        assert d.Gamma[3, 3] == pytest.approx(0.5)
-        assert np.allclose(d.Gamma[:3, 3], 0.0)
+        assert d.Gamma.shape == (3, 3)
+        assert np.array_equal(d.Gamma, 0.5 * Q)
 
     def test_lyapunov_closed_form(self):
         # A_m = -I: P = Q/2, so L_F = lambda_min(Q) / ||Q||_2
@@ -143,26 +139,24 @@ class TestDesign:
 
 class TestAdaptationLaw:
     def test_scalar_closed_form(self):
-        # n = m = 1: theta' = -Gamma phi e P b, with P = 1, Gamma = diag(1.0, 0.5)
+        # n = m = 1: theta' = -Gamma x e P b, with P = 1, Gamma = 0.5 * 2
         d = make_design(np.array([[-1.0]]), np.array([[2.0]]), gamma=0.5, m=1)
-        e, x, r = 0.3, 0.4, 0.7
-        phi = np.array([x, r])
-        expected = -np.array([[1.0 * x * e * 1.0 * 2.0], [0.5 * r * e * 1.0 * 2.0]])
-        rate = theta_rate(np.array([e]), phi, d.Gamma, d.P @ np.array([[2.0]]))
+        e, x = 0.3, 0.4
+        expected = np.array([[-1.0 * x * e * 1.0 * 2.0]])
+        rate = theta_rate(np.array([e]), np.array([x]), d.Gamma, d.P @ np.array([[2.0]]))
         assert np.allclose(rate, expected, atol=1e-15)
 
     def test_zero_error_freezes_gains(self, rom):
         ref = build_reference_model(rom, 1.5)
         d = make_design(ref.A_m, 0.03 * np.eye(rom.n), gamma=0.5, m=1)
-        phi = np.concatenate([np.ones(rom.n), [0.5]])
-        rate = theta_rate(np.zeros(rom.n), phi, d.Gamma, d.P @ rom.B_c)
+        rate = theta_rate(np.zeros(rom.n), np.ones(rom.n), d.Gamma, d.P @ rom.B_c)
         assert np.all(rate == 0.0)
 
     def test_rate_is_rank_one_in_phi(self, rom):
         ref = build_reference_model(rom, 1.5)
         d = make_design(ref.A_m, np.eye(rom.n), gamma=1.0, m=1)
         rng = np.random.default_rng(13)
-        phi = np.concatenate([rng.normal(size=rom.n), [1.0]])
+        phi = rng.normal(size=rom.n)
         rate = theta_rate(rng.normal(size=rom.n), phi, d.Gamma, d.P @ rom.B_c)
         # single column proportional to Gamma @ phi
         direction = d.Gamma @ phi
@@ -221,7 +215,7 @@ class TestMinimumPhaseCorrection:
         assert rep.corrected
         A_shift = A + b @ K0
         k = np.array([[-0.3, -0.7]])
-        res = ideal_gains(A_shift, b, A_shift + b @ k, b)
+        res = ideal_gains(A_shift, b, A_shift + b @ k)
         assert res.feasible
         assert np.allclose(res.Kx, k, atol=1e-9)
 
@@ -293,7 +287,7 @@ class TestCertificate:
         d = make_design(-np.eye(2), np.eye(2), gamma=1.0, m=1)
         t = np.linspace(0, 1, 10)
         e = np.zeros((10, 2))
-        th_star = np.ones((3, 1))
+        th_star = np.ones((2, 1))
         th = np.repeat(th_star[None], 10, axis=0)
         cert = lyapunov_certificate(t, e, d, theta_traj=th, theta_star=th_star)
         assert cert.passed and np.allclose(cert.V, 0.0)
@@ -316,4 +310,4 @@ class TestCertificate:
     def test_theta_without_star_rejected(self):
         d = make_design(-np.eye(2), np.eye(2), gamma=1.0, m=1)
         with pytest.raises(MracError, match="theta_star"):
-            lyapunov_certificate([0.0], np.zeros((1, 2)), d, theta_traj=np.zeros((1, 3, 1)))
+            lyapunov_certificate([0.0], np.zeros((1, 2)), d, theta_traj=np.zeros((1, 2, 1)))

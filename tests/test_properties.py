@@ -73,7 +73,7 @@ gamma_lists = st.lists(st.floats(0.01, 2.0), min_size=1, max_size=5)
 def _lanes(rom, gammas):
     ref = build_reference_model(rom, 1.5)
     designs = [make_design(ref.A_m, 0.03 * np.eye(rom.n), g, m=rom.m) for g in gammas]
-    states = [ControllerState(theta=np.zeros((rom.n + rom.m, rom.m)),
+    states = [ControllerState(theta=np.zeros((rom.n, rom.m)),
                               K0=np.zeros((rom.m, rom.n))) for _ in gammas]
     return ref, designs, states
 

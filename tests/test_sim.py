@@ -13,6 +13,7 @@ from aeromrac.sim import (
     SimulationTrace,
     compute_metrics,
     integrate_closed_loop,
+    integrate_closed_loop_batch,
     integrate_open_loop,
 )
 
@@ -39,7 +40,7 @@ class TinyPlant:
 def _controller(rom, gamma=0.5, q_scale=0.03, damping=1.5):
     ref = build_reference_model(rom, damping)
     design = make_design(ref.A_m, q_scale * np.eye(rom.n), gamma=gamma, m=1)
-    state = ControllerState(theta=np.zeros((rom.n + 1, 1)), K0=np.zeros((1, rom.n)))
+    state = ControllerState(theta=np.zeros((rom.n, 1)), K0=np.zeros((1, rom.n)))
     return ref, design, state
 
 
@@ -156,14 +157,14 @@ class TestClosedLoop:
         assert np.abs(state.theta).max() > 0.0
 
     def test_logged_control_is_the_law(self, rom):
-        # u_c = theta^T [x; r] + K0 x with r = 0: the Kr rows of theta stay idle
+        # u_c = theta^T x + K0 x
         ref, design, _ = _controller(rom)
         rng = np.random.default_rng(21)
         K0 = 0.01 * rng.normal(size=(1, rom.n))
-        state = ControllerState(theta=0.01 * rng.normal(size=(rom.n + 1, 1)), K0=K0)
+        state = ControllerState(theta=0.01 * rng.normal(size=(rom.n, 1)), K0=K0)
         trace = integrate_closed_loop(rom, ref, design, state, OneCosineGust(0.14, 2.0, 1.0),
                                       SimulationConfig(dt=0.02, duration=10.0))
-        want = np.einsum("ti,tik->tk", trace.x, trace.theta[:, :rom.n]) + trace.x @ K0.T
+        want = np.einsum("ti,tik->tk", trace.x, trace.theta) + trace.x @ K0.T
         assert np.abs(want).max() > 0.0
         np.testing.assert_allclose(trace.u_c, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
@@ -180,6 +181,86 @@ class TestClosedLoop:
         assert drift[in_gust][-1] > 0.0
         settle = drift[np.searchsorted(trace.time, 110.0)]
         assert abs(drift[-1] - settle) < 0.01 * drift[-1]
+
+
+def _written_out_run(rom, ref, design, state, gust, cfg):
+    """x, x_m, theta and u_c from a serial RK4 of the written-out law:
+    x' = A x + B_c u + B_g u_d + F(x), x_m' = A_m x_m + B_g u_d + [F(x_m)],
+    theta' = -gamma Q x e^T P B_c, u = x^T (theta + K0^T)."""
+    n, h = rom.n, cfg.dt
+    b_c, b_g, PB = rom.B_c[:, 0], rom.B_g[:, 0], design.P @ rom.B_c
+    f_plant = cfg.plant_nonlinear
+    f_ref = cfg.plant_nonlinear and cfg.reference_nonlinear
+
+    def f(t, y):
+        x, xm, theta = y[:n], y[n:2 * n], y[2 * n:]
+        u = x @ (theta + state.K0[0])
+        w = gust(t)
+        dx = rom.A @ x + b_c * u + b_g * w + (rom.nl(x) if f_plant else 0.0)
+        dxm = ref.A_m @ xm + b_g * w + (rom.nl(xm) if f_ref else 0.0)
+        dtheta = -design.gamma * design.Q @ x * ((x - xm) @ PB[:, 0])
+        return np.concatenate([dx, dxm, dtheta])
+
+    y = np.concatenate([np.zeros(2 * n), state.theta[:, 0]])
+    ys = [y]
+    for k in range(cfg.n_steps):
+        t0, t1, t2 = 0.5 * h * (2 * k), 0.5 * h * (2 * k + 1), 0.5 * h * (2 * k + 2)
+        k1 = f(t0, y)
+        k2 = f(t1, y + 0.5 * h * k1)
+        k3 = f(t1, y + 0.5 * h * k2)
+        k4 = f(t2, y + h * k3)
+        y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        ys.append(y)
+    ys = np.array(ys)
+    x, theta = ys[:, :n], ys[:, 2 * n:]
+    u_c = np.einsum("ti,ti->t", x, theta + state.K0[0])[:, None]
+    return x, ys[:, n:2 * n], theta[:, :, None], u_c
+
+
+class TestStackedPlant:
+    """The fused closed loop (plant and reference model as one stacked
+    Plant) against a serial RK4 of the written-out law."""
+
+    GUST = OneCosineGust(0.5, 2.0, 1.0)
+
+    def _lanes(self, rom, count):
+        ref = build_reference_model(rom, 1.5)
+        rng = np.random.default_rng(22 + count)
+        lanes = []
+        for gamma in (0.5, 0.1, 2.0)[:count]:
+            design = make_design(ref.A_m, 0.03 * np.eye(rom.n), gamma=gamma, m=1)
+            state = ControllerState(theta=0.01 * rng.normal(size=(rom.n, 1)),
+                                    K0=0.01 * rng.normal(size=(1, rom.n)))
+            lanes.append((design, state))
+        return ref, lanes
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("plant_nl,ref_nl", [(True, True), (True, False),
+                                                 (False, True), (False, False)])
+    def test_batch_matches_written_out_law(self, rom, count, plant_nl, ref_nl):
+        cfg = SimulationConfig(dt=0.02, duration=6.0, plant_nonlinear=plant_nl,
+                               reference_nonlinear=ref_nl)
+        ref, lanes = self._lanes(rom, count)
+        wants = [_written_out_run(rom, ref, d, s, self.GUST, cfg)
+                 for d, s in lanes]
+        traces = integrate_closed_loop_batch(rom, ref, [d for d, _ in lanes],
+                                             [s for _, s in lanes], self.GUST, cfg)
+        for trace, want in zip(traces, wants):
+            for got, expected in zip((trace.x, trace.x_m, trace.theta, trace.u_c), want):
+                assert got.shape == expected.shape
+                scale = np.abs(expected).max()
+                assert scale > 0.0
+                assert np.abs(got - expected).max() <= 1e-12 * scale
+
+    def test_reference_nonlinearity_is_visible(self, rom):
+        # the flag moves x_m far beyond the tolerance above, so the cases
+        # with and without the reference block are told apart
+        ref, [(design, state)] = self._lanes(rom, 1)
+        runs = [_written_out_run(rom, ref, design, state, self.GUST,
+                                 SimulationConfig(dt=0.02, duration=6.0,
+                                                  reference_nonlinear=flag))[1]
+                for flag in (True, False)]
+        assert np.abs(runs[0] - runs[1]).max() > 1e-9 * np.abs(runs[0]).max()
 
 
 class TestMetrics:
