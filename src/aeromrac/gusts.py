@@ -66,44 +66,76 @@ class ZeroGust:
 # decade past the Nyquist rate.  Deterministic in-band magnitude error is
 # below 1 dB for the bandwidths of interest.  Each first-order section is
 # bilinear-discretised separately and the cascade gain is normalised so the
-# discrete-time output variance is exactly sigma_g^2.
+# discrete-time output variance is exactly sigma_g^2.  The filter is NumPy
+# only: importing scipy.signal would take most of a short stochastic run.
 _LADDER_RATIO_EXP = 0.25  # log10 of pole spacing ratio r
 _LADDER_START = 0.3  # first pole at x = r^_LADDER_START
 _LADDER_SLOPE = 5.0 / 6.0  # fractional amplitude slope being approximated
+# Samples per row of the blocked scan.  Each level of the carry recursion
+# divides the length by it; at 256 the (K, K) products cost more than the
+# Python calls they save (160 ms for a 110 001-sample gust).
+_SCAN_BLOCK = 64
 
 
 def _vk_filter_sections(L_g: float, U_inf: float, dt: float):
-    """Discretised first-order sections (b, a) of the unit-variance shaping
-    filter cascade for white noise with per-sample variance pi/dt."""
-    import scipy.signal  # here, not at module load: it dominates the CLI import
-
+    """Discretised first-order sections (b, a), a[0] = 1, of the unit-variance
+    shaping filter cascade for white noise with per-sample variance pi/dt."""
     tau = 1.339 * L_g / U_inf
-    sections = [(np.array([np.sqrt(8.0 / 3.0) * tau, 1.0]), np.array([tau, 1.0]))]
+    sections = [(np.sqrt(8.0 / 3.0) * tau, 1.0, tau, 1.0)]  # (n0 s + n1)/(d0 s + d1)
     r = 10.0**_LADDER_RATIO_EXP
     x_hi = tau * (np.pi / dt) * 10.0  # one decade beyond Nyquist
     n_sections = int(np.ceil(np.log(x_hi) / np.log(r)))
     pole = r**_LADDER_START
     for _ in range(n_sections):
         zero = pole * r**_LADDER_SLOPE
-        sections.append((np.array([tau / zero, 1.0]), np.array([tau / pole, 1.0])))
+        sections.append((tau / zero, 1.0, tau / pole, 1.0))
         pole *= r
+    # bilinear (Tustin) map s = k (1 - z^-1)/(1 + z^-1), k = 2/dt, in closed form
+    k = 2.0 / dt
     discrete = []
-    for num, den in sections:
-        bz, az, _ = scipy.signal.cont2discrete((num, den), dt, method="bilinear")
-        discrete.append((bz[0], az))
+    for n0, n1, d0, d1 in sections:
+        g = k * d0 + d1
+        discrete.append((np.array([k * n0 + n1, n1 - k * n0]) / g,
+                         np.array([1.0, (d1 - k * d0) / g])))
 
     # normalise: output variance of the cascade driven by per-sample variance
     # pi/dt equals 2 pi * integral_0^nyq |H|^2 df
     f = np.linspace(0.0, 0.5 / dt, 20001)
+    zinv = np.exp(-2j * np.pi * f * dt)
     h2 = np.ones_like(f)
     for bz, az in discrete:
-        _, h = scipy.signal.freqz(bz, az, worN=2.0 * np.pi * f * dt)
-        h2 = h2 * np.abs(h) ** 2
+        h2 = h2 * np.abs((bz[0] + bz[1] * zinv) / (az[0] + az[1] * zinv)) ** 2
     var = np.trapezoid(2.0 * np.pi * np.sqrt(L_g / (np.pi * U_inf)) ** 2 * h2, f)
     gain = np.sqrt(L_g / (np.pi * U_inf)) / np.sqrt(var)
     bz0, az0 = discrete[0]
     discrete[0] = (gain * bz0, az0)
     return discrete
+
+
+def _first_order_scan(c: float, d: np.ndarray) -> np.ndarray:
+    """y[n] = c y[n-1] + d[n] from rest (y[-1] = 0), for |c| <= 1.
+
+    d is cut into rows of K = _SCAN_BLOCK samples, and one product with the
+    (K, K) matrix T[i, j] = c^(j-i), i <= j, gives each row's response from
+    rest.  The value carried out of each row obeys the same recurrence in
+    c^K, solved by one recursive call, and enters the next row as
+    carry * c^(j+1).  O(n) work in about log_K n calls.
+
+    The rows go in as a stack of (K, K) blocks: one product of many rows is
+    split over BLAS threads, whose start-up made it 20 times slower on a
+    2-core host (8 ms against 0.3 ms for 110 001 samples)."""
+    n = d.shape[0]
+    K = _SCAN_BLOCK
+    rows = -(-n // K)
+    lag = np.arange(K)[None, :] - np.arange(K)[:, None]
+    T = np.where(lag >= 0, c ** np.maximum(lag, 0), 0.0)
+    padded = np.zeros(-(-rows // K) * K * K)
+    padded[:n] = d
+    y = (padded.reshape(-1, K, K) @ T).reshape(-1, K)[:rows]
+    if rows > 1:
+        ends = _first_order_scan(c**K, y[:, -1])  # y at the end of each row
+        y[1:] += ends[:-1, None] * c ** np.arange(1, K + 1)
+    return y.ravel()[:n]
 
 
 def von_karman_psd(omega, sigma_g: float, L_g: float, U_inf: float):
@@ -144,14 +176,14 @@ class VonKarmanGust:
         if self.sigma_g == 0.0:
             w = np.zeros(n)
         else:
-            import scipy.signal
-
             sections = _vk_filter_sections(self.L_g, self.U_inf, self.dt)
             rng = np.random.default_rng(self.seed)
             # unit two-sided white-noise PSD in rad/s: per-sample variance pi/dt
             w = rng.standard_normal(n) * np.sqrt(self.sigma_g**2 * np.pi / self.dt)
-            for bz, az in sections:
-                w = scipy.signal.lfilter(bz, az, w)
+            for (b0, b1), (_, a1) in sections:
+                d = b0 * w
+                d[1:] += b1 * w[:-1]
+                w = _first_order_scan(-a1, d)
             w = w - w.mean()
         object.__setattr__(self, "time", t)
         object.__setattr__(self, "samples", w)
