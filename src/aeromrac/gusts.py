@@ -154,8 +154,12 @@ def von_karman_psd(omega, sigma_g: float, L_g: float, U_inf: float):
 @dataclass(frozen=True)
 class VonKarmanGust:
     """Seeded turbulence realisation from a discretised shaping filter driven
-    by Gaussian white noise.  The realisation is precomputed at construction;
-    evaluation interpolates with zero-order hold determinism on the grid."""
+    by Gaussian white noise.  The realisation is precomputed at construction
+    on the grid t_k = k dt.  Evaluation reads the nearest sample, and a tie
+    reads the later one: t is first rounded to the nearest half step, so
+    float error in an RK4 half-step time (k + 1/2) dt cannot move it, and
+    that half step reads sample k + 1.  Before 0 the gust is 0; past the
+    last sample it holds the last."""
 
     sigma_g: float
     L_g: float
@@ -193,5 +197,6 @@ class VonKarmanGust:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        idx = np.clip((t / self.dt + 0.5).astype(int), 0, self.samples.shape[0] - 1)
+        idx = (np.rint(2.0 * t / self.dt).astype(int) + 1) // 2
+        idx = np.clip(idx, 0, self.samples.shape[0] - 1)
         return np.where(t < 0, 0.0, self.samples[idx])

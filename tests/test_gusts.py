@@ -106,3 +106,13 @@ class TestVonKarmanRealization:
         assert g(t) == g.samples[3]
         assert g(-1.0) == 0.0
         assert g(1e9) == g.samples[-1]
+
+    @pytest.mark.parametrize("dt", [0.01, 0.02, 0.05, 0.1])
+    def test_half_steps_read_the_later_sample(self, dt):
+        # the RK4 stage times of sim._gust_grid; t/dt + 0.5 lands on either
+        # side of k + 1 at (k + 1/2) dt, so a plain round-half-up is not enough
+        g = VonKarmanGust(1.0, 12.0, 1.0, dt, 25.0, seed=0)
+        n = g.samples.shape[0] - 1
+        w = g(0.5 * dt * np.arange(2 * n + 1))
+        assert np.array_equal(w[0::2], g.samples)
+        assert np.array_equal(w[1::2], g.samples[1:])
