@@ -140,6 +140,8 @@ def validate_config(cfg: dict) -> None:
     gust = cfg["gust"]
     if gust["kind"] not in ("one-cosine", "von-karman", "zero"):
         raise ConfigError(f"gust.kind: unknown kind {gust['kind']!r}")
+    for key in ("w_gmax", "H_g", "U_inf", "sigma", "L"):
+        _number(gust[key], f"gust.{key}")
     s = cfg["sim"]
     if _number(s["dt"], "sim.dt") <= 0:
         raise ConfigError("sim.dt must be positive")
@@ -163,7 +165,7 @@ def _sim_duration(cfg) -> float:
         return float(cfg["sim"]["duration"])
     # discrete-gust default: ten gust windows
     g = cfg["gust"]
-    return 10.0 * 2.0 * g["H_g"] / g["U_inf"]
+    return 10.0 * 2.0 * float(g["H_g"]) / float(g["U_inf"])
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +192,11 @@ def build_gust(cfg, seed: int):
     if g["kind"] == "zero":
         return ZeroGust()
     if g["kind"] == "one-cosine":
-        return OneCosineGust(w_gmax=g["w_gmax"], H_g=g["H_g"], U_inf=g["U_inf"])
+        return OneCosineGust(w_gmax=float(g["w_gmax"]), H_g=float(g["H_g"]),
+                             U_inf=float(g["U_inf"]))
     return VonKarmanGust(
-        sigma_g=g["sigma"], L_g=g["L"], U_inf=g["U_inf"], dt=float(cfg["sim"]["dt"]),
-        duration=_sim_duration(cfg), seed=seed,
+        sigma_g=float(g["sigma"]), L_g=float(g["L"]), U_inf=float(g["U_inf"]),
+        dt=float(cfg["sim"]["dt"]), duration=_sim_duration(cfg), seed=seed,
     )
 
 
