@@ -25,19 +25,35 @@ def write_config(path, **sections):
     return path
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # only Von Karman gusts need scipy.signal and only zero correction needs
-    # scipy.linalg; the CLI import loads no scipy module at all
+def _loaded_scipy_modules(code: str) -> str:
+    """The scipy modules loaded after running code in a fresh interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = ("import sys, aeromrac.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # only zero correction needs scipy (scipy.linalg); the CLI import loads
+    # no scipy module at all
+    assert _loaded_scipy_modules("import sys, aeromrac.cli") == "[]"
+
+
+def test_von_karman_runs_load_no_scipy(tmp_path):
+    cfg = write_config(tmp_path / "run.yaml", gust={"kind": "von-karman"},
+                       sim={"dt": 0.02, "duration": 4.0},
+                       sweep={"axis": "gamma", "grid": [0.1, 1.0]})
+    code = ("import sys; from aeromrac import cli; "
+            f"assert cli.main(['sweep', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 's')!r}]) == 0; "
+            f"assert cli.main(['gust-gen', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'g')!r}]) == 0")
+    assert _loaded_scipy_modules(code) == "[]"
 
 
 def test_float_array_csv_matches_value_by_value_format(tmp_path):
@@ -113,6 +129,20 @@ def test_malformed_number_is_a_config_error(tmp_path, capsys, command, sections,
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("key, kind", [("w_gmax", "one-cosine"), ("H_g", "one-cosine"),
+                                       ("U_inf", "one-cosine"), ("sigma", "von-karman"),
+                                       ("L", "von-karman")])
+def test_malformed_gust_number_is_a_config_error(tmp_path, capsys, command, key, kind):
+    cfg = write_config(tmp_path / "run.yaml", gust={"kind": kind, key: "abc"},
+                       sim={"dt": 0.02, "duration": 4.0})
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) \
+        == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"gust.{key}: expected a number" in err
+    assert "Traceback" not in err
 
 
 _BAD_SELECTORS = [
