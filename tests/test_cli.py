@@ -145,6 +145,15 @@ def test_malformed_gust_number_is_a_config_error(tmp_path, capsys, command, key,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("gust", [{"kind": "one-cosine", "w_gmax": "1.4e-1", "H_g": "2e0"},
+                                  {"kind": "von-karman", "sigma": "5e-2", "L": "1.2e1"}])
+def test_gust_numbers_read_as_validated(tmp_path, gust):
+    # YAML reads 2e0 as a string; float() accepts it, so the command must too
+    cfg = write_config(tmp_path / "run.yaml", gust=gust, sim={"dt": 0.02, "duration": 4.0})
+    assert cli.main(["gust-gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) \
+        == cli.EXIT_OK
+
+
 _BAD_SELECTORS = [
     {"sim": {"metrics_output": 7}},
     {"sim": {"metrics_output": "yaw"}},
