@@ -1,5 +1,11 @@
 """Disturbance signals: deterministic "1-cosine" discrete gusts and seeded
-stochastic turbulence realisations with the Von Karman vertical spectrum."""
+stochastic turbulence realisations with the Von Karman vertical spectrum.
+
+The Von Karman shaping filter is built and run with NumPy alone: bilinear
+first-order sections in closed form, a direct |H|^2 variance normalisation
+and a blocked scan of each section's recurrence.  A realisation is sampled
+on the grid t_k = k dt and read at the nearest sample, ties (the RK4 half
+steps) going to the later sample."""
 
 from __future__ import annotations
 
@@ -72,8 +78,9 @@ _LADDER_RATIO_EXP = 0.25  # log10 of pole spacing ratio r
 _LADDER_START = 0.3  # first pole at x = r^_LADDER_START
 _LADDER_SLOPE = 5.0 / 6.0  # fractional amplitude slope being approximated
 # Samples per row of the blocked scan.  Each level of the carry recursion
-# divides the length by it; at 256 the (K, K) products cost more than the
-# Python calls they save (160 ms for a 110 001-sample gust).
+# divides the length by it, but the (K, K) products cost K multiply-adds per
+# sample: a 110 001-sample gust took 31, 37, 89 and 254 ms at K = 32, 64,
+# 128 and 256 on a 2-core host.
 _SCAN_BLOCK = 64
 
 
