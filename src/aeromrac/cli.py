@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 validation failure, 3 configuration error,
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from . import mrac, plantio, sim
 from .gusts import GustError, OneCosineGust, VonKarmanGust, ZeroGust
 from .numerics import NumericsError
 from .plant3dof import PlantError, assemble_fom, default_params_path, load_params
-from .romgen import RomError, default_rom
+from .romgen import RomError, default_rom, stack_plants
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -120,6 +121,10 @@ def _number(value, field: str) -> float:
 
 
 def validate_config(cfg: dict) -> None:
+    for field in ("rom.n", "rom.n_real", "sim.log_stride"):
+        section, key = field.split(".")
+        if type(cfg[section][key]) is not int:
+            raise ConfigError(f"{field}: expected an integer, got {cfg[section][key]!r}")
     plant = cfg["plant"]
     if plant["source"] not in ("aerofoil", "external"):
         raise ConfigError(f"plant.source: unknown source {plant['source']!r}")
@@ -133,6 +138,9 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"controller.Q.kind: unknown kind {q['kind']!r}")
     if q["kind"] == "diag" and not q["diag"]:
         raise ConfigError("controller.Q.kind = diag requires controller.Q.diag")
+    _number(q["scale"], "controller.Q.scale")
+    if not isinstance(cfg["controller"]["damping"], (dict, type(None))):
+        _number(cfg["controller"]["damping"], "controller.damping")
     if _number(cfg["controller"]["gamma"], "controller.gamma") <= 0:
         raise ConfigError("controller.gamma must be positive")
     if cfg["controller"]["certificate"] not in ("off", "error-only"):
@@ -140,15 +148,15 @@ def validate_config(cfg: dict) -> None:
     gust = cfg["gust"]
     if gust["kind"] not in ("one-cosine", "von-karman", "zero"):
         raise ConfigError(f"gust.kind: unknown kind {gust['kind']!r}")
-    for key in ("w_gmax", "H_g", "U_inf", "sigma", "L"):
-        _number(gust[key], f"gust.{key}")
+    for field in ("gust.w_gmax", "gust.H_g", "gust.U_inf", "gust.sigma", "gust.L",
+                  "rom.peak_tol_percent", "rom.rms_tol_percent"):
+        section, key = field.split(".")
+        _number(cfg[section][key], field)
     s = cfg["sim"]
     if _number(s["dt"], "sim.dt") <= 0:
         raise ConfigError("sim.dt must be positive")
     if s["duration"] is not None:
         _number(s["duration"], "sim.duration")
-    if type(s["log_stride"]) is not int:
-        raise ConfigError(f"sim.log_stride: expected an integer, got {s['log_stride']!r}")
     if gust["kind"] != "one-cosine" and s["duration"] is None:
         raise ConfigError(f"gust.kind = {gust['kind']} requires an explicit sim.duration")
     if cfg["sweep"]["axis"] not in ("gamma", "gust-gradient"):
@@ -208,7 +216,7 @@ def build_weighting(cfg, n: int) -> np.ndarray:
             raise ConfigError(
                 f"controller.Q.diag: expected {n} entries, got {diag.shape[0]}"
             )
-        return np.diag(diag) * q.get("scale", 1.0)
+        return np.diag(diag) * float(q["scale"])
     return float(q["scale"]) * np.eye(n)
 
 
@@ -360,51 +368,33 @@ def cmd_gust_gen(cfg, outdir: Path, args) -> int:
 
 
 def cmd_rom_build(cfg, outdir: Path, args) -> int:
-    full, rom, params_path = build_plant(cfg)
+    full, rom, _ = build_plant(cfg)
     plantio.save_rom(rom, outdir / "rom.npz")
 
     gust = build_gust(cfg, cfg["seed"])
-    config = sim_config(cfg)
-    tr_full = sim.integrate_open_loop(full, gust, config)
-    tr_rom = sim.integrate_open_loop(rom, gust, config)
-
-    header = ["t"]
-    cols = [tr_full.time]
-    for j, label in enumerate(rom.output_labels):
-        header += [f"full_{label}", f"rom_{label}"]
-        cols += [tr_full.outputs[:, j], tr_rom.outputs[:, j]]
-    write_csv(outdir / "validation.csv", header, np.column_stack(cols))
+    # both models in one RK4 run: the stack's outputs are [full, rom]
+    trace = sim.integrate_open_loop(stack_plants(full, rom), gust, sim_config(cfg))
+    y_full, y_rom = np.hsplit(trace.outputs, [full.C_out.shape[0]])
+    header = ["t"] + [f"{s}_{label}" for label in rom.output_labels for s in ("full", "rom")]
+    pairs = np.dstack([y_full, y_rom]).reshape(len(trace.time), -1)  # full_j, rom_j
+    write_csv(outdir / "validation.csv", header, np.column_stack([trace.time, pairs]))
     write_plot_script(outdir / "plot_validation.py", "validation.csv",
                       "full vs reduced gust response", header[1:])
 
-    lines = [f"reduced model: n = {rom.n} of N = {tr_full.x.shape[1]}"]
+    lines = [f"reduced model: n = {rom.n} of N = {full.n}"]
+    tol_peak, tol_rms = (float(cfg["rom"][k]) for k in ("peak_tol_percent", "rms_tol_percent"))
     ok = True
-    for j, label in enumerate(rom.output_labels):
-        yf, yr = tr_full.outputs[:, j], tr_rom.outputs[:, j]
-        scale_peak = np.abs(yf).max()
-        scale_rms = np.sqrt(np.mean(yf**2))
-        peak_err = (
-            100.0 * abs(np.abs(yr).max() - scale_peak) / scale_peak
-            if scale_peak > 0 else 0.0
-        )
-        rms_err = (
-            100.0 * np.sqrt(np.mean((yr - yf) ** 2)) / scale_rms
-            if scale_rms > 0 else 0.0
-        )
-        status_peak = peak_err <= cfg["rom"]["peak_tol_percent"]
-        status_rms = rms_err <= cfg["rom"]["rms_tol_percent"]
-        ok = ok and status_peak and status_rms
-        lines.append(
-            f"{label}: peak error {peak_err:.3f}% "
-            f"({'ok' if status_peak else 'FAIL'}), "
-            f"rms error {rms_err:.3f}% ({'ok' if status_rms else 'FAIL'})"
-        )
-    lines.append("retained modes:")
-    for info in rom.modes:
-        lines.append(
-            f"  {info.kind}: lambda = {info.eigenvalue:.6g}, "
-            f"participation = {info.gust_participation:.3e}"
-        )
+    for label, yf, yr in zip(rom.output_labels, y_full.T, y_rom.T):
+        peak, rms = np.abs(yf).max(), np.sqrt(np.mean(yf**2))
+        peak_err = 100.0 * abs(np.abs(yr).max() - peak) / peak if peak > 0 else 0.0
+        rms_err = 100.0 * np.sqrt(np.mean((yr - yf) ** 2)) / rms if rms > 0 else 0.0
+        ok = ok and peak_err <= tol_peak and rms_err <= tol_rms
+        lines.append(f"{label}: peak error {peak_err:.3f}% "
+                     f"({'ok' if peak_err <= tol_peak else 'FAIL'}), "
+                     f"rms error {rms_err:.3f}% ({'ok' if rms_err <= tol_rms else 'FAIL'})")
+    lines += ["retained modes:"] + [
+        f"  {i.kind}: lambda = {i.eigenvalue:.6g}, participation = {i.gust_participation:.3e}"
+        for i in rom.modes]
     report = "\n".join(lines) + "\n"
     (outdir / "validation_report.txt").write_text(report)
     write_resolved_config(cfg, outdir)
@@ -455,9 +445,7 @@ def cmd_simulate(cfg, outdir: Path, args) -> int:
     if cfg["controller"]["certificate"] == "error-only":
         cert = mrac.lyapunov_certificate(tr_closed.time, tr_closed.e, design)
         V = cert.V
-        cert_lines.append(
-            "error-only certificate (gain term omitted: ideal gains unknown)"
-        )
+        cert_lines.append("error-only certificate (gain term omitted: ideal gains unknown)")
         cert_lines.append(
             f"V(0) = {cert.V[0]:.6e}, max per-step increase = "
             f"{cert.max_increase:.3e}, tolerance = {cert.tolerance:.3e}: "
@@ -471,6 +459,11 @@ def cmd_simulate(cfg, outdir: Path, args) -> int:
             f"Lipschitz monitor: L_F = {monitor.L_F:.6e}, max ratio = "
             f"{monitor.max_ratio:.6e}, violation = {monitor.violation}"
         )
+        if monitor.violation:  # L_F = lambda_min(Q)/(2||P||) is invariant to Q's scale
+            logging.getLogger(__name__).warning(
+                "Lipschitz bound violated: max ratio %.3e > L_F = %.3e; scaling Q leaves L_F "
+                "unchanged, more reference-model damping (controller.damping) raises it",
+                monitor.max_ratio, monitor.L_F)
 
     header, rows = trace_columns(tr_open)
     write_csv(outdir / "trace_open.csv", header, rows)
@@ -621,6 +614,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    logging.basicConfig(format="%(levelname)s: %(message)s")
     try:
         cfg = load_config(args.config)
         if args.seed is not None:

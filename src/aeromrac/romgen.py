@@ -194,6 +194,28 @@ class Plant:
         return dx
 
 
+def _block_diag(blocks) -> np.ndarray:
+    return np.block([[b if i == j else np.zeros((b.shape[0], c.shape[1]))
+                      for j, c in enumerate(blocks)] for i, b in enumerate(blocks)])
+
+
+def stack_plants(*plants: Plant) -> Plant:
+    """The uncoupled parts as one Plant on their concatenated states:
+    block-diagonal A, C_out and nonlinearity, with B_c and B_g stacked
+    row-wise so that every part reads the same u_c and u_d.  A linear part
+    adds no spring coordinates, so a stack of linear parts is linear."""
+    nls = [p.nl for p in plants if p.nl is not None]
+    nl = PolyNonlinearity(
+        _block_diag([np.zeros((p.n, 0)) if p.nl is None else p.nl.G for p in plants]),
+        _block_diag([np.zeros((0, p.n)) if p.nl is None else p.nl.H for p in plants]),
+        np.concatenate([f.quad for f in nls]), np.concatenate([f.cubic for f in nls]),
+    ) if nls else None
+    return Plant(A=_block_diag([p.A for p in plants]),
+                 B_c=np.vstack([p.B_c for p in plants]), B_g=np.vstack([p.B_g for p in plants]),
+                 C_out=_block_diag([p.C_out for p in plants]),
+                 output_labels=sum((tuple(p.output_labels) for p in plants), ()), nl=nl)
+
+
 @dataclass(frozen=True, kw_only=True)
 class ReducedOrderModel(Plant):
     """Real block-modal reduced model with the projected polynomial

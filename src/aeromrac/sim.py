@@ -4,8 +4,8 @@ One classical fourth-order Runge-Kutta kernel advances every run, on one
 state (N,) in the open loop or on a batch of B lanes as rows (B, N) in the
 closed loop; a gamma sweep runs its points as the lanes of one batch.  A
 closed-loop lane is the flat row [x, x_m, vec theta]: plant and reference
-model advance as one stacked Plant, so each RK4 stage makes one
-``Plant.rhs`` call and one adaptation-law call.
+model advance as one Plant from ``romgen.stack_plants``, so each RK4 stage
+makes one ``Plant.rhs`` call and one adaptation-law call.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mrac import ControllerState, LyapunovDesign, ReferenceModel, theta_rate
-from .romgen import Plant, PolyNonlinearity
+from .romgen import Plant, stack_plants
 
 DIVERGENCE_DEFAULT = 1e8
 # Log memory one closed-loop batch may hold; it sets the lanes per batch.
@@ -153,27 +153,6 @@ def _control(theta, x, K0):
     return (x[..., None, :] @ (theta + K0))[..., 0, :]
 
 
-def _stacked_plant(model, reference: ReferenceModel, config: SimulationConfig) -> Plant:
-    """Plant and reference model as one Plant on [x, x_m]: A = diag(A, A_m),
-    B_c = [B_c; 0], B_g = [B_g; B_g] (the measured gust drives both) and a
-    block-diagonal F whose reference block is zero for a linear reference
-    model.  A linear plant gets no F and a linear reference model."""
-    n = model.A.shape[0]
-    nl = model.nl if config.plant_nonlinear else None
-    if nl is not None:
-        Z = np.zeros((n, nl.H.shape[0]))
-        G_m = nl.G if config.reference_nonlinear else Z
-        nl = PolyNonlinearity(G=np.block([[nl.G, Z], [Z, G_m]]),
-                              H=np.block([[nl.H, Z.T], [Z.T, nl.H]]),
-                              quad=np.tile(nl.quad, 2), cubic=np.tile(nl.cubic, 2))
-    Z = np.zeros((n, n))
-    return Plant(A=np.block([[model.A, Z], [Z, reference.A_m]]),
-                 B_c=np.vstack([model.B_c, np.zeros_like(model.B_c)]),
-                 B_g=np.vstack([model.B_g, model.B_g]),
-                 C_out=np.hstack([model.C_out, np.zeros_like(model.C_out)]),
-                 output_labels=model.output_labels, nl=nl)
-
-
 def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
                  config: SimulationConfig):
     """One trace or SimulationError per (design, controller) lane from zero
@@ -185,7 +164,12 @@ def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
         raise ValueError(f"controller theta must have shape {(n, m)}")
     dt, lanes = config.dt, len(designs)
     u_d_grid = _gust_grid(gust, config, model.B_g.shape[1])
-    rhs = _stacked_plant(model, reference, config).rhs
+    # the reference model is a plant that the measured gust alone drives (B_c = 0)
+    nl = model.nl if config.plant_nonlinear else None
+    io = dict(B_g=model.B_g, C_out=model.C_out, output_labels=model.output_labels)
+    rhs = stack_plants(Plant(A=model.A, B_c=model.B_c, nl=nl, **io),
+                       Plant(A=reference.A_m, B_c=np.zeros_like(model.B_c),
+                             nl=nl if config.reference_nonlinear else None, **io)).rhs
     Gamma = np.stack([d.Gamma for d in designs])
     PB = np.stack([d.P @ model.B_c for d in designs])
     K0 = np.stack([c.K0.T for c in controllers])

@@ -2,7 +2,8 @@
 and recomputes the nonlinearity on its own.  This test runs the traced
 program in a fresh interpreter (so the class patches stay there) and checks
 that the names it hooks still exist, that its reduced force matches the
-program's, and that a gamma sweep builds one gust and runs one open loop."""
+program's, that a gamma sweep builds one gust and runs one open loop, and
+that rom-build runs the full-order and reduced models as one open loop."""
 
 import os
 import subprocess
@@ -53,6 +54,11 @@ open_runs, gust_builds = len(t.open_runs), len(t.gust_builds)
 assert cli.main(["sweep", "--config", {sweep_cfg!r}, "--out", {sweep_out!r}]) == 0
 open_runs, gust_builds = len(t.open_runs) - open_runs, len(t.gust_builds) - gust_builds
 assert open_runs == 1 and gust_builds == 1, (open_runs, gust_builds)
+
+open_runs = len(t.open_runs)
+code = cli.main(["rom-build", "--config", {sweep_cfg!r}, "--out", {rom_out!r}])
+assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION), code
+assert len(t.open_runs) - open_runs == 1, len(t.open_runs) - open_runs
 print("ok")
 """
 
@@ -65,7 +71,8 @@ def test_traced_program_matches_benchmark_checks(tmp_path):
         "sweep": {"axis": "gamma", "grid": [0.1, 1.0]},
     }))
     script = SCRIPT.format(perfbench=str(ROOT / "perfbench"), csv=str(tmp_path / "r.csv"),
-                           sweep_cfg=str(sweep_cfg), sweep_out=str(tmp_path / "sweep"))
+                           sweep_cfg=str(sweep_cfg), sweep_out=str(tmp_path / "sweep"),
+                           rom_out=str(tmp_path / "rom"))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))

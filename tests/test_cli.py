@@ -119,6 +119,14 @@ _BAD_NUMBERS = [
     ("sweep", {"sweep": {"axis": "gamma", "grid": [0.5, "a"]}}, "sweep.grid"),
     ("simulate", {"sim": {"log_stride": 0}}, "log_stride"),
     ("simulate", {"sim": {"dt": 0.02, "duration": 0.01}}, "duration"),
+    ("simulate", {"rom": {"n": "abc"}}, "rom.n: expected an integer"),
+    ("simulate", {"rom": {"n_real": "abc"}}, "rom.n_real"),
+    ("simulate", {"controller": {"damping": "abc"}}, "controller.damping"),
+    ("simulate", {"controller": {"Q": {"scale": "abc"}}}, "controller.Q.scale"),
+    ("simulate", {"controller": {"Q": {"kind": "diag", "diag": [1.0] * 8, "scale": "abc"}}},
+     "Q.scale: expected a number"),
+    ("rom-build", {"rom": {"peak_tol_percent": "abc"}}, "rom.peak_tol_percent"),
+    ("rom-build", {"rom": {"rms_tol_percent": "abc"}}, "rom.rms_tol_percent"),
 ]
 
 
@@ -202,6 +210,28 @@ class TestGustGen:
             (tmp_path / "s7" / "gust.csv").read_bytes()
 
 
+def _diverging_config(tmp_path):
+    """A stable 2-state bundle whose quadratic residual a strong gust drives
+    past the divergence bound, with a configuration that runs it."""
+    bundle = ExternalPlantBundle(
+        A=np.array([[-0.5, 1.0], [-1.0, -0.5]]),
+        B_c=np.array([[0.0], [1.0]]),
+        B_g=np.array([[1.0], [0.0]]),
+        C_out=np.array([[1.0, 0.0]]),
+        output_labels=("y",),
+        quad=np.array([4.0, 4.0]),
+    )
+    bpath = tmp_path / "plant.npz"
+    save_plant(bundle, bpath)
+    return write_config(
+        tmp_path / "run.yaml",
+        plant={"source": "external", "bundle": str(bpath)},
+        rom={"n": 2, "n_real": 0},
+        gust={"kind": "one-cosine", "w_gmax": 3.0, "H_g": 2.0, "U_inf": 1.0},
+        sim={"dt": 0.01, "duration": 20.0},
+    )
+
+
 class TestRomBuild:
     def test_report_and_cache(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.yaml")
@@ -222,6 +252,13 @@ class TestRomBuild:
         assert cli.main(["rom-build", "--config", str(cfg),
                          "--out", str(out)]) == cli.EXIT_VALIDATION
         assert "FAIL" in (out / "validation_report.txt").read_text()
+
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "div"
+        assert cli.main(["rom-build", "--config", str(_diverging_config(tmp_path)),
+                         "--out", str(out)]) == cli.EXIT_DIVERGED
+        assert "state diverged at t = " in capsys.readouterr().err
+        assert not (out / "validation.csv").exists()
 
 
 class TestSimulate:
@@ -246,28 +283,32 @@ class TestSimulate:
         assert (outs[0] / "plot_traces.py").exists()
 
     def test_divergence_exit_code(self, tmp_path, capsys):
-        bundle = ExternalPlantBundle(
-            A=np.array([[-0.5, 1.0], [-1.0, -0.5]]),
-            B_c=np.array([[0.0], [1.0]]),
-            B_g=np.array([[1.0], [0.0]]),
-            C_out=np.array([[1.0, 0.0]]),
-            output_labels=("y",),
-            quad=np.array([4.0, 4.0]),
-        )
-        bpath = tmp_path / "plant.npz"
-        save_plant(bundle, bpath)
-        cfg = write_config(
-            tmp_path / "run.yaml",
-            plant={"source": "external", "bundle": str(bpath)},
-            rom={"n": 2, "n_real": 0},
-            gust={"kind": "one-cosine", "w_gmax": 3.0, "H_g": 2.0, "U_inf": 1.0},
-            sim={"dt": 0.01, "duration": 20.0},
-        )
+        cfg = _diverging_config(tmp_path)
         out = tmp_path / "div"
         code = cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == cli.EXIT_DIVERGED
         assert "diverged" in capsys.readouterr().err
         assert (out / "trace_partial.csv").exists()
+
+    # a gust large enough to drive the plant's cubic stiffness past the bound
+    LIPSCHITZ_GUST = {"kind": "one-cosine", "w_gmax": 1.0, "H_g": 10.0, "U_inf": 1.0}
+
+    def test_lipschitz_violation_warns(self, tmp_path, caplog):
+        cfg = write_config(tmp_path / "run.yaml", gust=self.LIPSCHITZ_GUST)
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        assert "violation = True" in (out / "summary.txt").read_text()
+        [record] = [r for r in caplog.records if "Lipschitz" in r.getMessage()]
+        assert record.levelname == "WARNING"
+        assert "L_F = 4.244e-03" in record.getMessage()
+        assert "controller.damping" in record.getMessage()
+
+    def test_linear_plant_does_not_warn(self, tmp_path, caplog):
+        cfg = write_config(tmp_path / "run.yaml", gust=self.LIPSCHITZ_GUST,
+                           sim={"plant_nonlinear": False})
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
 
 class TestSweep:

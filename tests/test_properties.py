@@ -1,7 +1,8 @@
 """Property tests of the plant interface and the integrator: a saved
 reduced model equals the original, a full-dimension reduction reproduces the
 full-order model, a batch of states evaluates like its rows one by one, and
-the lanes of a closed-loop batch run like serial runs."""
+the lanes of a closed-loop batch run like serial runs, and a stack of plants
+evaluates like its parts."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from aeromrac.gusts import OneCosineGust
 from aeromrac.mrac import ControllerState, build_reference_model, make_design
 from aeromrac.plantio import load_rom, save_rom
-from aeromrac.romgen import default_rom
+from aeromrac.romgen import Plant, PolyNonlinearity, default_rom, stack_plants
 from aeromrac.sim import (
     SimulationConfig,
     SimulationError,
@@ -115,3 +116,39 @@ def test_diverged_lane_fails_alone(rom, gammas, data):
                                            BATCH_CONFIG)
         for k, want in zip(keep, rest):
             _assert_close(batch[k], want)
+
+
+# (n, k) per part: k spring coordinates, k = 0 for a linear part
+stack_parts = st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)), min_size=1,
+                       max_size=3)
+
+
+def _random_plant(rng, n, k, m, p):
+    nl = None if k == 0 else PolyNonlinearity(
+        rng.normal(size=(n, k)), rng.normal(size=(k, n)), rng.normal(size=k),
+        rng.normal(size=k))
+    return Plant(A=rng.normal(size=(n, n)), B_c=rng.normal(size=(n, m)),
+                 B_g=rng.normal(size=(n, p)), C_out=rng.normal(size=(2, n)),
+                 output_labels=("a", "b"), nl=nl)
+
+
+@settings(max_examples=50, deadline=None)
+@given(parts=stack_parts, m=st.integers(1, 2), p=st.integers(1, 2),
+       rows=st.one_of(st.none(), st.integers(1, 5)), seed=st.integers(0, 2**32 - 1),
+       nonlinear=st.booleans())
+def test_stack_rhs_is_its_parts_rhs(parts, m, p, rows, seed, nonlinear):
+    rng = np.random.default_rng(seed)
+    plants = [_random_plant(rng, n, k, m, p) for n, k in parts]
+    stack = stack_plants(*plants)
+    lead = () if rows is None else (rows,)
+    x = rng.normal(size=lead + (stack.n,))
+    u_c, u_d = rng.normal(size=lead + (m,)), rng.normal(size=lead + (p,))
+    xs = np.split(x, np.cumsum([part.n for part in plants])[:-1], axis=-1)
+    want = np.concatenate([part.rhs(xi, u_c, u_d, nonlinear=nonlinear)
+                           for part, xi in zip(plants, xs)], axis=-1)
+    got = stack.rhs(x, u_c, u_d, nonlinear=nonlinear)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= REL_TOL * np.abs(want).max()
+    outputs = np.concatenate([xi @ part.C_out.T for part, xi in zip(plants, xs)], axis=-1)
+    assert np.abs(x @ stack.C_out.T - outputs).max() <= REL_TOL * np.abs(outputs).max()
+    assert (stack.nl is None) == all(k == 0 for _, k in parts)

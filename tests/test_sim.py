@@ -7,6 +7,8 @@ from aeromrac.mrac import (
     build_reference_model,
     make_design,
 )
+from aeromrac import sim
+from aeromrac.romgen import Plant, PolyNonlinearity, stack_plants
 from aeromrac.sim import (
     SimulationConfig,
     SimulationError,
@@ -261,6 +263,89 @@ class TestStackedPlant:
                                                   reference_nonlinear=flag))[1]
                 for flag in (True, False)]
         assert np.abs(runs[0] - runs[1]).max() > 1e-9 * np.abs(runs[0]).max()
+
+
+def _two_block_layout(model, reference, plant_nl=True, ref_nl=True):
+    """The closed-loop plant written out block by block: A = diag(A, A_m),
+    B_c = [B_c; 0], B_g = [B_g; B_g], G = blkdiag(G, G or 0), H =
+    blkdiag(H, H), quad and cubic tiled twice; no F for a linear plant."""
+    n = model.n
+    nl = model.nl if plant_nl else None
+    if nl is not None:
+        Z = np.zeros((n, nl.H.shape[0]))
+        nl = PolyNonlinearity(G=np.block([[nl.G, Z], [Z, nl.G if ref_nl else Z]]),
+                              H=np.block([[nl.H, Z.T], [Z.T, nl.H]]),
+                              quad=np.tile(nl.quad, 2), cubic=np.tile(nl.cubic, 2))
+    Z = np.zeros((n, n))
+    return Plant(A=np.block([[model.A, Z], [Z, reference.A_m]]),
+                 B_c=np.vstack([model.B_c, np.zeros_like(model.B_c)]),
+                 B_g=np.vstack([model.B_g, model.B_g]),
+                 C_out=np.hstack([model.C_out, np.zeros_like(model.C_out)]),
+                 output_labels=model.output_labels, nl=nl)
+
+
+class TestStackPlants:
+    GUST = OneCosineGust(0.5, 2.0, 1.0)
+    CONFIG = SimulationConfig(dt=0.02, duration=6.0)
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_one_open_loop_run_matches_separate_runs(self, fom, rom, nonlinear):
+        cfg = SimulationConfig(dt=0.02, duration=6.0, plant_nonlinear=nonlinear)
+        stacked = integrate_open_loop(stack_plants(fom, rom), self.GUST, cfg)
+        apart = [integrate_open_loop(model, self.GUST, cfg) for model in (fom, rom)]
+        for got, want in ((stacked.x, [tr.x for tr in apart]),
+                          (stacked.outputs, [tr.outputs for tr in apart])):
+            want = np.hstack(want)
+            assert got.shape == want.shape
+            assert (np.abs(got - want).max(axis=0) <= 1e-12 * np.abs(want).max(axis=0)).all()
+        assert np.array_equal(stacked.time, apart[0].time)
+        assert stacked.output_labels == fom.output_labels + rom.output_labels
+
+    def test_stacked_divergence_stops_at_the_diverging_part(self, rom):
+        # TinyPlant's diverging case as a Plant, stacked under a stable part
+        part = Plant(A=np.array([[-0.5, 1.0], [-1.0, -0.5]]), B_c=np.array([[0.0], [1.0]]),
+                     B_g=np.array([[1.0], [0.0]]), C_out=np.eye(2), output_labels=("y0", "y1"),
+                     nl=PolyNonlinearity(np.eye(2), np.eye(2), np.full(2, 4.0), np.zeros(2)))
+        gust = OneCosineGust(3.0, 2.0, 1.0)
+        cfg = SimulationConfig(dt=0.01, duration=20.0, divergence_threshold=1e6)
+        with pytest.raises(SimulationError) as alone:
+            integrate_open_loop(part, gust, cfg)
+        with pytest.raises(SimulationError) as stacked:
+            integrate_open_loop(stack_plants(rom, part), gust, cfg)
+        assert str(stacked.value) == str(alone.value)
+        assert np.array_equal(stacked.value.trace.time, alone.value.trace.time)
+
+    def _closed(self, rom, config):
+        ref, design, state = _controller(rom)
+        return ref, integrate_closed_loop(rom, ref, design, state, self.GUST, config)
+
+    def test_closed_loop_plant_is_the_two_block_layout(self, rom, monkeypatch):
+        built = []
+
+        def spy(*plants):
+            built.append(stack_plants(*plants))
+            return built[-1]
+
+        monkeypatch.setattr(sim, "stack_plants", spy)
+        ref, _ = self._closed(rom, self.CONFIG)
+        [got], want = built, _two_block_layout(rom, ref)
+        for name in ("A", "B_c", "B_g"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for name in ("G", "H", "quad", "cubic"):
+            assert np.array_equal(getattr(got.nl, name), getattr(want.nl, name)), name
+
+    @pytest.mark.parametrize("plant_nl,ref_nl", [(True, False), (False, True)])
+    def test_closed_loop_matches_two_block_layout_run(self, rom, monkeypatch, plant_nl,
+                                                      ref_nl):
+        cfg = SimulationConfig(dt=0.02, duration=6.0, plant_nonlinear=plant_nl,
+                               reference_nonlinear=ref_nl)
+        ref, got = self._closed(rom, cfg)
+        monkeypatch.setattr(sim, "stack_plants",
+                            lambda *parts: _two_block_layout(rom, ref, plant_nl, ref_nl))
+        _, want = self._closed(rom, cfg)
+        for name in ("x", "x_m", "theta", "u_c"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
 
 class TestMetrics:
