@@ -372,7 +372,6 @@ def cmd_rom_build(cfg, outdir: Path, args) -> int:
     plantio.save_rom(rom, outdir / "rom.npz")
 
     gust = build_gust(cfg, cfg["seed"])
-    # both models in one RK4 run: the stack's outputs are [full, rom]
     trace = sim.integrate_open_loop(stack_plants(full, rom), gust, sim_config(cfg))
     y_full, y_rom = np.hsplit(trace.outputs, [full.C_out.shape[0]])
     header = ["t"] + [f"{s}_{label}" for label in rom.output_labels for s in ("full", "rom")]
@@ -445,7 +444,9 @@ def cmd_simulate(cfg, outdir: Path, args) -> int:
     if cfg["controller"]["certificate"] == "error-only":
         cert = mrac.lyapunov_certificate(tr_closed.time, tr_closed.e, design)
         V = cert.V
-        cert_lines.append("error-only certificate (gain term omitted: ideal gains unknown)")
+        cert_lines.append(
+            "error-only certificate (gain term omitted: ideal gains unknown)"
+        )
         cert_lines.append(
             f"V(0) = {cert.V[0]:.6e}, max per-step increase = "
             f"{cert.max_increase:.3e}, tolerance = {cert.tolerance:.3e}: "
@@ -614,7 +615,6 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    logging.basicConfig(format="%(levelname)s: %(message)s")
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
