@@ -13,7 +13,9 @@ Exit codes: 0 success, 2 validation failure, 3 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -32,40 +34,9 @@ EXIT_CONFIG = 3
 EXIT_DIVERGED = 4
 
 CONFIG_SCHEMA_VERSION = 1
+# longest run any command starts, about 91 times the default 110 000 steps
+MAX_STEPS = 10**7
 _FLOAT_FMT = "%.17g"
-
-_DEFAULTS = {
-    "schema_version": CONFIG_SCHEMA_VERSION,
-    "seed": 0,
-    "output_dir": "out",
-    "plant": {"source": "aerofoil", "params": None, "bundle": None},
-    "rom": {"n": 8, "n_real": 2, "peak_tol_percent": 5.0, "rms_tol_percent": 2.0},
-    "controller": {
-        "damping": 1.5,
-        "Q": {"kind": "identity", "scale": 0.03, "diag": None},
-        "gamma": 0.5,
-        "zero_correction": False,
-        "zero_output": 0,
-        "certificate": "off",
-    },
-    "gust": {
-        "kind": "one-cosine",
-        "w_gmax": 0.14,
-        "H_g": 55.0,
-        "U_inf": 1.0,
-        "sigma": 0.05,
-        "L": 12.0,
-    },
-    "sim": {
-        "dt": 0.01,
-        "duration": None,
-        "plant_nonlinear": True,
-        "reference_nonlinear": True,
-        "log_stride": 1,
-        "metrics_output": 0,
-    },
-    "sweep": {"axis": "gamma", "grid": [0.01, 0.1, 1.0]},
-}
 
 
 class ConfigError(ValueError):
@@ -73,23 +44,109 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# configuration: one table gives each leaf a default and a kind (see _read)
 
 
-def _merge(defaults, user, path="config"):
-    if user is None:
-        return defaults
-    if not isinstance(user, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(user).__name__}")
-    out = dict(defaults)
-    for key, val in user.items():
-        if key not in defaults:
-            raise ConfigError(f"{path}.{key}: unknown field")
-        if isinstance(defaults[key], dict):
-            out[key] = _merge(defaults[key], val, f"{path}.{key}")
-        else:
-            out[key] = val
+def _number(value, positive: bool = False) -> float:
+    """A finite float, positive if asked; not a bool.  A string is read too,
+    since YAML 1.1 reads 2e0 as one."""
+    try:
+        out = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        out = math.nan
+    if not math.isfinite(out) or positive and out <= 0:
+        raise ValueError(f"a {'positive ' * positive}number, got {value!r}")
     return out
+
+
+def _numbers(value) -> list[float]:
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"a non-empty list of numbers, got {value!r}")
+    return [_number(v) for v in value]
+
+
+def _where(what: str, ok):
+    """The kind of the values for which ok holds."""
+    def kind(value):
+        if not ok(value):
+            raise ValueError(f"{what}, got {value!r}")
+        return value
+    return kind
+
+
+def _choice(*options: str):
+    return _where(f"one of {', '.join(options)}", lambda v: v in options)
+
+
+_positive = functools.partial(_number, positive=True)
+_int = _where("an integer", lambda v: type(v) is int)  # a bool is not an int
+_version = _where(f"a schema version up to {CONFIG_SCHEMA_VERSION}",
+                  lambda v: type(v) is int and v <= CONFIG_SCHEMA_VERSION)
+_seed = _where("a non-negative integer", lambda v: type(v) is int and v >= 0)
+_bool = _where("true or false", lambda v: type(v) is bool)
+_path = _where("a file path", lambda v: isinstance(v, str) and "\0" not in v)
+_selector = _where("an output label or index", lambda v: isinstance(v, str) or type(v) is int)
+
+
+def _damping(value):
+    """null, one factor for all oscillatory modes, or {ordinal: factor or [sigma_m, omega_dm]}."""
+    if not isinstance(value, dict):
+        return None if value is None else _number(value)
+    return {_int(k): _numbers(v) if isinstance(v, list) and len(v) == 2 else _number(v)
+            for k, v in value.items()}
+
+
+# leaf: (default, kind); a leaf whose default is null may be null
+_SCHEMA = {
+    "schema_version": (CONFIG_SCHEMA_VERSION, _version),
+    "seed": (0, _seed),
+    "output_dir": ("out", _path),
+    "plant": {"source": ("aerofoil", _choice("aerofoil", "external")),
+              "params": (None, _path), "bundle": (None, _path)},
+    "rom": {"n": (8, _int), "n_real": (2, _int),
+            "peak_tol_percent": (5.0, _number), "rms_tol_percent": (2.0, _number)},
+    "controller": {
+        "damping": (1.5, _damping), "gamma": (0.5, _positive),
+        "Q": {"kind": ("identity", _choice("identity", "diag")), "scale": (0.03, _number),
+              "diag": (None, _numbers)},
+        "zero_correction": (False, _bool), "zero_output": (0, _selector),
+        "certificate": ("off", _choice("off", "error-only")),
+    },
+    "gust": {
+        "kind": ("one-cosine", _choice("one-cosine", "von-karman", "zero")),
+        "w_gmax": (0.14, _number), "H_g": (55.0, _number), "U_inf": (1.0, _number),
+        "sigma": (0.05, _number), "L": (12.0, _number),
+    },
+    "sim": {
+        "dt": (0.01, _positive), "duration": (None, _number),
+        "plant_nonlinear": (True, _bool), "reference_nonlinear": (True, _bool),
+        "log_stride": (1, _int), "metrics_output": (0, _selector),
+    },
+    "sweep": {"axis": ("gamma", _choice("gamma", "gust-gradient")),
+              "grid": ([0.01, 0.1, 1.0], _numbers)},
+}
+
+
+def _read(leaf, value, path: str):
+    """value as the leaf's kind reads it.  A kind returns the value typed or
+    raises ValueError saying what it expects; the ConfigError names the path."""
+    default, kind = leaf
+    try:
+        return None if value is None and default is None else kind(value)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: expected {exc}") from None
+
+
+def _walk(schema: dict, user, prefix: str = "") -> dict:
+    """Each leaf of schema read by its kind from user, or its default."""
+    user = {} if user is None else user
+    if not isinstance(user, dict):
+        raise ConfigError(f"{prefix[:-1] or 'config'}: expected a mapping, got {user!r}")
+    for key in user.keys() - schema.keys():
+        raise ConfigError(f"{prefix}{key}: unknown field")
+    return {key: _walk(spec, user.get(key), f"{prefix}{key}.") if isinstance(spec, dict)
+            else _read(spec, user.get(key, spec[0]), prefix + key)
+            for key, spec in schema.items()}
 
 
 def load_config(path) -> dict:
@@ -100,80 +157,27 @@ def load_config(path) -> dict:
         raw = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    if raw is None:
-        raw = {}
-    cfg = _merge(_DEFAULTS, raw)
-    if cfg["schema_version"] > CONFIG_SCHEMA_VERSION:
-        raise ConfigError(
-            f"{path}: schema version {cfg['schema_version']} is newer than "
-            f"supported version {CONFIG_SCHEMA_VERSION}"
-        )
-    validate_config(cfg)
+    cfg = _walk(_SCHEMA, raw)
+    plant, gust = cfg["plant"], cfg["gust"]["kind"]
+    if plant["source"] == "external" and not plant["bundle"]:
+        raise ConfigError("plant.source = external requires plant.bundle")
+    if plant["source"] == "aerofoil" and plant["params"] and not Path(plant["params"]).is_file():
+        raise ConfigError(f"plant.params: file not found: {plant['params']}")
+    if cfg["controller"]["Q"]["kind"] == "diag" and cfg["controller"]["Q"]["diag"] is None:
+        raise ConfigError("controller.Q.kind = diag requires controller.Q.diag")
+    if gust != "one-cosine" and cfg["sim"]["duration"] is None:
+        raise ConfigError(f"gust.kind = {gust} requires an explicit sim.duration")
     return cfg
 
 
-def _number(value, field: str) -> float:
-    """float(value), as the commands read it, or ConfigError."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field}: expected a number, got {value!r}") from None
-
-
-def validate_config(cfg: dict) -> None:
-    for field in ("rom.n", "rom.n_real", "sim.log_stride"):
-        section, key = field.split(".")
-        if type(cfg[section][key]) is not int:
-            raise ConfigError(f"{field}: expected an integer, got {cfg[section][key]!r}")
-    plant = cfg["plant"]
-    if plant["source"] not in ("aerofoil", "external"):
-        raise ConfigError(f"plant.source: unknown source {plant['source']!r}")
-    if plant["source"] == "external" and not plant["bundle"]:
-        raise ConfigError("plant.source = external requires plant.bundle")
-    if plant["source"] == "aerofoil" and plant["params"] is not None:
-        if not Path(plant["params"]).exists():
-            raise ConfigError(f"plant.params: file not found: {plant['params']}")
-    q = cfg["controller"]["Q"]
-    if q["kind"] not in ("identity", "diag"):
-        raise ConfigError(f"controller.Q.kind: unknown kind {q['kind']!r}")
-    if q["kind"] == "diag" and not q["diag"]:
-        raise ConfigError("controller.Q.kind = diag requires controller.Q.diag")
-    _number(q["scale"], "controller.Q.scale")
-    if not isinstance(cfg["controller"]["damping"], (dict, type(None))):
-        _number(cfg["controller"]["damping"], "controller.damping")
-    if _number(cfg["controller"]["gamma"], "controller.gamma") <= 0:
-        raise ConfigError("controller.gamma must be positive")
-    if cfg["controller"]["certificate"] not in ("off", "error-only"):
-        raise ConfigError("controller.certificate must be 'off' or 'error-only'")
-    gust = cfg["gust"]
-    if gust["kind"] not in ("one-cosine", "von-karman", "zero"):
-        raise ConfigError(f"gust.kind: unknown kind {gust['kind']!r}")
-    for field in ("gust.w_gmax", "gust.H_g", "gust.U_inf", "gust.sigma", "gust.L",
-                  "rom.peak_tol_percent", "rom.rms_tol_percent"):
-        section, key = field.split(".")
-        _number(cfg[section][key], field)
-    s = cfg["sim"]
-    if _number(s["dt"], "sim.dt") <= 0:
-        raise ConfigError("sim.dt must be positive")
-    if s["duration"] is not None:
-        _number(s["duration"], "sim.duration")
-    if gust["kind"] != "one-cosine" and s["duration"] is None:
-        raise ConfigError(f"gust.kind = {gust['kind']} requires an explicit sim.duration")
-    if cfg["sweep"]["axis"] not in ("gamma", "gust-gradient"):
-        raise ConfigError("sweep.axis must be 'gamma' or 'gust-gradient'")
-    grid = cfg["sweep"]["grid"]
-    if not isinstance(grid, list) or not grid:
-        raise ConfigError("sweep.grid must be a non-empty list")
-    for value in grid:
-        _number(value, "sweep.grid")
-
-
 def _sim_duration(cfg) -> float:
-    if cfg["sim"]["duration"] is not None:
-        return float(cfg["sim"]["duration"])
-    # discrete-gust default: ten gust windows
-    g = cfg["gust"]
-    return 10.0 * 2.0 * float(g["H_g"]) / float(g["U_inf"])
+    """sim.duration, or ten one-cosine gust windows; at most MAX_STEPS steps."""
+    duration, dt = cfg["sim"]["duration"], cfg["sim"]["dt"]
+    if duration is None:
+        duration = 10.0 * 2.0 * cfg["gust"]["H_g"] / cfg["gust"]["U_inf"]
+    if duration / dt > MAX_STEPS:
+        raise ConfigError(f"sim.dt = {dt:g} takes over {MAX_STEPS} steps to reach t = {duration:g}")
+    return duration
 
 
 # ---------------------------------------------------------------------------
@@ -200,24 +204,18 @@ def build_gust(cfg, seed: int):
     if g["kind"] == "zero":
         return ZeroGust()
     if g["kind"] == "one-cosine":
-        return OneCosineGust(w_gmax=float(g["w_gmax"]), H_g=float(g["H_g"]),
-                             U_inf=float(g["U_inf"]))
-    return VonKarmanGust(
-        sigma_g=float(g["sigma"]), L_g=float(g["L"]), U_inf=float(g["U_inf"]),
-        dt=float(cfg["sim"]["dt"]), duration=_sim_duration(cfg), seed=seed,
-    )
+        return OneCosineGust(w_gmax=g["w_gmax"], H_g=g["H_g"], U_inf=g["U_inf"])
+    return VonKarmanGust(sigma_g=g["sigma"], L_g=g["L"], U_inf=g["U_inf"],
+                         dt=cfg["sim"]["dt"], duration=_sim_duration(cfg), seed=seed)
 
 
 def build_weighting(cfg, n: int) -> np.ndarray:
     q = cfg["controller"]["Q"]
     if q["kind"] == "diag":
-        diag = np.asarray(q["diag"], dtype=float)
-        if diag.shape != (n,):
-            raise ConfigError(
-                f"controller.Q.diag: expected {n} entries, got {diag.shape[0]}"
-            )
-        return np.diag(diag) * float(q["scale"])
-    return float(q["scale"]) * np.eye(n)
+        if len(q["diag"]) != n:
+            raise ConfigError(f"controller.Q.diag: expected {n} entries, got {len(q['diag'])}")
+        return np.diag(q["diag"]) * q["scale"]
+    return q["scale"] * np.eye(n)
 
 
 def _output_index(cfg, rom, section: str, key: str) -> int:
@@ -243,9 +241,7 @@ def build_controller(cfg, rom, gamma: float | None = None):
     ctl = cfg["controller"]
     reference = mrac.build_reference_model(rom, ctl["damping"])
     Q = build_weighting(cfg, rom.n)
-    design = mrac.make_design(
-        reference.A_m, Q, float(ctl["gamma"]) if gamma is None else gamma, m=rom.m
-    )
+    design = mrac.make_design(reference.A_m, Q, ctl["gamma"] if gamma is None else gamma, m=rom.m)
     report = None
     K0 = np.zeros((rom.m, rom.n))
     if ctl["zero_correction"]:
@@ -259,7 +255,7 @@ def sim_config(cfg) -> sim.SimulationConfig:
     s = cfg["sim"]
     try:
         return sim.SimulationConfig(
-            dt=float(s["dt"]), duration=_sim_duration(cfg), plant_nonlinear=s["plant_nonlinear"],
+            dt=s["dt"], duration=_sim_duration(cfg), plant_nonlinear=s["plant_nonlinear"],
             reference_nonlinear=s["reference_nonlinear"], log_stride=s["log_stride"],
         )
     except ValueError as exc:
@@ -356,8 +352,7 @@ def cmd_validate(cfg, outdir: Path, args) -> int:
 
 def cmd_gust_gen(cfg, outdir: Path, args) -> int:
     gust = build_gust(cfg, cfg["seed"])
-    dt = float(cfg["sim"]["dt"])
-    duration = _sim_duration(cfg)
+    dt, duration = cfg["sim"]["dt"], _sim_duration(cfg)
     t = np.arange(int(round(duration / dt)) + 1) * dt
     w = np.asarray(gust(t), dtype=float)
     write_csv(outdir / "gust.csv", ["t", "w_g"], np.column_stack([t, w]))
@@ -381,7 +376,7 @@ def cmd_rom_build(cfg, outdir: Path, args) -> int:
                       "full vs reduced gust response", header[1:])
 
     lines = [f"reduced model: n = {rom.n} of N = {full.n}"]
-    tol_peak, tol_rms = (float(cfg["rom"][k]) for k in ("peak_tol_percent", "rms_tol_percent"))
+    tol_peak, tol_rms = cfg["rom"]["peak_tol_percent"], cfg["rom"]["rms_tol_percent"]
     ok = True
     for label, yf, yr in zip(rom.output_labels, y_full.T, y_rom.T):
         peak, rms = np.abs(yf).max(), np.sqrt(np.mean(yf**2))
@@ -555,7 +550,7 @@ def cmd_sweep(cfg, outdir: Path, args) -> int:
     full, rom, _ = build_plant(cfg)
     _check_outputs(cfg, rom)  # a bad selector ends the sweep, not each point
     axis = cfg["sweep"]["axis"]
-    grid = [float(v) for v in cfg["sweep"]["grid"]]
+    grid = cfg["sweep"]["grid"]
     if axis == "gamma":
         results = _gamma_points(cfg, rom, grid)
     else:
@@ -618,7 +613,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg["seed"] = int(args.seed)
+            cfg["seed"] = _read(_SCHEMA["seed"], args.seed, "--seed")
         outdir = Path(args.out if args.out is not None else cfg["output_dir"])
         outdir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, outdir, args)

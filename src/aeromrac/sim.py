@@ -102,7 +102,8 @@ def _rk4(f, y, config: SimulationConfig):
     (T,), the logged states (T, N) and None; or, for a lane whose state left
     the divergence bound, its log up to that step, the diverged state
     included when finite, and the message.  The other lanes run on."""
-    dt, steps, stride = config.dt, config.n_steps, config.log_stride
+    # any stride past the last step logs the two ends; np.arange takes none past int64
+    dt, steps, stride = config.dt, config.n_steps, min(config.log_stride, config.n_steps)
     threshold = config.divergence_threshold
     logged = np.arange(0, steps + 1, stride)
     if logged[-1] != steps:

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from aeromrac import cli
 from aeromrac.plantio import ExternalPlantBundle, save_plant
@@ -127,6 +129,21 @@ _BAD_NUMBERS = [
      "Q.scale: expected a number"),
     ("rom-build", {"rom": {"peak_tol_percent": "abc"}}, "rom.peak_tol_percent"),
     ("rom-build", {"rom": {"rms_tol_percent": "abc"}}, "rom.rms_tol_percent"),
+    ("simulate", {"controller": {"Q": {"kind": "diag", "diag": 5}}}, "controller.Q.diag"),
+    ("simulate", {"controller": {"Q": {"kind": "diag", "diag": ["a"] + [1.0] * 7}}},
+     "controller.Q.diag: expected a number"),
+    ("simulate", {"controller": {"damping": {0: "abc"}}}, "controller.damping: expected a number"),
+    ("simulate", {"controller": {"damping": {"a": 2}}}, "controller.damping: expected an integer"),
+    ("validate", {"schema_version": "abc"}, "schema_version"),
+    ("simulate", {"seed": "abc", "gust": {"kind": "von-karman"}}, "seed"),
+    ("simulate", {"sim": {"dt": float("nan")}}, "sim.dt: expected a positive number"),
+    ("simulate", {"plant": {"params": 5}}, "plant.params"),
+    ("simulate", {"sim": {"dt": 1e-12}}, "sim.dt = 1e-12 takes over"),
+    ("gust-gen", {"sim": {"dt": 1e-12}}, "sim.dt = 1e-12 takes over 10000000 steps"),
+    ("simulate", {"sim": {"plant_nonlinear": "false"}}, "sim.plant_nonlinear"),
+    ("simulate", {"controller": {"zero_correction": "false"}}, "controller.zero_correction"),
+    ("gust-gen", {"seed": -1, "gust": {"kind": "von-karman"}}, "seed: expected a non-negative"),
+    ("validate", {"output_dir": "a\0b"}, "output_dir"),
 ]
 
 
@@ -138,6 +155,86 @@ def test_malformed_number_is_a_config_error(tmp_path, capsys, command, sections,
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("axis", ["gamma", "gust-gradient"])
+def test_step_ceiling_fails_each_sweep_point(tmp_path, axis):
+    cfg = write_config(tmp_path / "run.yaml", sweep={"axis": axis, "grid": [0.5, 1.0]},
+                       sim={"dt": 1e-12})
+    out = tmp_path / "sw"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    header, rows = read_csv(out / "sweep.csv")
+    assert [r[header.index("status")] for r in rows] == [
+        f"error: sim.dt = 1e-12 takes over {cli.MAX_STEPS} steps to reach t = 20"] * 2
+
+
+def _leaves(schema, prefix=()):
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            yield from _leaves(spec, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+            | st.sampled_from(["von-karman", "zero", "diag", "external", "error-only", "flap"]))
+_VALUES = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.integers() | st.text(max_size=3), inner, max_size=3), max_leaves=5)
+
+
+def _steps(path) -> float:
+    """The configured run's step count, 0 when the config is rejected first."""
+    try:
+        cfg = cli.load_config(path)
+        return cli._sim_duration(cfg) / cfg["sim"]["dt"]
+    except cli.ConfigError:
+        return 0
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(leaf=st.sampled_from(list(_leaves(cli._SCHEMA))), value=_VALUES)
+def test_any_value_of_any_leaf_exits_with_a_documented_code(tmp_path, leaf, value):
+    sections = {"gust": {"kind": "one-cosine", "H_g": 2.0}, "sim": {"dt": 0.02, "duration": 4.0}}
+    node = sections
+    for key in leaf[:-1]:
+        node = node.setdefault(key, {})
+    node[leaf[-1]] = value
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump(sections, sort_keys=False))
+    args = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+    codes = {cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_CONFIG, cli.EXIT_DIVERGED}
+    assert cli.main(["validate", *args]) in codes
+    if _steps(cfg) <= 10_000:  # longer runs stop at the step ceiling, tested above
+        assert cli.main(["simulate", *args]) in codes
+
+
+def test_documented_config_block_is_the_defaults(tmp_path):
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
+    block = doc.split("## Run configuration (YAML)")[1].split("```yaml\n")[1].split("```")[0]
+    (tmp_path / "doc.yaml").write_text(block)
+    (tmp_path / "empty.yaml").write_text("")
+    defaults = cli.load_config(tmp_path / "empty.yaml")
+    assert yaml.safe_load(block) == defaults
+    assert cli.load_config(tmp_path / "doc.yaml") == defaults
+
+
+def test_run_reproduces_from_its_resolved_config(tmp_path):
+    # a string number is written as the float it reads as; the seed as overridden
+    cfg = write_config(tmp_path / "run.yaml", gust={"kind": "von-karman", "sigma": "5e-2"},
+                       controller={"certificate": "error-only"},
+                       sim={"dt": 0.02, "duration": 10.0})
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(first),
+                     "--seed", "7"]) == cli.EXIT_OK
+    resolved = first / "resolved_config.yaml"
+    assert yaml.safe_load(resolved.read_text())["gust"]["sigma"] == 0.05
+    assert cli.load_config(resolved) == {**cli.load_config(cfg), "seed": 7}
+    assert cli.main(["simulate", "--config", str(resolved), "--out", str(second)]) == cli.EXIT_OK
+    for name in ("trace_open.csv", "trace_closed.csv", "metrics.csv", "summary.txt",
+                 "resolved_config.yaml"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -208,6 +305,12 @@ class TestGustGen:
                   "--seed", "7"])
         assert (tmp_path / "s0" / "gust.csv").read_bytes() != \
             (tmp_path / "s7" / "gust.csv").read_bytes()
+
+    def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.yaml", gust={"kind": "von-karman"})
+        assert cli.main(["gust-gen", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "--seed", "-1"]) == cli.EXIT_CONFIG
+        assert "--seed: expected a non-negative integer" in capsys.readouterr().err
 
 
 def _diverging_config(tmp_path):

@@ -100,6 +100,11 @@ class TestOpenLoop:
         assert trace.time.shape[0] == 11
         assert trace.time[1] == pytest.approx(0.1)
 
+    def test_log_stride_past_the_end_logs_the_ends(self, rom):
+        cfg = SimulationConfig(dt=0.01, duration=1.0, log_stride=10**30)
+        trace = integrate_open_loop(rom, ZeroGust(), cfg)
+        assert trace.time == pytest.approx([0.0, 1.0])
+
     def test_divergence_carries_partial_trace(self):
         plant = TinyPlant([[-0.5, 1.0], [-1.0, -0.5]], quad=4.0)
         cfg = SimulationConfig(dt=0.01, duration=20.0, divergence_threshold=1e6)
