@@ -351,9 +351,9 @@ def cmd_validate(cfg, outdir: Path, args) -> int:
 
 
 def cmd_gust_gen(cfg, outdir: Path, args) -> int:
+    config = sim_config(cfg)  # a run's checks of dt and duration
     gust = build_gust(cfg, cfg["seed"])
-    dt, duration = cfg["sim"]["dt"], _sim_duration(cfg)
-    t = np.arange(int(round(duration / dt)) + 1) * dt
+    t = np.arange(config.n_steps + 1) * config.dt
     w = np.asarray(gust(t), dtype=float)
     write_csv(outdir / "gust.csv", ["t", "w_g"], np.column_stack([t, w]))
     write_plot_script(outdir / "plot_gust.py", "gust.csv", "gust velocity", ["w_g"])
@@ -401,8 +401,11 @@ def _run_pair(cfg, rom, gust):
     reference, report)."""
     config = sim_config(cfg)
     reference, design, state, report = build_controller(cfg, rom)
-    tr_open = sim.integrate_open_loop(rom, gust, config)
-    tr_closed = sim.integrate_closed_loop(rom, reference, design, state, gust, config)
+    tr_open, (tr_closed,) = sim.integrate_open_and_closed(rom, reference, [design], [state],
+                                                          gust, config)
+    for tr in (tr_open, tr_closed):  # an open loop that diverged is reported first
+        if isinstance(tr, sim.SimulationError):
+            raise tr
     return tr_open, tr_closed, design, reference, report
 
 
@@ -498,8 +501,8 @@ _POINT_ERRORS = (sim.SimulationError, ValueError)
 
 
 def _gamma_points(cfg, rom, grid):
-    """(metrics, error) per gamma point.  The points share one gust and one
-    open loop; their closed loops run as the lanes of batches."""
+    """(metrics, error) per gamma point.  The points share one gust; their
+    closed loops run as the lanes of batches whose lane 0 is the open loop."""
     idx = _output_index(cfg, rom, "sim", "metrics_output")
     try:
         gust = build_gust(cfg, cfg["seed"])
@@ -515,26 +518,22 @@ def _gamma_points(cfg, rom, grid):
             results[k] = (None, str(exc))
         else:
             lanes.append((k, reference, design, state))
-    if not lanes:
-        return results
-    try:
-        tr_open = sim.integrate_open_loop(rom, gust, config)
-    except _POINT_ERRORS as exc:
-        for k, *_ in lanes:
-            results[k] = (None, str(exc))
-        return results
     size = sim.batch_lanes(rom, config)
     for start in range(0, len(lanes), size):
         batch = lanes[start:start + size]
-        closed = sim.integrate_closed_loop_batch(
+        tr_open, closed = sim.integrate_open_and_closed(
             rom, batch[0][1], [lane[2] for lane in batch], [lane[3] for lane in batch],
             gust, config)
+        if isinstance(tr_open, sim.SimulationError):
+            for k, *_ in lanes:
+                results[k] = (None, str(tr_open))
+            return results
         for (k, *_), tr in zip(batch, closed):
             if isinstance(tr, sim.SimulationError):
                 results[k] = (None, str(tr))
             else:
                 results[k] = (sim.compute_metrics(tr_open, tr, idx), None)
-        del closed, tr  # the traces hold the batch log: free it before the next
+        del tr_open, closed, tr  # the traces hold the batch log: free it before the next
     return results
 
 

@@ -187,15 +187,23 @@ class VonKarmanGust:
         if self.sigma_g == 0.0:
             w = np.zeros(n)
         else:
-            sections = _vk_filter_sections(self.L_g, self.U_inf, self.dt)
-            rng = np.random.default_rng(self.seed)
-            # unit two-sided white-noise PSD in rad/s: per-sample variance pi/dt
-            w = rng.standard_normal(n) * np.sqrt(self.sigma_g**2 * np.pi / self.dt)
-            for (b0, b1), (_, a1) in sections:
-                d = b0 * w
-                d[1:] += b1 * w[:-1]
-                w = _first_order_scan(-a1, d)
-            w = w - w.mean()
+            try:  # finite parameters whose filter or variance overflows
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    sections = _vk_filter_sections(self.L_g, self.U_inf, self.dt)
+                    rng = np.random.default_rng(self.seed)
+                    # unit two-sided white-noise PSD in rad/s: per-sample variance pi/dt
+                    w = rng.standard_normal(n) * np.sqrt(self.sigma_g**2 * np.pi / self.dt)
+                    for (b0, b1), (_, a1) in sections:
+                        d = b0 * w
+                        d[1:] += b1 * w[:-1]
+                        w = _first_order_scan(-a1, d)
+                    w = w - w.mean()
+                    if not np.isfinite(w).all():
+                        raise FloatingPointError
+            except ArithmeticError:
+                raise GustError(
+                    f"Von Karman parameters out of range: sigma = {self.sigma_g:g}, "
+                    f"L = {self.L_g:g}, U_inf = {self.U_inf:g}, dt = {self.dt:g}") from None
         object.__setattr__(self, "time", t)
         object.__setattr__(self, "samples", w)
         object.__setattr__(

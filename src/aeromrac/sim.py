@@ -1,11 +1,12 @@
 """Fixed-step closed-loop and open-loop time integration.
 
 One classical fourth-order Runge-Kutta kernel advances every run, on one
-state (N,) in the open loop or on a batch of B lanes as rows (B, N) in the
-closed loop; a gamma sweep runs its points as the lanes of one batch.  A
-closed-loop lane is the flat row [x, x_m, vec theta]: plant and reference
-model advance as one Plant from ``romgen.stack_plants``, so each RK4 stage
-makes one ``Plant.rhs`` call and one adaptation-law call.
+state (N,) or on a batch of B lanes as rows (B, N).  A closed-loop lane is
+the flat row [x, x_m, vec theta]: plant and reference model advance as one
+Plant from ``romgen.stack_plants``, so each RK4 stage makes one
+``Plant.rhs`` call and one adaptation-law call.  The open loop is lane 0 of
+the closed-loop batch: Gamma = 0, P B_c = 0, K0 = 0, theta(0) = 0 and its
+reference model held at rest keep its theta, u_c and x_m at exactly 0.
 """
 
 from __future__ import annotations
@@ -155,15 +156,16 @@ def _control(theta, x, K0):
 
 
 def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
-                 config: SimulationConfig):
+                 config: SimulationConfig, open_loop: bool = False):
     """One trace or SimulationError per (design, controller) lane from zero
-    state; the lanes are the rows (B, N) of one batch."""
+    state; the lanes are the rows (B, N) of one batch.  With open_loop the
+    open loop runs as lane 0 and its result comes first."""
     n, m = model.B_c.shape
     if reference.A_m.shape != (n, n):
         raise ValueError("reference model dimension does not match the plant")
     if any(np.shape(c.theta) != (n, m) for c in controllers):
         raise ValueError(f"controller theta must have shape {(n, m)}")
-    dt, lanes = config.dt, len(designs)
+    dt, lanes = config.dt, len(designs) + open_loop
     u_d_grid = _gust_grid(gust, config, model.B_g.shape[1])
     # the reference model is a plant that the measured gust alone drives (B_c = 0)
     nl = model.nl if config.plant_nonlinear else None
@@ -174,29 +176,34 @@ def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
     Gamma = np.stack([d.Gamma for d in designs])
     PB = np.stack([d.P @ model.B_c for d in designs])
     K0 = np.stack([c.K0.T for c in controllers])
-    y = np.hstack([np.zeros((lanes, 2 * n)), np.stack([np.ravel(c.theta) for c in controllers])])
+    theta0 = np.stack([np.ravel(c.theta) for c in controllers])
+    if open_loop:  # Gamma = 0, P B_c = 0, K0 = 0 and theta(0) = 0 in lane 0
+        Gamma, PB, K0, theta0 = (np.concatenate([np.zeros_like(a[:1]), a])
+                                 for a in (Gamma, PB, K0, theta0))
+    y = np.hstack([np.zeros((lanes, 2 * n)), theta0])
 
     def deriv(j, y):
         x = y[:, :n]
         u_c = _control(y[:, 2 * n:].reshape(lanes, n, m), x, K0)
         dtheta = theta_rate(x - y[:, n:2 * n], x, Gamma, PB)
-        return np.concatenate([rhs(y[:, :2 * n], u_c, u_d_grid[j]),
-                               dtheta.reshape(lanes, -1)], axis=1)
+        dy = np.concatenate([rhs(y[:, :2 * n], u_c, u_d_grid[j]),
+                             dtheta.reshape(lanes, -1)], axis=1)
+        if open_loop:  # the open lane's reference model stays at rest, so
+            dy[0, n:2 * n] = 0.0  # its divergence is judged on x alone
+        return dy
 
     results = []
     for b, (steps, ys, error) in enumerate(_rk4(deriv, y, config)):
-        x, xm = ys[:, :n], ys[:, n:2 * n]
-        theta = ys[:, 2 * n:].reshape(-1, n, m)
-        trace = SimulationTrace(
-            time=steps * dt, x=x, outputs=x @ model.C_out.T, u_d=u_d_grid[2 * steps],
-            output_labels=model.output_labels, x_m=xm, e=x - xm, theta=theta,
-            u_c=_control(theta, x, K0[b]), diverged=error is not None,
-        )
-        if error is None:
-            controllers[b].theta = theta[-1].copy()
-            results.append(trace)
-        else:
-            results.append(SimulationError(error, trace=trace))
+        x, closed = ys[:, :n], {}
+        if b >= open_loop:  # not the open lane
+            xm, theta = ys[:, n:2 * n], ys[:, 2 * n:].reshape(-1, n, m)
+            closed = dict(x_m=xm, e=x - xm, theta=theta, u_c=_control(theta, x, K0[b]))
+            if error is None:
+                controllers[b - open_loop].theta = theta[-1].copy()
+        trace = SimulationTrace(time=steps * dt, x=x, outputs=x @ model.C_out.T,
+                                u_d=u_d_grid[2 * steps], output_labels=model.output_labels,
+                                diverged=error is not None, **closed)
+        results.append(trace if error is None else SimulationError(error, trace=trace))
     return results
 
 
@@ -222,26 +229,30 @@ def integrate_closed_loop(
     return result
 
 
-def integrate_closed_loop_batch(model, reference: ReferenceModel, designs,
-                                controllers, gust, config: SimulationConfig):
-    """Closed loops that share the plant, the reference model and the gust,
-    one lane per (design, controller) pair, run as one batch from zero state.
+def integrate_open_and_closed(model, reference: ReferenceModel, designs,
+                              controllers, gust, config: SimulationConfig):
+    """The open loop and one closed loop per (design, controller) pair under
+    one gust, run from zero state as the lanes of one batch, lane 0 the open.
 
-    Returns one SimulationTrace, or one SimulationError carrying its partial
-    trace, per lane: a lane that diverges fails alone.  The final gains of
-    each finished lane are written back to its controller."""
+    Returns (open, closed): the open-loop trace, as ``integrate_open_loop``
+    gives it, and a list of closed-loop traces; a run that diverged is a
+    SimulationError carrying its partial trace instead.  A lane fails alone,
+    the open lane on its plant state x alone.  The final gains of each
+    finished closed loop are written back to its controller."""
     if not designs or len(designs) != len(controllers):
         raise ValueError("a batch needs one controller per design")
     _check_dt(config, model.A)
-    return _closed_loop(model, reference, list(designs), list(controllers), gust, config)
+    opened, *closed = _closed_loop(model, reference, list(designs), list(controllers), gust,
+                                   config, open_loop=True)
+    return opened, closed
 
 
 def batch_lanes(model, config: SimulationConfig) -> int:
-    """Closed-loop lanes whose logs together fit in BATCH_LOG_BYTES (at
-    least one)."""
+    """Closed-loop lanes whose logs, with the open lane's beside them, fit
+    in BATCH_LOG_BYTES (at least one)."""
     n, m = model.B_c.shape
     rows = -(-config.n_steps // config.log_stride) + 1
-    return max(1, BATCH_LOG_BYTES // (rows * (2 * n + n * m) * 8))
+    return max(1, BATCH_LOG_BYTES // (rows * (2 * n + n * m) * 8) - 1)
 
 
 def integrate_open_loop(model, gust, config: SimulationConfig,

@@ -22,7 +22,13 @@ from aeromrac.gusts import (
 )
 from aeromrac.numerics import solve_lyapunov, transmission_zeros
 from aeromrac.romgen import default_rom
-from aeromrac.sim import SimulationConfig, compute_metrics, integrate_closed_loop, integrate_open_loop
+from aeromrac.sim import (
+    SimulationConfig,
+    compute_metrics,
+    integrate_closed_loop,
+    integrate_open_and_closed,
+    integrate_open_loop,
+)
 from conftest import random_stable
 
 
@@ -80,6 +86,18 @@ def _canonical_controller(rom, gamma=0.5, q_scale=0.03):
     design = mrac.make_design(ref.A_m, q_scale * np.eye(rom.n), gamma, m=1)
     state = mrac.ControllerState(theta=np.zeros((rom.n, 1)), K0=np.zeros((1, rom.n)))
     return ref, design, state
+
+
+def _open_and_closed(rom, gust, cfg, gammas, q_scale=0.03):
+    """The open loop and one canonical closed loop per gamma, run as one
+    batch; a run that diverged raises its SimulationError."""
+    runs = [_canonical_controller(rom, gamma=g, q_scale=q_scale) for g in gammas]
+    tr_open, closed = integrate_open_and_closed(
+        rom, runs[0][0], [d for _, d, _ in runs], [s for _, _, s in runs], gust, cfg)
+    for tr in (tr_open, *closed):
+        if isinstance(tr, sim.SimulationError):
+            raise tr
+    return tr_open, closed
 
 
 def test_criterion_01_lyapunov_batch():
@@ -163,11 +181,9 @@ def test_criterion_04_rom_fidelity(fom, rom):
 def test_criterion_05_gamma_trend_deterministic(rom):
     gust = OneCosineGust(0.14, 55.0)
     cfg = SimulationConfig(dt=0.02, duration=5 * gust.duration, log_stride=5)
-    tr_open = integrate_open_loop(rom, gust, cfg)
+    tr_open, closed = _open_and_closed(rom, gust, cfg, (0.1, 0.5, 1.0))
     reductions, flaps = [], []
-    for gamma in (0.1, 0.5, 1.0):
-        ref, design, state = _canonical_controller(rom, gamma=gamma)
-        tr_closed = integrate_closed_loop(rom, ref, design, state, gust, cfg)
+    for tr_closed in closed:
         m = compute_metrics(tr_open, tr_closed, "pitch")
         reductions.append(m.reduction_percent)
         flaps.append(np.degrees(m.max_flap_cmd))
@@ -298,11 +314,9 @@ def test_criterion_10_stochastic_gust(rom):
     for seed in (0, 1):
         gust = VonKarmanGust(0.05, 12.0, 1.0, 0.02, 600.0, seed)
         cfg = SimulationConfig(dt=0.02, duration=600.0, log_stride=5)
-        tr_open = integrate_open_loop(rom, gust, cfg)
+        tr_open, closed = _open_and_closed(rom, gust, cfg, (0.01, 0.1, 1.0), q_scale=0.003)
         peak_red, rms_red = [], []
-        for gamma in (0.01, 0.1, 1.0):
-            ref, design, state = _canonical_controller(rom, gamma=gamma, q_scale=0.003)
-            tr_closed = integrate_closed_loop(rom, ref, design, state, gust, cfg)
+        for tr_closed in closed:
             m = compute_metrics(tr_open, tr_closed, "pitch")
             peak_red.append(m.reduction_percent)
             rms_red.append(100.0 * (1.0 - m.rms_closed / m.rms_open))

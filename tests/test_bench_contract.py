@@ -2,8 +2,9 @@
 and recomputes the nonlinearity on its own.  This test runs the traced
 program in a fresh interpreter (so the class patches stay there) and checks
 that the names it hooks still exist, that its reduced force matches the
-program's, that a gamma sweep builds one gust and runs one open loop, and
-that rom-build runs the full-order and reduced models as one open loop."""
+program's, that a gamma sweep builds one gust and runs its open loop once,
+as lane 0 of its one batch, and that rom-build runs the full-order and
+reduced models as one open loop."""
 
 import os
 import subprocess
@@ -50,10 +51,15 @@ c = dump["counters"]
 assert c["open_runs"] == 2 and c["closed_rows"] == tr.time.shape[0], c
 assert c["lipschitz_rows"] == tr.time.shape[0] and c["csv_rows"] == tr.time.shape[0], c
 
-open_runs, gust_builds = len(t.open_runs), len(t.gust_builds)
+def runs():
+    pairs = t.dump()["totals"].get("sim.integrate_open_and_closed", {{"calls": 0}})["calls"]
+    return np.array([len(t.open_runs), pairs, len(t.gust_builds)])
+
+
+before = runs()
 assert cli.main(["sweep", "--config", {sweep_cfg!r}, "--out", {sweep_out!r}]) == 0
-open_runs, gust_builds = len(t.open_runs) - open_runs, len(t.gust_builds) - gust_builds
-assert open_runs == 1 and gust_builds == 1, (open_runs, gust_builds)
+# no open-loop run of its own: the open loop is lane 0 of the one batch
+assert list(runs() - before) == [0, 1, 1], runs() - before
 
 open_runs = len(t.open_runs)
 code = cli.main(["rom-build", "--config", {sweep_cfg!r}, "--out", {rom_out!r}])

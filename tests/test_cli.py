@@ -313,6 +313,40 @@ class TestGustGen:
         assert "--seed: expected a non-negative integer" in capsys.readouterr().err
 
 
+    def test_duration_below_one_step_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.yaml", sim={"dt": 0.02, "duration": -1.0})
+        out = tmp_path / "o"
+        assert cli.main(["gust-gen", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "duration must be at least one step" in capsys.readouterr().err
+        assert not (out / "gust.csv").exists()
+
+
+# finite Von Karman numbers whose variance or filter overflows
+_OVERFLOWING_GUSTS = [{"sigma": 1e308}, {"L": 1e308}, {"U_inf": 1e-308}]
+
+
+@pytest.mark.parametrize("command", ["simulate", "rom-build", "gust-gen"])
+@pytest.mark.parametrize("gust", _OVERFLOWING_GUSTS, ids=lambda g: next(iter(g)))
+def test_overflowing_von_karman_gust_is_a_validation_error(tmp_path, capsys, command, gust):
+    cfg = write_config(tmp_path / "run.yaml", gust={"kind": "von-karman", **gust},
+                       sim={"dt": 0.02, "duration": 4.0})
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == \
+        cli.EXIT_VALIDATION
+    assert "Von Karman parameters out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis", ["gamma", "gust-gradient"])
+@pytest.mark.parametrize("gust", _OVERFLOWING_GUSTS, ids=lambda g: next(iter(g)))
+def test_overflowing_von_karman_gust_fails_each_sweep_point(tmp_path, axis, gust):
+    cfg = write_config(tmp_path / "run.yaml", gust={"kind": "von-karman", **gust},
+                       sim={"dt": 0.02, "duration": 4.0}, sweep={"axis": axis, "grid": [0.5, 1.0]})
+    out = tmp_path / "sw"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    header, rows = read_csv(out / "sweep.csv")
+    for row in rows:
+        assert row[header.index("status")].startswith("error: Von Karman parameters out of range")
+
+
 def _diverging_config(tmp_path):
     """A stable 2-state bundle whose quadratic residual a strong gust drives
     past the divergence bound, with a configuration that runs it."""
@@ -391,7 +425,9 @@ class TestSimulate:
         code = cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == cli.EXIT_DIVERGED
         assert "diverged" in capsys.readouterr().err
-        assert (out / "trace_partial.csv").exists()
+        # the open loop diverges: the partial trace is the open loop's, no control
+        header, rows = read_csv(out / "trace_partial.csv")
+        assert rows and {r[header.index("u_c")] for r in rows} == {"0"}
 
     # a gust large enough to drive the plant's cubic stiffness past the bound
     LIPSCHITZ_GUST = {"kind": "one-cosine", "w_gmax": 1.0, "H_g": 10.0, "U_inf": 1.0}
@@ -468,6 +504,27 @@ class TestSweep:
         col = header.index("peak_closed")
         for got, want in zip([rows[0], rows[2]], outs["without"][1]):
             assert float(got[col]) == pytest.approx(float(want[col]), rel=1e-12)
+
+    def test_batches_share_one_open_loop_peak(self, tmp_path, monkeypatch):
+        # a log budget of three lanes splits five points over three batches,
+        # each with its own open lane; the rows match one batch's
+        cfg = write_config(tmp_path / "run.yaml",
+                           sweep={"axis": "gamma", "grid": [0.01, 0.1, 0.3, 1.0, 2.0]},
+                           sim={"dt": 0.02, "duration": 10.0})
+        outs = []
+        for name, lanes in (("one", 6), ("split", 3)):
+            monkeypatch.setattr(cli.sim, "BATCH_LOG_BYTES", lanes * 501 * (2 * 8 + 8) * 8)
+            out = tmp_path / name
+            assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+            outs.append(read_csv(out / "sweep.csv"))
+        (header, one), (_, split) = outs
+        col = header.index("peak_open")
+        assert len({r[col] for r in one + split}) == 1
+        for got, want in zip(split, one):
+            assert got[1] == want[1] == "ok"
+            for name in ("peak_closed", "max_flap_deg", "rms_open", "rms_closed"):
+                j = header.index(name)
+                assert float(got[j]) == pytest.approx(float(want[j]), rel=1e-12), name
 
     def test_too_short_gust_point_becomes_error_row(self, tmp_path):
         # H_g = 0.0005 gives a default duration of 0.01 < dt

@@ -98,6 +98,15 @@ class TestVonKarmanRealization:
         with pytest.raises(GustError):
             VonKarmanGust(sigma_g=-1.0, L_g=1.0, U_inf=1.0, dt=0.01, duration=1.0, seed=0)
 
+    @pytest.mark.parametrize("sigma_g, L_g, U_inf", [
+        (1e308, 12.0, 1.0), (1e154, 12.0, 1.0), (np.float64(1e308), 12.0, 1.0),
+        (0.05, 1e308, 1.0), (0.05, 12.0, 1e-308)],
+        ids=["sigma", "sigma-squared", "numpy-sigma", "L", "U_inf"])
+    def test_overflowing_parameters(self, sigma_g, L_g, U_inf):
+        # finite, but the variance or the filter's section count overflows
+        with pytest.raises(GustError, match="out of range"):
+            VonKarmanGust(sigma_g, L_g, U_inf, dt=0.02, duration=4.0, seed=0)
+
     def test_variance_single_seed(self):
         g = VonKarmanGust(1.0, 200.0, 59.0, 0.02, 2000.0, seed=0)
         assert 0.8 < g.samples.var() < 1.2

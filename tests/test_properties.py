@@ -1,8 +1,8 @@
 """Property tests of the plant interface and the integrator: a saved
 reduced model equals the original, a full-dimension reduction reproduces the
-full-order model, a batch of states evaluates like its rows one by one, and
-the lanes of a closed-loop batch run like serial runs, and a stack of plants
-evaluates like its parts."""
+full-order model, a batch of states evaluates like its rows one by one, the
+lanes of an open/closed batch run like the serial open and closed loops, and
+a stack of plants evaluates like its parts."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,8 @@ from aeromrac.sim import (
     SimulationConfig,
     SimulationError,
     integrate_closed_loop,
-    integrate_closed_loop_batch,
+    integrate_open_and_closed,
+    integrate_open_loop,
 )
 
 REL_TOL = 1e-12
@@ -67,7 +68,8 @@ def test_batched_nonlinearity_equals_rows(rom, X):
 
 BATCH_GUST = OneCosineGust(0.14, 2.0, 1.0)
 BATCH_CONFIG = SimulationConfig(dt=0.02, duration=6.0)
-TRACE_FIELDS = ("time", "x", "x_m", "theta", "u_c", "outputs")
+OPEN_FIELDS = ("time", "x", "outputs", "u_d")
+CLOSED_FIELDS = OPEN_FIELDS + ("x_m", "e", "theta", "u_c")
 gamma_lists = st.lists(st.floats(0.01, 2.0), min_size=1, max_size=5)
 
 
@@ -79,23 +81,37 @@ def _lanes(rom, gammas):
     return ref, designs, states
 
 
-def _assert_close(got, want):
-    for name in TRACE_FIELDS:
+def _assert_close(got, want, fields=CLOSED_FIELDS):
+    for name in fields:
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape, name
         assert np.abs(a - b).max() <= REL_TOL * np.abs(b).max(), name
 
 
+def _run(rom, gammas):
+    ref, designs, states = _lanes(rom, gammas)
+    opened, closed = integrate_open_and_closed(rom, ref, designs, states, BATCH_GUST,
+                                               BATCH_CONFIG)
+    return opened, closed, states
+
+
 @settings(max_examples=10, deadline=None)
 @given(gammas=gamma_lists)
 def test_batched_lanes_equal_serial_runs(rom, gammas):
-    ref, designs, states = _lanes(rom, gammas)
-    batch = integrate_closed_loop_batch(rom, ref, designs, states, BATCH_GUST, BATCH_CONFIG)
-    for design, state, got in zip(designs, states, batch):
-        _, _, (serial,) = _lanes(rom, [design.gamma])
+    # the lane count is the length of the drawn gamma list
+    opened, closed, states = _run(rom, gammas)
+    assert not opened.closed_loop and opened.theta is None and opened.u_c is None
+    _assert_close(opened, integrate_open_loop(rom, BATCH_GUST, BATCH_CONFIG), OPEN_FIELDS)
+    assert len(closed) == len(gammas)
+    for gamma, state, got in zip(gammas, states, closed):
+        ref, (design,), (serial,) = _lanes(rom, [gamma])
         want = integrate_closed_loop(rom, ref, design, serial, BATCH_GUST, BATCH_CONFIG)
         _assert_close(got, want)
         assert np.array_equal(state.theta, got.theta[-1])
+    again_open, again_closed, _ = _run(rom, gammas)
+    for got, want in zip([opened, *closed], [again_open, *again_closed]):
+        for name in CLOSED_FIELDS if got.closed_loop else OPEN_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 @settings(max_examples=10, deadline=None)
@@ -105,15 +121,15 @@ def test_diverged_lane_fails_alone(rom, gammas, data):
     ref, designs, states = _lanes(rom, gammas)
     # a gain far outside the stable range: the lane diverges within a few steps
     states[bad].theta = np.full_like(states[bad].theta, 1e3)
-    batch = integrate_closed_loop_batch(rom, ref, designs, states, BATCH_GUST, BATCH_CONFIG)
+    opened, batch = integrate_open_and_closed(rom, ref, designs, states, BATCH_GUST,
+                                              BATCH_CONFIG)
     failed = batch[bad]
     assert isinstance(failed, SimulationError) and failed.trace.diverged
     assert failed.trace.time[-1] < BATCH_CONFIG.duration
+    _assert_close(opened, integrate_open_loop(rom, BATCH_GUST, BATCH_CONFIG), OPEN_FIELDS)
     keep = [k for k in range(len(gammas)) if k != bad]
     if keep:
-        ref, designs, states = _lanes(rom, [gammas[k] for k in keep])
-        rest = integrate_closed_loop_batch(rom, ref, designs, states, BATCH_GUST,
-                                           BATCH_CONFIG)
+        _, rest, _ = _run(rom, [gammas[k] for k in keep])
         for k, want in zip(keep, rest):
             _assert_close(batch[k], want)
 

@@ -4,6 +4,7 @@ import pytest
 from aeromrac.gusts import OneCosineGust, ZeroGust
 from aeromrac.mrac import (
     ControllerState,
+    ReferenceModel,
     build_reference_model,
     make_design,
 )
@@ -15,7 +16,7 @@ from aeromrac.sim import (
     SimulationTrace,
     compute_metrics,
     integrate_closed_loop,
-    integrate_closed_loop_batch,
+    integrate_open_and_closed,
     integrate_open_loop,
 )
 
@@ -190,6 +191,47 @@ class TestClosedLoop:
         assert abs(drift[-1] - settle) < 0.01 * drift[-1]
 
 
+class TestOpenLane:
+    """The open loop as lane 0 of the closed-loop batch fails on its plant
+    state alone."""
+
+    def test_reference_divergence_fails_only_the_closed_lanes(self, rom):
+        # A_m = -1e-3 I barely damps: x_m integrates the gust to 7.9 while the
+        # plant peaks at 3.7, and the small gains keep the closed x below 5
+        ref = ReferenceModel(A_m=-1e-3 * np.eye(rom.n), damping=())
+        designs = [make_design(ref.A_m, 0.03 * np.eye(rom.n), gamma=g, m=1)
+                   for g in (1e-6, 1e-4)]
+        states = [ControllerState(theta=np.zeros((rom.n, 1)), K0=np.zeros((1, rom.n)))
+                  for _ in designs]
+        gust = OneCosineGust(0.14, 50.0, 1.0)
+        cfg = SimulationConfig(dt=0.1, duration=110.0, divergence_threshold=5.0)
+        opened, closed = integrate_open_and_closed(rom, ref, designs, states, gust, cfg)
+        assert isinstance(opened, SimulationTrace) and not opened.diverged
+        want = integrate_open_loop(rom, gust, cfg)
+        assert np.abs(opened.x - want.x).max() <= 1e-12 * np.abs(want.x).max()
+        for result in closed:
+            assert isinstance(result, SimulationError)
+            assert np.abs(result.trace.x).max() < 5.0 < np.abs(result.trace.x_m[-1]).max()
+
+    def test_open_divergence_is_the_open_loop_error(self):
+        # TinyPlant's diverging case as a Plant
+        plant = Plant(A=np.array([[-0.5, 1.0], [-1.0, -0.5]]), B_c=np.array([[0.0], [1.0]]),
+                      B_g=np.array([[1.0], [0.0]]), C_out=np.eye(2),
+                      output_labels=("y0", "y1"),
+                      nl=PolyNonlinearity(np.eye(2), np.eye(2), np.full(2, 4.0), np.zeros(2)))
+        ref = ReferenceModel(A_m=-np.eye(2), damping=())
+        design = make_design(ref.A_m, np.eye(2), gamma=0.5, m=1)
+        state = ControllerState(theta=np.zeros((2, 1)), K0=np.zeros((1, 2)))
+        gust = OneCosineGust(3.0, 2.0, 1.0)
+        cfg = SimulationConfig(dt=0.01, duration=20.0, divergence_threshold=1e6)
+        opened, _ = integrate_open_and_closed(plant, ref, [design], [state], gust, cfg)
+        with pytest.raises(SimulationError) as alone:
+            integrate_open_loop(plant, gust, cfg)
+        assert isinstance(opened, SimulationError) and str(opened) == str(alone.value)
+        assert not opened.trace.closed_loop and opened.trace.u_c is None
+        assert np.array_equal(opened.trace.time, alone.value.trace.time)
+
+
 def _written_out_run(rom, ref, design, state, gust, cfg):
     """x, x_m, theta and u_c from a serial RK4 of the written-out law:
     x' = A x + B_c u + B_g u_d + F(x), x_m' = A_m x_m + B_g u_d + [F(x_m)],
@@ -250,8 +292,8 @@ class TestStackedPlant:
         ref, lanes = self._lanes(rom, count)
         wants = [_written_out_run(rom, ref, d, s, self.GUST, cfg)
                  for d, s in lanes]
-        traces = integrate_closed_loop_batch(rom, ref, [d for d, _ in lanes],
-                                             [s for _, s in lanes], self.GUST, cfg)
+        _, traces = integrate_open_and_closed(rom, ref, [d for d, _ in lanes],
+                                              [s for _, s in lanes], self.GUST, cfg)
         for trace, want in zip(traces, wants):
             for got, expected in zip((trace.x, trace.x_m, trace.theta, trace.u_c), want):
                 assert got.shape == expected.shape
