@@ -502,7 +502,8 @@ _POINT_ERRORS = (sim.SimulationError, ValueError)
 
 def _gamma_points(cfg, rom, grid):
     """(metrics, error) per gamma point.  The points share one gust; their
-    closed loops run as the lanes of batches whose lane 0 is the open loop."""
+    closed loops run as the lanes of batches, the first of which also holds
+    the open loop, as lane 0."""
     idx = _output_index(cfg, rom, "sim", "metrics_output")
     try:
         gust = build_gust(cfg, cfg["seed"])
@@ -518,22 +519,28 @@ def _gamma_points(cfg, rom, grid):
             results[k] = (None, str(exc))
         else:
             lanes.append((k, reference, design, state))
+    if not lanes:
+        return results
     size = sim.batch_lanes(rom, config)
-    for start in range(0, len(lanes), size):
-        batch = lanes[start:start + size]
-        tr_open, closed = sim.integrate_open_and_closed(
-            rom, batch[0][1], [lane[2] for lane in batch], [lane[3] for lane in batch],
-            gust, config)
-        if isinstance(tr_open, sim.SimulationError):
-            for k, *_ in lanes:
-                results[k] = (None, str(tr_open))
-            return results
+    # the open lane takes a spare lane of the first batch, or rides above the
+    # budget when the closed lanes fill every batch: no batch is added for it
+    first = size if len(lanes) % size == 0 else size - 1
+    for start in [0, *range(first, len(lanes), size)]:
+        batch = lanes[start:start + (size if start else first)]
+        args = (rom, batch[0][1], [lane[2] for lane in batch], [lane[3] for lane in batch],
+                gust, config)
+        if start:  # closed lanes only, beside the open trace already run
+            closed = sim._closed_loop(*args)
+        else:
+            tr_open, closed = sim.integrate_open_and_closed(*args)
+            if isinstance(tr_open, sim.SimulationError):  # every point fails with it
+                return [(None, str(tr_open)) if r is None else r for r in results]
         for (k, *_), tr in zip(batch, closed):
             if isinstance(tr, sim.SimulationError):
                 results[k] = (None, str(tr))
             else:
                 results[k] = (sim.compute_metrics(tr_open, tr, idx), None)
-        del tr_open, closed, tr  # the traces hold the batch log: free it before the next
+        del closed, tr  # the traces hold the batch log: free it before the next
     return results
 
 

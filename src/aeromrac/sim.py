@@ -165,7 +165,8 @@ def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
         raise ValueError("reference model dimension does not match the plant")
     if any(np.shape(c.theta) != (n, m) for c in controllers):
         raise ValueError(f"controller theta must have shape {(n, m)}")
-    dt, lanes = config.dt, len(designs) + open_loop
+    off = 1 if open_loop else 0  # lanes before the first closed lane
+    dt, lanes = config.dt, len(designs) + off
     u_d_grid = _gust_grid(gust, config, model.B_g.shape[1])
     # the reference model is a plant that the measured gust alone drives (B_c = 0)
     nl = model.nl if config.plant_nonlinear else None
@@ -194,12 +195,13 @@ def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
 
     results = []
     for b, (steps, ys, error) in enumerate(_rk4(deriv, y, config)):
-        x, closed = ys[:, :n], {}
-        if b >= open_loop:  # not the open lane
+        # the open trace holds a copy of x, not the batch log
+        x, closed = ys[:, :n].copy() if b < off else ys[:, :n], {}
+        if b >= off:
             xm, theta = ys[:, n:2 * n], ys[:, 2 * n:].reshape(-1, n, m)
             closed = dict(x_m=xm, e=x - xm, theta=theta, u_c=_control(theta, x, K0[b]))
             if error is None:
-                controllers[b - open_loop].theta = theta[-1].copy()
+                controllers[b - off].theta = theta[-1].copy()
         trace = SimulationTrace(time=steps * dt, x=x, outputs=x @ model.C_out.T,
                                 u_d=u_d_grid[2 * steps], output_labels=model.output_labels,
                                 diverged=error is not None, **closed)
@@ -248,11 +250,11 @@ def integrate_open_and_closed(model, reference: ReferenceModel, designs,
 
 
 def batch_lanes(model, config: SimulationConfig) -> int:
-    """Closed-loop lanes whose logs, with the open lane's beside them, fit
-    in BATCH_LOG_BYTES (at least one)."""
+    """Lanes whose logs together fit in BATCH_LOG_BYTES (at least one); the
+    open lane logs as much as a closed lane."""
     n, m = model.B_c.shape
     rows = -(-config.n_steps // config.log_stride) + 1
-    return max(1, BATCH_LOG_BYTES // (rows * (2 * n + n * m) * 8) - 1)
+    return max(1, BATCH_LOG_BYTES // (rows * (2 * n + n * m) * 8))
 
 
 def integrate_open_loop(model, gust, config: SimulationConfig,

@@ -3,7 +3,7 @@ and recomputes the nonlinearity on its own.  This test runs the traced
 program in a fresh interpreter (so the class patches stay there) and checks
 that the names it hooks still exist, that its reduced force matches the
 program's, that a gamma sweep builds one gust and runs its open loop once,
-as lane 0 of its one batch, and that rom-build runs the full-order and
+as lane 0 of its first batch, in one batch or several, and that rom-build runs the full-order and
 reduced models as one open loop."""
 
 import os
@@ -60,6 +60,14 @@ before = runs()
 assert cli.main(["sweep", "--config", {sweep_cfg!r}, "--out", {sweep_out!r}]) == 0
 # no open-loop run of its own: the open loop is lane 0 of the one batch
 assert list(runs() - before) == [0, 1, 1], runs() - before
+
+# at a budget of one lane the two points take two batches; the open loop
+# is still lane 0 of the first and runs once
+budget, sim.BATCH_LOG_BYTES = sim.BATCH_LOG_BYTES, 1
+before = runs()
+assert cli.main(["sweep", "--config", {sweep_cfg!r}, "--out", {sweep_out!r} + "-split"]) == 0
+assert list(runs() - before) == [0, 1, 1], runs() - before
+sim.BATCH_LOG_BYTES = budget
 
 open_runs = len(t.open_runs)
 code = cli.main(["rom-build", "--config", {sweep_cfg!r}, "--out", {rom_out!r}])

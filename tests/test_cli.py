@@ -505,19 +505,27 @@ class TestSweep:
         for got, want in zip([rows[0], rows[2]], outs["without"][1]):
             assert float(got[col]) == pytest.approx(float(want[col]), rel=1e-12)
 
-    def test_batches_share_one_open_loop_peak(self, tmp_path, monkeypatch):
-        # a log budget of three lanes splits five points over three batches,
-        # each with its own open lane; the rows match one batch's
+    @pytest.mark.parametrize("lanes, batches",
+                             [(5, [6]), (3, [3, 3]), (1, [2, 1, 1, 1, 1])])
+    def test_batches_share_one_open_loop(self, tmp_path, monkeypatch, lanes, batches):
+        # a log budget of fewer lanes than the five points and the open lane:
+        # the first batch alone holds the open lane, in a spare lane or above
+        # the budget, so the points take as many batches as they would
+        # alone; the rows match one batch's
         cfg = write_config(tmp_path / "run.yaml",
                            sweep={"axis": "gamma", "grid": [0.01, 0.1, 0.3, 1.0, 2.0]},
                            sim={"dt": 0.02, "duration": 10.0})
-        outs = []
-        for name, lanes in (("one", 6), ("split", 3)):
-            monkeypatch.setattr(cli.sim, "BATCH_LOG_BYTES", lanes * 501 * (2 * 8 + 8) * 8)
+        rk4, outs = cli.sim._rk4, {}
+        for name, budget in (("one", 6), ("split", lanes)):
+            sizes = []
+            monkeypatch.setattr(cli.sim, "_rk4",
+                                lambda f, y, c: sizes.append(len(y)) or rk4(f, y, c))
+            monkeypatch.setattr(cli.sim, "BATCH_LOG_BYTES", budget * 501 * (2 * 8 + 8) * 8)
             out = tmp_path / name
             assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
-            outs.append(read_csv(out / "sweep.csv"))
-        (header, one), (_, split) = outs
+            outs[name] = (sizes, *read_csv(out / "sweep.csv"))
+        (one_sizes, header, one), (split_sizes, _, split) = outs["one"], outs["split"]
+        assert (one_sizes, split_sizes) == ([6], batches)
         col = header.index("peak_open")
         assert len({r[col] for r in one + split}) == 1
         for got, want in zip(split, one):
