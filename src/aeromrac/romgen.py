@@ -152,6 +152,17 @@ class PolyNonlinearity:
         return PolyNonlinearity(Psi @ self.G, self.H @ Phi, self.quad, self.cubic)
 
 
+# Grid rows of gust forcing that a plant field forms at a time: tens of kB,
+# where B_g u_d over a default run's whole grid is tens of MB.
+FORCING_BLOCK = 512
+
+
+def _forcing(u_d, B_g):
+    """B_g u_d for each row of u_d (..., p), summed over the inputs in a
+    fixed order, so that a row does not depend on the rows formed with it."""
+    return sum(u_d[..., k:k + 1] * B_g[:, k] for k in range(B_g.shape[1]))
+
+
 @dataclass(frozen=True, kw_only=True)
 class Plant:
     """State-space plant x' = A x + B_c u_c + B_g u_d + F(x) with outputs
@@ -183,15 +194,36 @@ class Plant:
             return np.zeros(np.shape(x))
         return self.nl(x)
 
+    def field(self, u_d, nonlinear=True):
+        """The derivative along a grid of gust inputs u_d (J, p), as
+        f(j, x, u_c=None) = rhs(x, u_c, u_d[j], nonlinear) bit for bit.
+        Without u_c the control term is left out, not formed from zeros.
+        B_g u_d is formed FORCING_BLOCK grid rows at a time, as j enters
+        them, so the field never holds it over the whole grid."""
+        A_T, B_c_T, B_g = self.A.T, self.B_c.T, self.B_g
+        F = self.nl if nonlinear else None
+        start, forcing = None, None  # the block's first grid row, its B_g u_d
+
+        def f(j, x, u_c=None):
+            nonlocal start, forcing
+            i = j - j % FORCING_BLOCK
+            if i != start:
+                start, forcing = i, _forcing(u_d[i:i + FORCING_BLOCK], B_g)
+            dx = x @ A_T
+            if u_c is not None:
+                dx = dx + u_c @ B_c_T
+            dx = dx + forcing[j - i]
+            if F is not None:
+                dx = dx + F(x)
+            return dx
+
+        return f
+
     def rhs(self, x, u_c, u_d, nonlinear=True):
         """Time derivative of one state or a (B, n) batch of rows, whose
         inputs are (B, m) and (B, p) rows or shared by every row;
         ``nonlinear=False`` leaves out F(x)."""
-        dx = (x @ self.A.T + np.atleast_1d(u_c) @ self.B_c.T
-              + np.atleast_1d(u_d) @ self.B_g.T)
-        if nonlinear and self.nl is not None:
-            dx = dx + self.nl(x)
-        return dx
+        return self.field(np.atleast_1d(u_d)[None], nonlinear)(0, x, np.atleast_1d(u_c))
 
 
 def _block_diag(blocks) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Fixed-step closed-loop and open-loop time integration.
 
 One classical fourth-order Runge-Kutta kernel advances every run, on one
-state (N,) or on a batch of B lanes as rows (B, N).  A closed-loop lane is
-the flat row [x, x_m, vec theta]: plant and reference model advance as one
-Plant from ``romgen.stack_plants``, so each RK4 stage makes one
-``Plant.rhs`` call and one adaptation-law call.  The open loop is lane 0 of
-the closed-loop batch: Gamma = 0, P B_c = 0, K0 = 0, theta(0) = 0 and its
-reference model held at rest keep its theta, u_c and x_m at exactly 0.
+state (N,) or on a batch of B lanes as rows (B, N).  Each run builds its
+plant's field along the run's gust grid once (``Plant.field``), and each RK4
+stage makes one call of it.  A closed-loop lane is the flat row
+[x, x_m, vec theta]: plant and reference model advance as one Plant from
+``romgen.stack_plants``, so a stage makes one field call and one
+adaptation-law call.  The open loop is lane 0 of the closed-loop batch:
+Gamma = 0, P B_c = 0, K0 = 0, theta(0) = 0 and its reference model held at
+rest keep its theta, u_c and x_m at exactly 0.
 """
 
 from __future__ import annotations
@@ -155,6 +157,21 @@ def _control(theta, x, K0):
     return (x[..., None, :] @ (theta + K0))[..., 0, :]
 
 
+def _failed_control(theta, x, K0):
+    """_control over the log rows of a failed lane, whose diverged last row
+    can put theta^T x past the float range.  Each row's x and theta + K0 are
+    scaled by powers of two, which is exact, and a product past the range
+    saturates at the largest float instead of overflowing to inf."""
+    ex = np.frexp(np.abs(x).max(axis=-1))[1][:, None]
+    eg = np.frexp(np.abs(theta + K0).max(axis=(-2, -1)))[1][:, None]
+    u_c = _control(np.ldexp(theta, -eg[..., None]), np.ldexp(x, -ex),
+                   np.ldexp(K0, -eg[..., None]))
+    with np.errstate(over="ignore"):
+        u_c = np.ldexp(u_c, ex + eg)
+    big = np.finfo(u_c.dtype).max
+    return np.clip(u_c, -big, big)
+
+
 def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
                  config: SimulationConfig, open_loop: bool = False):
     """One trace or SimulationError per (design, controller) lane from zero
@@ -171,9 +188,10 @@ def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
     # the reference model is a plant that the measured gust alone drives (B_c = 0)
     nl = model.nl if config.plant_nonlinear else None
     io = dict(B_g=model.B_g, C_out=model.C_out, output_labels=model.output_labels)
-    rhs = stack_plants(Plant(A=model.A, B_c=model.B_c, nl=nl, **io),
-                       Plant(A=reference.A_m, B_c=np.zeros_like(model.B_c),
-                             nl=nl if config.reference_nonlinear else None, **io)).rhs
+    plant = stack_plants(Plant(A=model.A, B_c=model.B_c, nl=nl, **io),
+                         Plant(A=reference.A_m, B_c=np.zeros_like(model.B_c),
+                               nl=nl if config.reference_nonlinear else None, **io))
+    field = plant.field(u_d_grid)
     Gamma = np.stack([d.Gamma for d in designs])
     PB = np.stack([d.P @ model.B_c for d in designs])
     K0 = np.stack([c.K0.T for c in controllers])
@@ -187,8 +205,8 @@ def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
         x = y[:, :n]
         u_c = _control(y[:, 2 * n:].reshape(lanes, n, m), x, K0)
         dtheta = theta_rate(x - y[:, n:2 * n], x, Gamma, PB)
-        dy = np.concatenate([rhs(y[:, :2 * n], u_c, u_d_grid[j]),
-                             dtheta.reshape(lanes, -1)], axis=1)
+        dy = np.concatenate([field(j, y[:, :2 * n], u_c), dtheta.reshape(lanes, -1)],
+                            axis=1)
         if open_loop:  # the open lane's reference model stays at rest, so
             dy[0, n:2 * n] = 0.0  # its divergence is judged on x alone
         return dy
@@ -199,7 +217,8 @@ def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
         x, closed = ys[:, :n].copy() if b < off else ys[:, :n], {}
         if b >= off:
             xm, theta = ys[:, n:2 * n], ys[:, 2 * n:].reshape(-1, n, m)
-            closed = dict(x_m=xm, e=x - xm, theta=theta, u_c=_control(theta, x, K0[b]))
+            control = _control if error is None else _failed_control
+            closed = dict(x_m=xm, e=x - xm, theta=theta, u_c=control(theta, x, K0[b]))
             if error is None:
                 controllers[b - off].theta = theta[-1].copy()
         trace = SimulationTrace(time=steps * dt, x=x, outputs=x @ model.C_out.T,
@@ -261,12 +280,9 @@ def integrate_open_loop(model, gust, config: SimulationConfig,
                         x0: np.ndarray | None = None) -> SimulationTrace:
     """Uncontrolled gust response under the same RK4 scheme."""
     _check_dt(config, model.A)
-    u_d = _gust_grid(gust, config, model.B_g.shape[1])
-    u0 = np.zeros(model.B_c.shape[1])
-    x = np.zeros(model.A.shape[0]) if x0 is None else np.array(x0, dtype=float)
-    rhs, nonlinear = model.rhs, config.plant_nonlinear
-    ((steps, xs, error),) = _rk4(
-        lambda j, x: rhs(x, u0, u_d[j], nonlinear=nonlinear), x, config)
+    u_d = _gust_grid(gust, config, model.p)
+    x = np.zeros(model.n) if x0 is None else np.array(x0, dtype=float)
+    ((steps, xs, error),) = _rk4(model.field(u_d, config.plant_nonlinear), x, config)
     trace = SimulationTrace(
         time=steps * config.dt, x=xs, outputs=xs @ model.C_out.T, u_d=u_d[2 * steps],
         output_labels=model.output_labels, diverged=error is not None,

@@ -21,7 +21,7 @@ from aeromrac.gusts import (
     von_karman_psd,
 )
 from aeromrac.numerics import solve_lyapunov, transmission_zeros
-from aeromrac.romgen import default_rom
+from aeromrac.romgen import Plant, default_rom
 from aeromrac.sim import (
     SimulationConfig,
     compute_metrics,
@@ -37,25 +37,13 @@ def _verdict(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-class LinearPlant:
-    """Minimal linear plant wrapper for synthetic closed-loop checks."""
-
-    def __init__(self, A, B_c, B_g):
-        self.A = np.asarray(A, dtype=float)
-        self.B_c = np.atleast_2d(np.asarray(B_c, dtype=float))
-        if self.B_c.shape[0] == 1 and self.A.shape[0] > 1:
-            self.B_c = self.B_c.T
-        self.B_g = np.atleast_2d(np.asarray(B_g, dtype=float))
-        if self.B_g.shape[0] == 1 and self.A.shape[0] > 1:
-            self.B_g = self.B_g.T
-        self.C_out = np.eye(self.A.shape[0])[:1]
-        self.output_labels = ("y",)
-
-    def rhs(self, x, u_c, u_d, nonlinear=True):
-        return self.A @ x + self.B_c @ np.atleast_1d(u_c) + self.B_g @ np.atleast_1d(u_d)
-
-    def eval_f_nr(self, x):
-        return np.zeros(self.A.shape[0])
+def linear_plant(A, B_c, B_g):
+    """Linear plant with the one output y = x_0, for synthetic closed-loop
+    checks; B_c and B_g may be given as flat vectors."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    return Plant(A=A, B_c=np.reshape(B_c, (n, -1)), B_g=np.reshape(B_g, (n, -1)),
+                 C_out=np.eye(n)[:1], output_labels=("y",))
 
 
 def _random_adaptive_config(rng):
@@ -124,7 +112,7 @@ def test_criterion_02_random_config_stability():
     for i in range(50):
         A, B, B_g, Q, gamma, A_m = _random_adaptive_config(rng)
         n = A.shape[0]
-        plant = LinearPlant(A, B, B_g)
+        plant = linear_plant(A, B, B_g)
         ref = mrac.ReferenceModel(A_m=A_m, damping=())
         design = mrac.make_design(A_m, Q, gamma, m=1)
         state = mrac.ControllerState(theta=np.zeros((n, 1)), K0=np.zeros((1, n)))
@@ -223,7 +211,7 @@ def test_criterion_07_zero_relocation_and_adaptive_run():
     relocated = report.corrected and z_after.real.max() < 0.0
 
     A_m = np.array([[0.0, 1.0], [-3.0, -4.0]])  # A + b k, k = [-1, -1]
-    plant = LinearPlant(A, b, np.array([1.0, 0.0]))
+    plant = linear_plant(A, b, np.array([1.0, 0.0]))
     ref = mrac.ReferenceModel(A_m=A_m, damping=())
     design = mrac.make_design(A_m, np.eye(2), 0.5, m=1)
     state = mrac.ControllerState(theta=np.zeros((2, 1)), K0=K0)

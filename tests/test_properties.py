@@ -1,8 +1,9 @@
 """Property tests of the plant interface and the integrator: a saved
 reduced model equals the original, a full-dimension reduction reproduces the
 full-order model, a batch of states evaluates like its rows one by one, the
-lanes of an open/closed batch run like the serial open and closed loops, and
-a stack of plants evaluates like its parts."""
+lanes of an open/closed batch run like the serial open and closed loops, a
+stack of plants evaluates like its parts, and a plant's field along a gust
+grid evaluates like its rhs."""
 
 import numpy as np
 import pytest
@@ -13,7 +14,13 @@ from hypothesis.extra.numpy import arrays
 from aeromrac.gusts import OneCosineGust
 from aeromrac.mrac import ControllerState, build_reference_model, make_design
 from aeromrac.plantio import load_rom, save_rom
-from aeromrac.romgen import Plant, PolyNonlinearity, default_rom, stack_plants
+from aeromrac.romgen import (
+    FORCING_BLOCK,
+    Plant,
+    PolyNonlinearity,
+    default_rom,
+    stack_plants,
+)
 from aeromrac.sim import (
     SimulationConfig,
     SimulationError,
@@ -168,3 +175,12 @@ def test_stack_rhs_is_its_parts_rhs(parts, m, p, rows, seed, nonlinear):
     outputs = np.concatenate([xi @ part.C_out.T for part, xi in zip(plants, xs)], axis=-1)
     assert np.abs(x @ stack.C_out.T - outputs).max() <= REL_TOL * np.abs(outputs).max()
     assert (stack.nl is None) == all(k == 0 for _, k in parts)
+    # the field along a gust grid is rhs at grid row j, bit for bit, with
+    # the control term or without it; its first call may form another block
+    grid = rng.normal(size=(int(rng.integers(1, 3 * FORCING_BLOCK)), p))
+    j, other = rng.integers(grid.shape[0], size=2)
+    field = stack.field(grid, nonlinear)
+    field(int(other), x)
+    assert np.array_equal(field(int(j), x, u_c), stack.rhs(x, u_c, grid[j], nonlinear))
+    assert np.array_equal(field(int(j), x), stack.rhs(x, np.zeros_like(u_c), grid[j],
+                                                     nonlinear))

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from aeromrac.gusts import OneCosineGust, ZeroGust
 from aeromrac.mrac import (
     ControllerState,
+    LyapunovDesign,
     ReferenceModel,
     build_reference_model,
     make_design,
@@ -21,23 +24,11 @@ from aeromrac.sim import (
 )
 
 
-class TinyPlant:
-    """Two-state test plant with an optional quadratic residual."""
-
-    def __init__(self, A, quad=0.0):
-        self.A = np.asarray(A, dtype=float)
-        self.B_c = np.array([[0.0], [1.0]])
-        self.B_g = np.array([[1.0], [0.0]])
-        self.C_out = np.eye(2)
-        self.output_labels = ("y0", "y1")
-        self.quad = quad
-
-    def eval_f_nr(self, x):
-        return self.quad * np.asarray(x) ** 2
-
-    def rhs(self, x, u_c, u_d, nonlinear=True):
-        dx = self.A @ x + self.B_c @ np.atleast_1d(u_c) + self.B_g @ np.atleast_1d(u_d)
-        return dx + self.eval_f_nr(x) if nonlinear else dx
+def tiny_plant(A, quad=0.0):
+    """Two-state test plant with the quadratic residual quad * x**2."""
+    return Plant(A=np.asarray(A, dtype=float), B_c=np.array([[0.0], [1.0]]),
+                 B_g=np.array([[1.0], [0.0]]), C_out=np.eye(2), output_labels=("y0", "y1"),
+                 nl=PolyNonlinearity(np.eye(2), np.eye(2), np.full(2, quad), np.zeros(2)))
 
 
 def _controller(rom, gamma=0.5, q_scale=0.03, damping=1.5):
@@ -60,7 +51,7 @@ class TestConfig:
         assert SimulationConfig(dt=0.02, duration=1.0).n_steps == 50
 
     def test_dt_heuristic_warning(self):
-        plant = TinyPlant([[-0.1, 10.0], [-10.0, -0.1]])
+        plant = tiny_plant([[-0.1, 10.0], [-10.0, -0.1]])
         cfg = SimulationConfig(dt=0.1, duration=1.0)
         with pytest.warns(UserWarning, match="stability heuristic"):
             integrate_open_loop(plant, ZeroGust(), cfg)
@@ -107,7 +98,7 @@ class TestOpenLoop:
         assert trace.time == pytest.approx([0.0, 1.0])
 
     def test_divergence_carries_partial_trace(self):
-        plant = TinyPlant([[-0.5, 1.0], [-1.0, -0.5]], quad=4.0)
+        plant = tiny_plant([[-0.5, 1.0], [-1.0, -0.5]], quad=4.0)
         cfg = SimulationConfig(dt=0.01, duration=20.0, divergence_threshold=1e6)
         with pytest.raises(SimulationError, match="diverged") as exc:
             integrate_open_loop(plant, OneCosineGust(3.0, 2.0, 1.0), cfg)
@@ -119,7 +110,7 @@ class TestOpenLoop:
     def test_divergence_logs_the_diverged_state(self):
         # as in the closed loop, the last row is the finite state that left
         # the bound, at the time the message names
-        plant = TinyPlant([[-0.5, 1.0], [-1.0, -0.5]], quad=4.0)
+        plant = tiny_plant([[-0.5, 1.0], [-1.0, -0.5]], quad=4.0)
         cfg = SimulationConfig(dt=0.01, duration=20.0, divergence_threshold=1e6)
         with pytest.raises(SimulationError) as exc:
             integrate_open_loop(plant, OneCosineGust(3.0, 2.0, 1.0), cfg)
@@ -139,7 +130,7 @@ class TestClosedLoop:
 
     def test_dimension_mismatch_rejected(self, rom):
         ref, design, state = _controller(rom)
-        plant = TinyPlant(-np.eye(2))
+        plant = tiny_plant(-np.eye(2))
         cfg = SimulationConfig(dt=0.01, duration=1.0)
         with pytest.raises(ValueError, match="dimension"):
             integrate_closed_loop(plant, ref, design, state, ZeroGust(), cfg)
@@ -176,6 +167,25 @@ class TestClosedLoop:
         assert np.abs(want).max() > 0.0
         np.testing.assert_allclose(trace.u_c, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
+
+    def test_diverged_row_logs_a_finite_control(self):
+        # one step takes x to -1e120 and theta to -1e240, so theta^T x of the
+        # logged diverged row is past the float range: it saturates, silently
+        plant = Plant(A=np.zeros((1, 1)), B_c=np.ones((1, 1)), B_g=np.ones((1, 1)),
+                      C_out=np.eye(1), output_labels=("y",))
+        ref = ReferenceModel(A_m=-np.eye(1), damping=())
+        design = LyapunovDesign(Q=np.eye(1), P=np.eye(1), Gamma=6e166 * np.eye(1))
+        state = ControllerState(theta=np.full((1, 1), 1e80), K0=np.zeros((1, 1)))
+        cfg = SimulationConfig(dt=0.01, duration=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError) as exc:
+                integrate_closed_loop(plant, ref, design, state,
+                                      lambda t: np.full_like(t, 4e-116), cfg)
+        trace = exc.value.trace
+        assert trace.time.shape == (2,) and trace.u_c.shape == (2, 1)
+        assert abs(trace.x[-1, 0]) > 1e119 and abs(trace.theta[-1, 0, 0]) > 1e239
+        assert trace.u_c[0, 0] == 0.0 and trace.u_c[-1, 0] == np.finfo(float).max
 
     def test_adaptation_is_gust_driven(self, rom):
         # gains start moving while the gust acts, then settle once the
@@ -214,11 +224,7 @@ class TestOpenLane:
             assert np.abs(result.trace.x).max() < 5.0 < np.abs(result.trace.x_m[-1]).max()
 
     def test_open_divergence_is_the_open_loop_error(self):
-        # TinyPlant's diverging case as a Plant
-        plant = Plant(A=np.array([[-0.5, 1.0], [-1.0, -0.5]]), B_c=np.array([[0.0], [1.0]]),
-                      B_g=np.array([[1.0], [0.0]]), C_out=np.eye(2),
-                      output_labels=("y0", "y1"),
-                      nl=PolyNonlinearity(np.eye(2), np.eye(2), np.full(2, 4.0), np.zeros(2)))
+        plant = tiny_plant([[-0.5, 1.0], [-1.0, -0.5]], quad=4.0)
         ref = ReferenceModel(A_m=-np.eye(2), damping=())
         design = make_design(ref.A_m, np.eye(2), gamma=0.5, m=1)
         state = ControllerState(theta=np.zeros((2, 1)), K0=np.zeros((1, 2)))
@@ -349,10 +355,8 @@ class TestStackPlants:
         assert stacked.output_labels == fom.output_labels + rom.output_labels
 
     def test_stacked_divergence_stops_at_the_diverging_part(self, rom):
-        # TinyPlant's diverging case as a Plant, stacked under a stable part
-        part = Plant(A=np.array([[-0.5, 1.0], [-1.0, -0.5]]), B_c=np.array([[0.0], [1.0]]),
-                     B_g=np.array([[1.0], [0.0]]), C_out=np.eye(2), output_labels=("y0", "y1"),
-                     nl=PolyNonlinearity(np.eye(2), np.eye(2), np.full(2, 4.0), np.zeros(2)))
+        # the diverging plant, stacked under a stable part
+        part = tiny_plant([[-0.5, 1.0], [-1.0, -0.5]], quad=4.0)
         gust = OneCosineGust(3.0, 2.0, 1.0)
         cfg = SimulationConfig(dt=0.01, duration=20.0, divergence_threshold=1e6)
         with pytest.raises(SimulationError) as alone:
