@@ -109,7 +109,6 @@ _SCHEMA = {
         "damping": (1.5, _damping), "gamma": (0.5, _positive),
         "Q": {"kind": ("identity", _choice("identity", "diag")), "scale": (0.03, _number),
               "diag": (None, _numbers)},
-        "zero_correction": (False, _bool), "zero_output": (0, _selector),
         "certificate": ("off", _choice("off", "error-only")),
     },
     "gust": {
@@ -142,8 +141,9 @@ def _walk(schema: dict, user, prefix: str = "") -> dict:
     user = {} if user is None else user
     if not isinstance(user, dict):
         raise ConfigError(f"{prefix[:-1] or 'config'}: expected a mapping, got {user!r}")
-    for key in user.keys() - schema.keys():
-        raise ConfigError(f"{prefix}{key}: unknown field")
+    for key in user:  # the first unknown field in the file's order
+        if key not in schema:
+            raise ConfigError(f"{prefix}{key}: unknown field")
     return {key: _walk(spec, user.get(key), f"{prefix}{key}.") if isinstance(spec, dict)
             else _read(spec, user.get(key, spec[0]), prefix + key)
             for key, spec in schema.items()}
@@ -161,12 +161,16 @@ def load_config(path) -> dict:
     plant, gust = cfg["plant"], cfg["gust"]["kind"]
     if plant["source"] == "external" and not plant["bundle"]:
         raise ConfigError("plant.source = external requires plant.bundle")
-    if plant["source"] == "aerofoil" and plant["params"] and not Path(plant["params"]).is_file():
-        raise ConfigError(f"plant.params: file not found: {plant['params']}")
+    key = "bundle" if plant["source"] == "external" else "params"
+    if plant[key] and not Path(plant[key]).is_file():
+        raise ConfigError(f"plant.{key}: file not found: {plant[key]}")
     if cfg["controller"]["Q"]["kind"] == "diag" and cfg["controller"]["Q"]["diag"] is None:
         raise ConfigError("controller.Q.kind = diag requires controller.Q.diag")
     if gust != "one-cosine" and cfg["sim"]["duration"] is None:
         raise ConfigError(f"gust.kind = {gust} requires an explicit sim.duration")
+    if gust != "one-cosine" and cfg["sweep"]["axis"] == "gust-gradient":
+        raise ConfigError("sweep.axis = gust-gradient requires gust.kind = one-cosine, "
+                          "the only gust with a gradient H_g")
     return cfg
 
 
@@ -218,37 +222,25 @@ def build_weighting(cfg, n: int) -> np.ndarray:
     return q["scale"] * np.eye(n)
 
 
-def _output_index(cfg, rom, section: str, key: str) -> int:
-    """The model output that cfg[section][key] selects by label or index."""
-    sel, labels = cfg[section][key], rom.output_labels
+def _output_index(cfg, rom) -> int:
+    """The model output that sim.metrics_output selects by label or index;
+    each command resolves it once, before any integration."""
+    sel, labels = cfg["sim"]["metrics_output"], rom.output_labels
     if sel in labels:
         return labels.index(sel)
     if type(sel) is not int or not -len(labels) <= sel < len(labels):
-        raise ConfigError(f"{section}.{key}: {sel!r} selects none of the outputs {labels}")
+        raise ConfigError(f"sim.metrics_output: {sel!r} selects none of the outputs {labels}")
     return sel
 
 
-def _check_outputs(cfg, rom) -> int:
-    """Resolve the output selectors before any integration; returns the
-    metrics output."""
-    if cfg["controller"]["zero_correction"]:
-        _output_index(cfg, rom, "controller", "zero_output")
-    return _output_index(cfg, rom, "sim", "metrics_output")
-
-
 def build_controller(cfg, rom, gamma: float | None = None):
-    """(reference, design, controller state, zero-correction report or None)."""
+    """(reference, design, controller state with zero gains)."""
     ctl = cfg["controller"]
     reference = mrac.build_reference_model(rom, ctl["damping"])
     Q = build_weighting(cfg, rom.n)
     design = mrac.make_design(reference.A_m, Q, ctl["gamma"] if gamma is None else gamma, m=rom.m)
-    report = None
-    K0 = np.zeros((rom.m, rom.n))
-    if ctl["zero_correction"]:
-        idx = _output_index(cfg, rom, "controller", "zero_output")
-        K0, _, report = mrac.minimum_phase_correct(rom.A, rom.B_c, rom.C_out[idx])
-    state = mrac.ControllerState(theta=np.zeros((rom.n, rom.m)), K0=K0)
-    return reference, design, state, report
+    state = mrac.ControllerState(theta=np.zeros((rom.n, rom.m)), K0=np.zeros((rom.m, rom.n)))
+    return reference, design, state
 
 
 def sim_config(cfg) -> sim.SimulationConfig:
@@ -397,16 +389,15 @@ def cmd_rom_build(cfg, outdir: Path, args) -> int:
 
 
 def _run_pair(cfg, rom, gust):
-    """Open/closed-loop pair on the same grid; returns (open, closed, design,
-    reference, report)."""
+    """Open/closed-loop pair on the same grid; returns (open, closed, design)."""
     config = sim_config(cfg)
-    reference, design, state, report = build_controller(cfg, rom)
+    reference, design, state = build_controller(cfg, rom)
     tr_open, (tr_closed,) = sim.integrate_open_and_closed(rom, reference, [design], [state],
                                                           gust, config)
     for tr in (tr_open, tr_closed):  # an open loop that diverged is reported first
         if isinstance(tr, sim.SimulationError):
             raise tr
-    return tr_open, tr_closed, design, reference, report
+    return tr_open, tr_closed, design
 
 
 _METRICS_HEADER = [
@@ -425,10 +416,10 @@ def _metrics_row(metrics: sim.GlaMetrics):
 
 def cmd_simulate(cfg, outdir: Path, args) -> int:
     full, rom, _ = build_plant(cfg)
-    idx = _check_outputs(cfg, rom)
+    idx = _output_index(cfg, rom)
     gust = build_gust(cfg, cfg["seed"])
     try:
-        tr_open, tr_closed, design, reference, zreport = _run_pair(cfg, rom, gust)
+        tr_open, tr_closed, design = _run_pair(cfg, rom, gust)
     except sim.SimulationError as exc:
         if exc.trace is not None:
             header, rows = trace_columns(exc.trace)
@@ -471,23 +462,15 @@ def cmd_simulate(cfg, outdir: Path, args) -> int:
     write_plot_script(outdir / "plot_traces.py", "trace_closed.csv",
                       "closed-loop response", [f"y_{l}" for l in rom.output_labels])
 
-    metrics_rows = [
-        _metrics_row(sim.compute_metrics(tr_open, tr_closed, j))
-        for j in range(len(rom.output_labels))
-    ]
-    write_csv(outdir / "metrics.csv", _METRICS_HEADER, metrics_rows)
+    metrics = [sim.compute_metrics(tr_open, tr_closed, j) for j in range(len(rom.output_labels))]
+    write_csv(outdir / "metrics.csv", _METRICS_HEADER, [_metrics_row(m) for m in metrics])
 
-    m = sim.compute_metrics(tr_open, tr_closed, idx)
+    m = metrics[idx]
     lines = [
         f"output {m.output}: peak open {m.peak_open:.6e}, peak closed "
         f"{m.peak_closed:.6e}, reduction {m.reduction_percent:.2f}%",
         f"max flap command {np.degrees(m.max_flap_cmd):.3f} deg",
     ]
-    if zreport is not None:
-        lines.append(
-            f"zero correction: zeros before {zreport.zeros_before}, "
-            f"after {zreport.zeros_after}"
-        )
     lines += cert_lines
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
     write_resolved_config(cfg, outdir)
@@ -500,11 +483,10 @@ def cmd_simulate(cfg, outdir: Path, args) -> int:
 _POINT_ERRORS = (sim.SimulationError, ValueError)
 
 
-def _gamma_points(cfg, rom, grid):
-    """(metrics, error) per gamma point.  The points share one gust; their
-    closed loops run as the lanes of batches, the first of which also holds
-    the open loop, as lane 0."""
-    idx = _output_index(cfg, rom, "sim", "metrics_output")
+def _gamma_points(cfg, rom, grid, idx):
+    """(metrics of output idx, error) per gamma point.  The points share one
+    gust; their closed loops run as the lanes of batches, the first of which
+    also holds the open loop, as lane 0."""
     try:
         gust = build_gust(cfg, cfg["seed"])
         config = sim_config(cfg)
@@ -514,7 +496,7 @@ def _gamma_points(cfg, rom, grid):
     lanes = []  # (point, reference, design, controller state)
     for k, gamma in enumerate(grid):
         try:
-            reference, design, state, _ = build_controller(cfg, rom, gamma=gamma)
+            reference, design, state = build_controller(cfg, rom, gamma=gamma)
         except _POINT_ERRORS as exc:
             results[k] = (None, str(exc))
         else:
@@ -544,26 +526,24 @@ def _gamma_points(cfg, rom, grid):
     return results
 
 
-def _gradient_point(cfg, rom, H_g):
+def _gradient_point(cfg, rom, H_g, idx):
     point_cfg = {**cfg, "gust": {**cfg["gust"], "H_g": H_g}}
-    gust = build_gust(point_cfg, cfg["seed"])
-    tr_open, tr_closed, _, _, _ = _run_pair(point_cfg, rom, gust)
-    return sim.compute_metrics(tr_open, tr_closed,
-                               _output_index(cfg, rom, "sim", "metrics_output"))
+    tr_open, tr_closed, _ = _run_pair(point_cfg, rom, build_gust(point_cfg, cfg["seed"]))
+    return sim.compute_metrics(tr_open, tr_closed, idx)
 
 
 def cmd_sweep(cfg, outdir: Path, args) -> int:
     full, rom, _ = build_plant(cfg)
-    _check_outputs(cfg, rom)  # a bad selector ends the sweep, not each point
+    idx = _output_index(cfg, rom)  # a bad selector ends the sweep, not each point
     axis = cfg["sweep"]["axis"]
     grid = cfg["sweep"]["grid"]
     if axis == "gamma":
-        results = _gamma_points(cfg, rom, grid)
+        results = _gamma_points(cfg, rom, grid, idx)
     else:
         results = []
         for value in grid:
             try:
-                results.append((_gradient_point(cfg, rom, value), None))
+                results.append((_gradient_point(cfg, rom, value, idx), None))
             except _POINT_ERRORS as exc:
                 results.append((None, str(exc)))
 

@@ -137,7 +137,7 @@ def transmission_zeros(
     """Finite invariant zeros of (A, B, C, D) from the system pencil
     [[A - sI, B], [C, D]].  Requires a square (same input/output count)
     system."""
-    import scipy.linalg  # here, not at module load: only zero correction needs it
+    import scipy.linalg  # here, not at module load: no CLI command needs it
 
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.asarray(B, dtype=float)
@@ -177,7 +177,7 @@ def controllability_matrix(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 def bass_gura_place(A: np.ndarray, b: np.ndarray, desired_poly: np.ndarray) -> np.ndarray:
     """Single-input pole placement gain K0 such that A - b K0 has the desired
     characteristic polynomial (monic, highest power first)."""
-    import scipy.linalg
+    import scipy.linalg  # here too: only mrac.minimum_phase_correct places poles
 
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)

@@ -46,6 +46,8 @@ class SelectionCriteria:
     output_map: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.n < 1 or self.n_real < 0:
+            raise RomError(f"need n >= 1 and n_real >= 0, got n = {self.n}, n_real = {self.n_real}")
         if self.n < self.n_real or (self.n - self.n_real) % 2:
             raise RomError(
                 f"cannot fit {self.n_real} real modes plus conjugate pairs into n = {self.n}"

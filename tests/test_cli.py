@@ -42,20 +42,24 @@ def _loaded_scipy_modules(code: str) -> str:
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    # only zero correction needs scipy (scipy.linalg); the CLI import loads
-    # no scipy module at all
+    # scipy.linalg serves only the library's transmission zeros and pole
+    # placement, which no command calls; the CLI import loads no scipy module
     assert _loaded_scipy_modules("import aeromrac.cli") == "[]"
 
 
 def test_von_karman_runs_load_no_scipy(tmp_path):
-    cfg = write_config(tmp_path / "run.yaml", gust={"kind": "von-karman"},
-                       sim={"dt": 0.02, "duration": 4.0},
-                       sweep={"axis": "gamma", "grid": [0.1, 1.0]})
-    code = ("from aeromrac import cli; "
-            f"assert cli.main(['sweep', '--config', {str(cfg)!r}, "
-            f"'--out', {str(tmp_path / 's')!r}]) == 0; "
-            f"assert cli.main(['gust-gen', '--config', {str(cfg)!r}, "
-            f"'--out', {str(tmp_path / 'g')!r}]) == 0")
+    # every command, in one interpreter, at a short duration (the reduced
+    # model meets rom-build's tolerances over the default 20 s)
+    vk = write_config(tmp_path / "vk.yaml", gust={"kind": "von-karman"},
+                      sim={"dt": 0.02, "duration": 4.0},
+                      sweep={"axis": "gamma", "grid": [0.1, 1.0]})
+    one_cos = write_config(tmp_path / "1cos.yaml", controller={"certificate": "error-only"},
+                           sweep={"axis": "gust-gradient", "grid": [1.0, 2.0]})
+    runs = [("validate", one_cos), ("gust-gen", vk), ("rom-build", one_cos),
+            ("simulate", one_cos), ("sweep", vk), ("sweep", one_cos)]
+    code = "from aeromrac import cli; " + "; ".join(
+        f"assert cli.main([{command!r}, '--config', {str(cfg)!r}, "
+        f"'--out', {str(tmp_path / str(k))!r}]) == 0" for k, (command, cfg) in enumerate(runs))
     assert _loaded_scipy_modules(code) == "[]"
 
 
@@ -98,10 +102,25 @@ class TestValidate:
         code = cli.main(["validate", "--config", str(cfg)])
         assert code == cli.EXIT_CONFIG
 
+    def test_missing_bundle_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.yaml",
+                           plant={"source": "external", "bundle": str(tmp_path / "missing.npz")})
+        assert cli.main(["validate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert "plant.bundle: file not found" in capsys.readouterr().err
+
     def test_von_karman_needs_duration(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml",
                            gust={"kind": "von-karman"}, sim={"dt": 0.02, "duration": None})
         assert cli.main(["validate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("kind", ["von-karman", "zero"])
+    def test_gust_gradient_sweep_needs_one_cosine(self, tmp_path, capsys, kind):
+        # only the one-cosine gust has the gradient H_g that the sweep varies
+        cfg = write_config(tmp_path / "run.yaml", gust={"kind": kind},
+                           sweep={"axis": "gust-gradient", "grid": [1.0, 2.0]})
+        assert cli.main(["validate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert "sweep.axis = gust-gradient requires gust.kind = one-cosine" \
+            in capsys.readouterr().err
 
     def test_newer_schema_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml", schema_version=99)
@@ -141,7 +160,8 @@ _BAD_NUMBERS = [
     ("simulate", {"sim": {"dt": 1e-12}}, "sim.dt = 1e-12 takes over"),
     ("gust-gen", {"sim": {"dt": 1e-12}}, "sim.dt = 1e-12 takes over 10000000 steps"),
     ("simulate", {"sim": {"plant_nonlinear": "false"}}, "sim.plant_nonlinear"),
-    ("simulate", {"controller": {"zero_correction": "false"}}, "controller.zero_correction"),
+    # zero correction is not a run option: even its old default is unknown
+    ("simulate", {"controller": {"zero_correction": False}}, "controller.zero_correction"),
     ("gust-gen", {"seed": -1, "gust": {"kind": "von-karman"}}, "seed: expected a non-negative"),
     ("validate", {"output_dir": "a\0b"}, "output_dir"),
 ]
@@ -258,24 +278,38 @@ def test_gust_numbers_read_as_validated(tmp_path, gust):
         == cli.EXIT_OK
 
 
+# (sections, message); the zero-correction selector is no longer a field
 _BAD_SELECTORS = [
-    {"sim": {"metrics_output": 7}},
-    {"sim": {"metrics_output": "yaw"}},
-    {"controller": {"zero_correction": True, "zero_output": 7}},
-    {"controller": {"zero_correction": True, "zero_output": "yaw"}},
+    ({"sim": {"metrics_output": 7}}, "sim.metrics_output: 7 selects none of the outputs"),
+    ({"sim": {"metrics_output": "yaw"}}, "sim.metrics_output: 'yaw' selects none of the outputs"),
+    ({"controller": {"zero_correction": True, "zero_output": 7}},
+     "controller.zero_correction: unknown field"),
+    ({"controller": {"zero_output": "yaw"}}, "controller.zero_output: unknown field"),
 ]
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
-@pytest.mark.parametrize("sections", _BAD_SELECTORS,
+@pytest.mark.parametrize("sections, message", _BAD_SELECTORS,
                          ids=["metrics-7", "metrics-yaw", "zero-7", "zero-yaw"])
-def test_bad_output_selector_is_a_config_error(tmp_path, capsys, command, sections):
+def test_bad_output_selector_is_a_config_error(tmp_path, capsys, command, sections, message):
     cfg = write_config(tmp_path / "run.yaml", sweep={"axis": "gamma", "grid": [0.5]},
                        **sections)
     out = tmp_path / "o"
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
-    assert "selects none of the outputs" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "rom-build"])
+@pytest.mark.parametrize("n, n_real", [(0, 0), (-2, -4), (2, -2)])
+def test_rom_size_out_of_range_is_a_validation_error(tmp_path, capsys, command, n, n_real):
+    cfg = write_config(tmp_path / "run.yaml", rom={"n": n, "n_real": n_real},
+                       sweep={"axis": "gamma", "grid": [0.5]})
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert f"need n >= 1 and n_real >= 0, got n = {n}, n_real = {n_real}" \
+        in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 class TestGustGen:
@@ -337,10 +371,16 @@ def test_overflowing_von_karman_gust_is_a_validation_error(tmp_path, capsys, com
 
 @pytest.mark.parametrize("axis", ["gamma", "gust-gradient"])
 @pytest.mark.parametrize("gust", _OVERFLOWING_GUSTS, ids=lambda g: next(iter(g)))
-def test_overflowing_von_karman_gust_fails_each_sweep_point(tmp_path, axis, gust):
+def test_overflowing_von_karman_gust_fails_each_sweep_point(tmp_path, capsys, axis, gust):
     cfg = write_config(tmp_path / "run.yaml", gust={"kind": "von-karman", **gust},
                        sim={"dt": 0.02, "duration": 4.0}, sweep={"axis": axis, "grid": [0.5, 1.0]})
     out = tmp_path / "sw"
+    if axis == "gust-gradient":  # a Von Karman gust has no gradient to sweep
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "sweep.axis = gust-gradient requires gust.kind = one-cosine" \
+            in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+        return
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
     header, rows = read_csv(out / "sweep.csv")
     for row in rows:

@@ -2,12 +2,13 @@
 reduced model equals the original, a full-dimension reduction reproduces the
 full-order model, a batch of states evaluates like its rows one by one, the
 lanes of an open/closed batch run like the serial open and closed loops, a
-stack of plants evaluates like its parts, and a plant's field along a gust
-grid evaluates like its rhs."""
+stack of plants evaluates like its parts, a plant's field along a gust grid
+evaluates like its rhs, and a reduction keeps the states it is asked for or
+refuses."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,6 +19,7 @@ from aeromrac.romgen import (
     FORCING_BLOCK,
     Plant,
     PolyNonlinearity,
+    RomError,
     default_rom,
     stack_plants,
 )
@@ -184,3 +186,18 @@ def test_stack_rhs_is_its_parts_rhs(parts, m, p, rows, seed, nonlinear):
     assert np.array_equal(field(int(j), x, u_c), stack.rhs(x, u_c, grid[j], nonlinear))
     assert np.array_equal(field(int(j), x), stack.rhs(x, np.zeros_like(u_c), grid[j],
                                                      nonlinear))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(-4, 16), n_real=st.integers(-4, 10))
+@example(n=0, n_real=0)
+@example(n=-2, n_real=-4)
+@example(n=8, n_real=2)
+def test_rom_has_the_requested_states_or_is_refused(fom, n, n_real):
+    # the 14-state section has 3 oscillatory pairs and 8 real modes
+    try:
+        rom = default_rom(fom, n=n, n_real=n_real)
+    except RomError:
+        return
+    assert rom.n == n
+    assert sum(mode.kind == "real-gust" for mode in rom.modes) == n_real
