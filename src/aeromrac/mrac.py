@@ -7,8 +7,9 @@ reference model is driven by the measured gust.  So the controller is
 state-feedback MRAC (Lavretsky & Wise, Robust and Adaptive Control, 2013).
 Gain-storage convention (fixed once to prevent transpose bugs): the adaptive
 gain matrix is theta = Kx^T in R^{n x m} acting on the regression vector
-phi = x, so u_c = theta^T x + K0 x.  ``sim._control`` computes u_c;
-``theta_rate`` below is the adaptation law, with Gamma = gamma Q.
+phi = x, so u_c = theta^T x + K0 x.  ``theta_rate`` below is the adaptation
+law, with Gamma = gamma Q; ``sim._lane_field`` integrates u_c and the law
+from its two factors -Gamma x and e^T P B_c.
 """
 
 from __future__ import annotations

@@ -159,10 +159,36 @@ class PolyNonlinearity:
 FORCING_BLOCK = 512
 
 
-def _forcing(u_d, B_g):
-    """B_g u_d for each row of u_d (..., p), summed over the inputs in a
-    fixed order, so that a row does not depend on the rows formed with it."""
-    return sum(u_d[..., k:k + 1] * B_g[:, k] for k in range(B_g.shape[1]))
+def poly_field(u_d, B_g, L, P, c, G, B_c=None):
+    """The derivative along a grid of gust inputs u_d (J, p) as one
+    polynomial field of a state row y (N,) or rows (B, N):
+    f(j, y, u_c=None) = y L + u_c B_c^T + B_g u_d[j] + ((y P_1) * (y P_2) * (y P_3 + c)) G.
+
+    P = [P_1 | P_2 | P_3] is (N, 3K), c (K,) and G (K, N); L, P and B_g
+    (N, p) may carry a lane axis (B, ...) matching y's rows.  Without u_c the
+    control term is left out, not formed from zeros.  B_g u_d is formed
+    FORCING_BLOCK grid rows at a time, as j enters them, summed over the
+    inputs in a fixed order so that a row does not depend on its block."""
+    W = np.concatenate([L, P], axis=-1)  # one product gives y L and the factors
+    N, K = L.shape[-1], c.shape[0]
+    B_c_T = None if B_c is None else B_c.T
+    start, forcing = None, None  # the block's first grid row, its B_g u_d
+
+    def f(j, y, u_c=None):
+        nonlocal start, forcing
+        i = j - j % FORCING_BLOCK
+        if i != start:
+            start, block = i, u_d[i:i + FORCING_BLOCK]
+            forcing = sum(np.multiply.outer(block[..., k], B_g[..., k])
+                          for k in range(B_g.shape[-1]))
+        Y = y @ W if W.ndim == 2 else (y[:, None, :] @ W)[:, 0]
+        dy = Y[..., :N]
+        if u_c is not None:
+            dy = dy + u_c @ B_c_T
+        z = Y[..., N:]
+        return dy + forcing[j - i] + (z[..., :K] * z[..., K:2 * K] * (z[..., 2 * K:] + c)) @ G
+
+    return f
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -196,30 +222,20 @@ class Plant:
             return np.zeros(np.shape(x))
         return self.nl(x)
 
+    def springs(self, nonlinear=True):
+        """F(x) as ``poly_field``'s triple product: ((H^T, H^T, H^T
+        diag(cubic)), quad, G^T); no product columns without F."""
+        if self.nl is None or not nonlinear:
+            return (np.zeros((self.n, 0)),) * 3, np.zeros(0), np.zeros((0, self.n))
+        H_T = self.nl.H.T
+        return (H_T, H_T, H_T * self.nl.cubic), self.nl.quad, self.nl.G.T
+
     def field(self, u_d, nonlinear=True):
         """The derivative along a grid of gust inputs u_d (J, p), as
-        f(j, x, u_c=None) = rhs(x, u_c, u_d[j], nonlinear) bit for bit.
-        Without u_c the control term is left out, not formed from zeros.
-        B_g u_d is formed FORCING_BLOCK grid rows at a time, as j enters
-        them, so the field never holds it over the whole grid."""
-        A_T, B_c_T, B_g = self.A.T, self.B_c.T, self.B_g
-        F = self.nl if nonlinear else None
-        start, forcing = None, None  # the block's first grid row, its B_g u_d
-
-        def f(j, x, u_c=None):
-            nonlocal start, forcing
-            i = j - j % FORCING_BLOCK
-            if i != start:
-                start, forcing = i, _forcing(u_d[i:i + FORCING_BLOCK], B_g)
-            dx = x @ A_T
-            if u_c is not None:
-                dx = dx + u_c @ B_c_T
-            dx = dx + forcing[j - i]
-            if F is not None:
-                dx = dx + F(x)
-            return dx
-
-        return f
+        f(j, x, u_c=None) = rhs(x, u_c, u_d[j], nonlinear) bit for bit: the
+        polynomial field with L = A^T and the springs' triple product."""
+        P, c, G = self.springs(nonlinear)
+        return poly_field(u_d, self.B_g, self.A.T, np.hstack(P), c, G, self.B_c)
 
     def rhs(self, x, u_c, u_d, nonlinear=True):
         """Time derivative of one state or a (B, n) batch of rows, whose

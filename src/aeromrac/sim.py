@@ -2,13 +2,14 @@
 
 One classical fourth-order Runge-Kutta kernel advances every run, on one
 state (N,) or on a batch of B lanes as rows (B, N).  Each run builds its
-plant's field along the run's gust grid once (``Plant.field``), and each RK4
-stage makes one call of it.  A closed-loop lane is the flat row
-[x, x_m, vec theta]: plant and reference model advance as one Plant from
-``romgen.stack_plants``, so a stage makes one field call and one
-adaptation-law call.  The open loop is lane 0 of the closed-loop batch:
-Gamma = 0, P B_c = 0, K0 = 0, theta(0) = 0 and its reference model held at
-rest keep its theta, u_c and x_m at exactly 0.
+polynomial field along the run's gust grid once (``romgen.poly_field``), and
+each RK4 stage makes one call of it.  A closed-loop lane is the flat row
+[x, x_m, vec theta]: plant and reference model are one Plant from
+``romgen.stack_plants``, and the control theta^T x and the adaptation law are
+product columns of the same field, so a stage makes one lane product, one
+triple product and one back-projection.  The open loop is lane 0 of the
+closed-loop batch: Gamma = 0, P B_c = 0, K0 = 0, theta(0) = 0 and no
+reference model keep its theta, u_c and x_m at exactly 0.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mrac import ControllerState, LyapunovDesign, ReferenceModel, theta_rate
-from .romgen import Plant, stack_plants
+from .mrac import ControllerState, LyapunovDesign, ReferenceModel
+from .romgen import Plant, poly_field, stack_plants
 
 DIVERGENCE_DEFAULT = 1e8
 # Log memory one closed-loop batch may hold; it sets the lanes per batch.
@@ -76,8 +77,9 @@ class SimulationTrace:
         return self.x_m is not None
 
 
-def _check_dt(config: SimulationConfig, A: np.ndarray):
-    lam = np.abs(np.linalg.eigvals(A)).max()
+def _check_dt(config: SimulationConfig, *matrices: np.ndarray):
+    """Warn when dt exceeds 0.1/max|lambda| of the given A (and A_m)."""
+    lam = max(np.abs(np.linalg.eigvals(A)).max() for A in matrices)
     if lam > 0 and config.dt > 0.1 / lam:
         warnings.warn(
             f"dt = {config.dt} exceeds stability heuristic 0.1/max|lambda| = "
@@ -172,6 +174,47 @@ def _failed_control(theta, x, K0):
     return np.clip(u_c, -big, big)
 
 
+def _lane_field(model, reference: ReferenceModel, config: SimulationConfig, u_d,
+                Gamma, PB, K0, open_loop: bool = False):
+    """The closed loop on lane rows y = [x, x_m, vec theta] (B, N) as one
+    ``romgen.poly_field``, given each lane's Gamma, P B_c and K0^T.
+
+    The stacked plant and reference model give the linear block, with B_c K0
+    folded in, and the springs; then come the product columns x_i theta_ij,
+    mapped through B_c, and (-Gamma x)_i (e^T P B_c)_j, mapped onto theta_ij
+    (``mrac.theta_rate``).  With open_loop, lane 0's A_m and its spring and
+    gust rows on x_m are zero, so with zero Gamma, P B_c and K0 its x_m and
+    theta stay exactly 0."""
+    B, n, m = PB.shape
+    N, nm, ij = 2 * n + n * m, n * m, np.arange(n * m)
+    i, j = ij // m, ij % m
+    # the reference model is a plant that the measured gust alone drives (B_c = 0)
+    nl = model.nl if config.plant_nonlinear else None
+    io = dict(B_g=model.B_g, C_out=model.C_out, output_labels=model.output_labels)
+    plant = stack_plants(Plant(A=model.A, B_c=model.B_c, nl=nl, **io),
+                         Plant(A=reference.A_m, B_c=np.zeros_like(model.B_c),
+                               nl=nl if config.reference_nonlinear else None, **io))
+    springs, c, G_s = plant.springs()
+    k = c.shape[0]
+    control, adapt = k + ij, k + nm + ij  # product columns after the springs
+    L = np.zeros((B, N, N))
+    L[:, :2 * n, :2 * n] = plant.A.T
+    L[:, :n, :2 * n] += K0 @ plant.B_c.T
+    P = np.zeros((B, N, 3, k + 2 * nm))
+    P[:, :2 * n, :, :k] = np.stack(springs, axis=1)
+    P[:, i, 0, control] = P[:, 2 * n + ij, 1, control] = 1.0
+    P[:, :n, 0, adapt] = -Gamma[:, i].transpose(0, 2, 1)
+    P[:, :2 * n, 1, adapt] = np.hstack([PB, -PB])[:, :, j]  # e^T P B_c, e = x - x_m
+    G = np.zeros((k + 2 * nm, N))
+    G[:k, :2 * n], G[control, :2 * n], G[adapt, 2 * n + ij] = G_s, plant.B_c.T[j], 1.0
+    B_g = np.tile(np.vstack([plant.B_g, np.zeros((nm, plant.p))]), (B, 1, 1))
+    if open_loop:
+        L[0, :, n:2 * n] = B_g[0, n:2 * n] = 0.0
+        P[0, ..., :k][..., G_s[:, n:].any(axis=1)] = 0.0
+    c = np.concatenate([c, np.ones(2 * nm)])
+    return poly_field(u_d, B_g, L, P.reshape(B, N, -1), c, G)
+
+
 def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
                  config: SimulationConfig, open_loop: bool = False):
     """One trace or SimulationError per (design, controller) lane from zero
@@ -185,13 +228,6 @@ def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
     off = 1 if open_loop else 0  # lanes before the first closed lane
     dt, lanes = config.dt, len(designs) + off
     u_d_grid = _gust_grid(gust, config, model.B_g.shape[1])
-    # the reference model is a plant that the measured gust alone drives (B_c = 0)
-    nl = model.nl if config.plant_nonlinear else None
-    io = dict(B_g=model.B_g, C_out=model.C_out, output_labels=model.output_labels)
-    plant = stack_plants(Plant(A=model.A, B_c=model.B_c, nl=nl, **io),
-                         Plant(A=reference.A_m, B_c=np.zeros_like(model.B_c),
-                               nl=nl if config.reference_nonlinear else None, **io))
-    field = plant.field(u_d_grid)
     Gamma = np.stack([d.Gamma for d in designs])
     PB = np.stack([d.P @ model.B_c for d in designs])
     K0 = np.stack([c.K0.T for c in controllers])
@@ -200,19 +236,10 @@ def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
         Gamma, PB, K0, theta0 = (np.concatenate([np.zeros_like(a[:1]), a])
                                  for a in (Gamma, PB, K0, theta0))
     y = np.hstack([np.zeros((lanes, 2 * n)), theta0])
-
-    def deriv(j, y):
-        x = y[:, :n]
-        u_c = _control(y[:, 2 * n:].reshape(lanes, n, m), x, K0)
-        dtheta = theta_rate(x - y[:, n:2 * n], x, Gamma, PB)
-        dy = np.concatenate([field(j, y[:, :2 * n], u_c), dtheta.reshape(lanes, -1)],
-                            axis=1)
-        if open_loop:  # the open lane's reference model stays at rest, so
-            dy[0, n:2 * n] = 0.0  # its divergence is judged on x alone
-        return dy
+    field = _lane_field(model, reference, config, u_d_grid, Gamma, PB, K0, open_loop)
 
     results = []
-    for b, (steps, ys, error) in enumerate(_rk4(deriv, y, config)):
+    for b, (steps, ys, error) in enumerate(_rk4(field, y, config)):
         # the open trace holds a copy of x, not the batch log
         x, closed = ys[:, :n].copy() if b < off else ys[:, :n], {}
         if b >= off:
@@ -243,7 +270,7 @@ def integrate_closed_loop(
     config flags.  Both start from zero; there is no reference command
     (gust-load-alleviation regulation).  The final gains are written back to
     ``controller.theta``."""
-    _check_dt(config, model.A)
+    _check_dt(config, model.A, reference.A_m)
     (result,) = _closed_loop(model, reference, [design], [controller], gust, config)
     if isinstance(result, SimulationError):
         raise result
@@ -262,7 +289,7 @@ def integrate_open_and_closed(model, reference: ReferenceModel, designs,
     finished closed loop are written back to its controller."""
     if not designs or len(designs) != len(controllers):
         raise ValueError("a batch needs one controller per design")
-    _check_dt(config, model.A)
+    _check_dt(config, model.A, reference.A_m)
     opened, *closed = _closed_loop(model, reference, list(designs), list(controllers), gust,
                                    config, open_loop=True)
     return opened, closed

@@ -482,6 +482,14 @@ class TestSimulate:
         assert "L_F = 4.244e-03" in record.getMessage()
         assert "controller.damping" in record.getMessage()
 
+    def test_stiff_reference_model_warns_on_dt(self, tmp_path):
+        # mode 0 of the reference model at |lambda| = 30: dt 0.01 exceeds 0.1/30
+        cfg = write_config(tmp_path / "run.yaml", controller={"damping": {0: [30.0, 0.07]}},
+                           sim={"dt": 0.01, "duration": 1.0})
+        with pytest.warns(UserWarning, match="stability heuristic"):
+            assert cli.main(["simulate", "--config", str(cfg),
+                             "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+
     def test_linear_plant_does_not_warn(self, tmp_path, caplog):
         cfg = write_config(tmp_path / "run.yaml", gust=self.LIPSCHITZ_GUST,
                            sim={"plant_nonlinear": False})

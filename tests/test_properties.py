@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aeromrac.gusts import OneCosineGust
-from aeromrac.mrac import ControllerState, build_reference_model, make_design
+from aeromrac import sim
+from aeromrac.mrac import (
+    ControllerState,
+    ReferenceModel,
+    build_reference_model,
+    make_design,
+    theta_rate,
+)
 from aeromrac.plantio import load_rom, save_rom
 from aeromrac.romgen import (
     FORCING_BLOCK,
@@ -186,6 +193,45 @@ def test_stack_rhs_is_its_parts_rhs(parts, m, p, rows, seed, nonlinear):
     assert np.array_equal(field(int(j), x, u_c), stack.rhs(x, u_c, grid[j], nonlinear))
     assert np.array_equal(field(int(j), x), stack.rhs(x, np.zeros_like(u_c), grid[j],
                                                      nonlinear))
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 4), k=st.integers(0, 3), m=st.integers(1, 2), p=st.integers(1, 2),
+       lanes=st.integers(1, 5), open_loop=st.booleans(), plant_nl=st.booleans(),
+       ref_nl=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_lane_field_is_plant_rhs_beside_the_law(n, k, m, p, lanes, open_loop, plant_nl,
+                                                ref_nl, seed):
+    # each lane has its own Gamma, P B_c, K0^T and theta; with open_loop, lane
+    # 0 is the open lane: zero Gamma, P B_c, K0 and theta
+    rng = np.random.default_rng(seed)
+    model = _random_plant(rng, n, k, m, p)
+    reference = ReferenceModel(A_m=rng.normal(size=(n, n)), damping=())
+    config = SimulationConfig(dt=0.01, duration=1.0, plant_nonlinear=plant_nl,
+                              reference_nonlinear=ref_nl)
+    Gamma, PB, K0 = (rng.normal(size=(lanes, n, c)) for c in (n, m, m))
+    y = rng.normal(size=(lanes, 2 * n + n * m))
+    if open_loop:
+        Gamma[0] = PB[0] = K0[0] = y[0, 2 * n:] = 0.0
+    grid = rng.normal(size=(int(rng.integers(1, 3 * FORCING_BLOCK)), p))
+    j = int(rng.integers(grid.shape[0]))
+    got = sim._lane_field(model, reference, config, grid, Gamma, PB, K0, open_loop)(j, y)
+
+    nl = model.nl if plant_nl else None
+    io = dict(B_g=model.B_g, C_out=model.C_out, output_labels=model.output_labels)
+    stack = stack_plants(Plant(A=model.A, B_c=model.B_c, nl=nl, **io),
+                         Plant(A=reference.A_m, B_c=np.zeros((n, m)),
+                               nl=nl if ref_nl else None, **io))
+    x, xm, theta = y[:, :n], y[:, n:2 * n], y[:, 2 * n:].reshape(lanes, n, m)
+    want = np.hstack([stack.rhs(y[:, :2 * n], sim._control(theta, x, K0), grid[j]),
+                      theta_rate(x - xm, x, Gamma, PB).reshape(lanes, -1)])
+    assert got.shape == want.shape
+    if open_loop:  # its reference model and gains stay exactly at rest
+        assert np.all(got[0, n:] == 0.0)
+    for b in range(lanes):
+        for rows in ((slice(0, n),) if open_loop and b == 0
+                     else (slice(0, 2 * n), slice(2 * n, None))):
+            scale = np.abs(want[b, rows]).max()
+            assert np.abs(got[b, rows] - want[b, rows]).max() <= REL_TOL * scale
 
 
 @settings(max_examples=100, deadline=None)

@@ -56,6 +56,19 @@ class TestConfig:
         with pytest.warns(UserWarning, match="stability heuristic"):
             integrate_open_loop(plant, ZeroGust(), cfg)
 
+    def test_dt_heuristic_reads_the_reference_model(self, rom):
+        # |lambda(A_m)| = 30 puts the limit at 0.0033 < dt, while the plant
+        # alone passes the heuristic
+        ref, design, state = _controller(rom, damping={0: (30.0, 0.07)})
+        cfg = SimulationConfig(dt=0.01, duration=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            integrate_open_loop(rom, ZeroGust(), cfg)
+        with pytest.warns(UserWarning, match="stability heuristic"):
+            integrate_closed_loop(rom, ref, design, state, ZeroGust(), cfg)
+        with pytest.warns(UserWarning, match="stability heuristic"):
+            integrate_open_and_closed(rom, ref, [design], [state], ZeroGust(), cfg)
+
 
 class TestOpenLoop:
     def test_zero_gust_zero_state_stays_zero(self, rom):
@@ -241,22 +254,22 @@ class TestOpenLane:
 def _written_out_run(rom, ref, design, state, gust, cfg):
     """x, x_m, theta and u_c from a serial RK4 of the written-out law:
     x' = A x + B_c u + B_g u_d + F(x), x_m' = A_m x_m + B_g u_d + [F(x_m)],
-    theta' = -gamma Q x e^T P B_c, u = x^T (theta + K0^T)."""
-    n, h = rom.n, cfg.dt
-    b_c, b_g, PB = rom.B_c[:, 0], rom.B_g[:, 0], design.P @ rom.B_c
+    theta' = -gamma Q x e^T P B_c, u = x^T (theta + K0^T), theta (n, m)."""
+    n, m, h = rom.n, rom.m, cfg.dt
+    b_g, PB, K0_T = rom.B_g[:, 0], design.P @ rom.B_c, state.K0.T
     f_plant = cfg.plant_nonlinear
     f_ref = cfg.plant_nonlinear and cfg.reference_nonlinear
 
     def f(t, y):
-        x, xm, theta = y[:n], y[n:2 * n], y[2 * n:]
-        u = x @ (theta + state.K0[0])
+        x, xm, theta = y[:n], y[n:2 * n], y[2 * n:].reshape(n, m)
+        u = x @ (theta + K0_T)
         w = gust(t)
-        dx = rom.A @ x + b_c * u + b_g * w + (rom.nl(x) if f_plant else 0.0)
+        dx = rom.A @ x + rom.B_c @ u + b_g * w + (rom.nl(x) if f_plant else 0.0)
         dxm = ref.A_m @ xm + b_g * w + (rom.nl(xm) if f_ref else 0.0)
-        dtheta = -design.gamma * design.Q @ x * ((x - xm) @ PB[:, 0])
-        return np.concatenate([dx, dxm, dtheta])
+        dtheta = -design.gamma * np.outer(design.Q @ x, (x - xm) @ PB)
+        return np.concatenate([dx, dxm, dtheta.ravel()])
 
-    y = np.concatenate([np.zeros(2 * n), state.theta[:, 0]])
+    y = np.concatenate([np.zeros(2 * n), state.theta.ravel()])
     ys = [y]
     for k in range(cfg.n_steps):
         t0, t1, t2 = 0.5 * h * (2 * k), 0.5 * h * (2 * k + 1), 0.5 * h * (2 * k + 2)
@@ -267,9 +280,9 @@ def _written_out_run(rom, ref, design, state, gust, cfg):
         y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         ys.append(y)
     ys = np.array(ys)
-    x, theta = ys[:, :n], ys[:, 2 * n:]
-    u_c = np.einsum("ti,ti->t", x, theta + state.K0[0])[:, None]
-    return x, ys[:, n:2 * n], theta[:, :, None], u_c
+    x, theta = ys[:, :n], ys[:, 2 * n:].reshape(-1, n, m)
+    u_c = np.einsum("ti,tij->tj", x, theta + K0_T)
+    return x, ys[:, n:2 * n], theta, u_c
 
 
 class TestStackedPlant:
@@ -283,18 +296,13 @@ class TestStackedPlant:
         rng = np.random.default_rng(22 + count)
         lanes = []
         for gamma in (0.5, 0.1, 2.0)[:count]:
-            design = make_design(ref.A_m, 0.03 * np.eye(rom.n), gamma=gamma, m=1)
-            state = ControllerState(theta=0.01 * rng.normal(size=(rom.n, 1)),
-                                    K0=0.01 * rng.normal(size=(1, rom.n)))
+            design = make_design(ref.A_m, 0.03 * np.eye(rom.n), gamma=gamma, m=rom.m)
+            state = ControllerState(theta=0.01 * rng.normal(size=(rom.n, rom.m)),
+                                    K0=0.01 * rng.normal(size=(rom.m, rom.n)))
             lanes.append((design, state))
         return ref, lanes
 
-    @pytest.mark.parametrize("count", [1, 3])
-    @pytest.mark.parametrize("plant_nl,ref_nl", [(True, True), (True, False),
-                                                 (False, True), (False, False)])
-    def test_batch_matches_written_out_law(self, rom, count, plant_nl, ref_nl):
-        cfg = SimulationConfig(dt=0.02, duration=6.0, plant_nonlinear=plant_nl,
-                               reference_nonlinear=ref_nl)
+    def _assert_batch_matches(self, rom, count, cfg):
         ref, lanes = self._lanes(rom, count)
         wants = [_written_out_run(rom, ref, d, s, self.GUST, cfg)
                  for d, s in lanes]
@@ -306,6 +314,24 @@ class TestStackedPlant:
                 scale = np.abs(expected).max()
                 assert scale > 0.0
                 assert np.abs(got - expected).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("plant_nl,ref_nl", [(True, True), (True, False),
+                                                 (False, True), (False, False)])
+    def test_batch_matches_written_out_law(self, rom, count, plant_nl, ref_nl):
+        cfg = SimulationConfig(dt=0.02, duration=6.0, plant_nonlinear=plant_nl,
+                               reference_nonlinear=ref_nl)
+        self._assert_batch_matches(rom, count, cfg)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_multi_input_batch_matches_written_out_law(self, rom, count):
+        # a second control input with its own column of B_c: theta is (n, 2),
+        # so its (i, j) columns and the law's outer product are told apart
+        rng = np.random.default_rng(5)
+        B_c = np.hstack([rom.B_c, np.abs(rom.B_c).max() * rng.normal(size=(rom.n, 1))])
+        plant = Plant(A=rom.A, B_c=B_c, B_g=rom.B_g, C_out=rom.C_out,
+                      output_labels=rom.output_labels, nl=rom.nl)
+        self._assert_batch_matches(plant, count, SimulationConfig(dt=0.02, duration=6.0))
 
     def test_reference_nonlinearity_is_visible(self, rom):
         # the flag moves x_m far beyond the tolerance above, so the cases
