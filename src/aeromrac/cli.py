@@ -25,7 +25,8 @@ import yaml
 from . import mrac, plantio, sim
 from .gusts import GustError, OneCosineGust, VonKarmanGust, ZeroGust
 from .numerics import NumericsError
-from .plant3dof import PlantError, assemble_fom, default_params_path, load_params
+from .plant3dof import (ParamsFileError, PlantError, assemble_fom, default_params_path,
+                        load_params)
 from .romgen import RomError, default_rom, stack_plants
 
 EXIT_OK = 0
@@ -154,7 +155,9 @@ def load_config(path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read the configuration: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     cfg = _walk(_SCHEMA, raw)
@@ -188,15 +191,21 @@ def _sim_duration(cfg) -> float:
 # model / gust / controller assembly
 
 
-def build_plant(cfg):
-    """(full model, rom, params_path or None) from the plant and rom blocks."""
+def _read_plant_file(cfg):
+    """(contents, params_path or None) of the file the plant block names: an
+    external plant bundle, or aerofoil parameters and their path."""
     plant = cfg["plant"]
     if plant["source"] == "external":
-        full = plantio.load_plant(plant["bundle"])
-        params_path = None
-    else:
-        params_path = Path(plant["params"]) if plant["params"] else default_params_path()
-        full = assemble_fom(load_params(params_path))
+        return plantio.load_plant(plant["bundle"]), None
+    params_path = Path(plant["params"]) if plant["params"] else default_params_path()
+    return load_params(params_path), params_path
+
+
+def build_plant(cfg):
+    """(full model, rom, params_path or None) from the plant and rom blocks."""
+    full, params_path = _read_plant_file(cfg)
+    if params_path:
+        full = assemble_fom(full)
     source_hash = plantio.file_sha256(params_path) if params_path else ""
     rom = default_rom(full, n=cfg["rom"]["n"], n_real=cfg["rom"]["n_real"],
                       source_hash=source_hash)
@@ -335,6 +344,7 @@ fig.savefig(here / "{csv_name}".replace(".csv", ".png"), dpi=150)
 
 
 def cmd_validate(cfg, outdir: Path, args) -> int:
+    _read_plant_file(cfg)  # the plant file a run loads, with its checks
     print("configuration is valid")
     print(f"plant source: {cfg['plant']['source']}")
     print(f"gust: {cfg['gust']['kind']}")
@@ -388,18 +398,6 @@ def cmd_rom_build(cfg, outdir: Path, args) -> int:
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
-def _run_pair(cfg, rom, gust):
-    """Open/closed-loop pair on the same grid; returns (open, closed, design)."""
-    config = sim_config(cfg)
-    reference, design, state = build_controller(cfg, rom)
-    tr_open, (tr_closed,) = sim.integrate_open_and_closed(rom, reference, [design], [state],
-                                                          gust, config)
-    for tr in (tr_open, tr_closed):  # an open loop that diverged is reported first
-        if isinstance(tr, sim.SimulationError):
-            raise tr
-    return tr_open, tr_closed, design
-
-
 _METRICS_HEADER = [
     "output", "peak_open", "peak_closed", "reduction_percent", "max_flap_deg",
     "rms_open", "rms_closed", "settled", "settle_ratio",
@@ -418,15 +416,17 @@ def cmd_simulate(cfg, outdir: Path, args) -> int:
     full, rom, _ = build_plant(cfg)
     idx = _output_index(cfg, rom)
     gust = build_gust(cfg, cfg["seed"])
-    try:
-        tr_open, tr_closed, design = _run_pair(cfg, rom, gust)
-    except sim.SimulationError as exc:
-        if exc.trace is not None:
-            header, rows = trace_columns(exc.trace)
+    config = sim_config(cfg)
+    reference, design, state = build_controller(cfg, rom)
+    tr_open, (tr_closed,) = sim.integrate_open_and_closed(rom, reference, [design], [state],
+                                                          gust, config)
+    for result in (tr_open, tr_closed):  # an open loop that diverged is reported first
+        if isinstance(result, sim.SimulationError):
+            header, rows = trace_columns(result.trace)
             write_csv(outdir / "trace_partial.csv", header, rows)
-        write_resolved_config(cfg, outdir)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+            write_resolved_config(cfg, outdir)
+            print(f"error: {result}", file=sys.stderr)
+            return EXIT_DIVERGED
 
     V = monitor_series = None
     cert_lines = []
@@ -478,58 +478,32 @@ def cmd_simulate(cfg, outdir: Path, args) -> int:
     return EXIT_OK
 
 
-# errors that fail one sweep point; the gust, controller, numerics and ROM
-# errors and SimulationConfig's are all ValueErrors
-_POINT_ERRORS = (sim.SimulationError, ValueError)
-
-
 def _gamma_points(cfg, rom, grid, idx):
     """(metrics of output idx, error) per gamma point.  The points share one
-    gust; their closed loops run as the lanes of batches, the first of which
-    also holds the open loop, as lane 0."""
+    gust; their closed loops run beside the open loop as the lanes of one
+    batch, reduced to metrics as they run (``sim.sweep_metrics``).  A gust,
+    config, controller, numerics or ROM error, each a ValueError, fails the
+    points it reaches."""
     try:
         gust = build_gust(cfg, cfg["seed"])
         config = sim_config(cfg)
-    except _POINT_ERRORS as exc:
+    except ValueError as exc:
         return [(None, str(exc))] * len(grid)
     results = [None] * len(grid)
     lanes = []  # (point, reference, design, controller state)
     for k, gamma in enumerate(grid):
         try:
             reference, design, state = build_controller(cfg, rom, gamma=gamma)
-        except _POINT_ERRORS as exc:
+        except ValueError as exc:
             results[k] = (None, str(exc))
         else:
             lanes.append((k, reference, design, state))
-    if not lanes:
-        return results
-    size = sim.batch_lanes(rom, config)
-    # the open lane takes a spare lane of the first batch, or rides above the
-    # budget when the closed lanes fill every batch: no batch is added for it
-    first = size if len(lanes) % size == 0 else size - 1
-    for start in [0, *range(first, len(lanes), size)]:
-        batch = lanes[start:start + (size if start else first)]
-        args = (rom, batch[0][1], [lane[2] for lane in batch], [lane[3] for lane in batch],
-                gust, config)
-        if start:  # closed lanes only, beside the open trace already run
-            closed = sim._closed_loop(*args)
-        else:
-            tr_open, closed = sim.integrate_open_and_closed(*args)
-            if isinstance(tr_open, sim.SimulationError):  # every point fails with it
-                return [(None, str(tr_open)) if r is None else r for r in results]
-        for (k, *_), tr in zip(batch, closed):
-            if isinstance(tr, sim.SimulationError):
-                results[k] = (None, str(tr))
-            else:
-                results[k] = (sim.compute_metrics(tr_open, tr, idx), None)
-        del closed, tr  # the traces hold the batch log: free it before the next
+    if lanes:
+        points, (reference, *_), designs, states = zip(*lanes)
+        metrics = sim.sweep_metrics(rom, reference, designs, states, gust, config, idx)
+        for k, m in zip(points, metrics):
+            results[k] = (None, str(m)) if isinstance(m, sim.SimulationError) else (m, None)
     return results
-
-
-def _gradient_point(cfg, rom, H_g, idx):
-    point_cfg = {**cfg, "gust": {**cfg["gust"], "H_g": H_g}}
-    tr_open, tr_closed, _ = _run_pair(point_cfg, rom, build_gust(point_cfg, cfg["seed"]))
-    return sim.compute_metrics(tr_open, tr_closed, idx)
 
 
 def cmd_sweep(cfg, outdir: Path, args) -> int:
@@ -539,13 +513,9 @@ def cmd_sweep(cfg, outdir: Path, args) -> int:
     grid = cfg["sweep"]["grid"]
     if axis == "gamma":
         results = _gamma_points(cfg, rom, grid, idx)
-    else:
-        results = []
-        for value in grid:
-            try:
-                results.append((_gradient_point(cfg, rom, value, idx), None))
-            except _POINT_ERRORS as exc:
-                results.append((None, str(exc)))
+    else:  # each gradient is a one-point gamma sweep under its own gust
+        results = [_gamma_points({**cfg, "gust": {**cfg["gust"], "H_g": H_g}}, rom,
+                                 [cfg["controller"]["gamma"]], idx)[0] for H_g in grid]
 
     peaks = [r[0].peak_open if r[0] is not None else -np.inf for r in results]
     worst = int(np.argmax(peaks)) if axis == "gust-gradient" else -1
@@ -589,8 +559,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility; no effect (a gamma "
-                            "sweep runs its points as lanes of one batch)")
+                       help="accepted for compatibility; no effect (a sweep runs "
+                            "its points as the lanes of one batch per gust)")
     return parser
 
 
@@ -601,9 +571,12 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["seed"] = _read(_SCHEMA["seed"], args.seed, "--seed")
         outdir = Path(args.out if args.out is not None else cfg["output_dir"])
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output directory {outdir}: {exc.strerror}") from exc
         return _COMMANDS[args.command](cfg, outdir, args)
-    except (ConfigError, plantio.PlantIOError, FileNotFoundError) as exc:
+    except (ConfigError, plantio.PlantIOError, ParamsFileError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (PlantError, RomError, mrac.MracError, NumericsError, GustError) as exc:

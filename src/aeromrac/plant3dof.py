@@ -15,7 +15,8 @@ flap rotation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,10 @@ KUSSNER_WEIGHTS = (0.5, 0.5)
 
 class PlantError(ValueError):
     """Raised for invalid aerofoil parameter sets."""
+
+
+class ParamsFileError(ValueError):
+    """Raised for an aerofoil parameter file that does not read as parameters."""
 
 
 @dataclass(frozen=True)
@@ -76,23 +81,43 @@ class AerofoilParams:
             raise PlantError("lag rates must give strictly stable lag dynamics")
 
 
+_SECTIONS = ("section", "stiffness", "aerodynamics")
+
+
+def _finite(value) -> bool:
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def load_params(path: str | Path) -> AerofoilParams:
-    """Read an aerofoil parameter file (YAML, nested sections)."""
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
-    sec = raw.get("section", {})
-    stiff = raw.get("stiffness", {})
-    aero = raw.get("aerodynamics", {})
-    kw = {}
-    kw.update(sec)
-    kw.update(stiff)
-    for key in ("wagner_weights", "wagner_rates", "kussner_weights"):
-        if key in aero:
-            kw[key] = tuple(aero[key])
-    if "kussner_rate" in aero:
-        kw["kussner_rate"] = aero["kussner_rate"]
-    if "U_star" in raw:
-        kw["U_star"] = raw["U_star"]
+    """Read an aerofoil parameter file (YAML): AerofoilParams fields at the
+    top level or in the mappings section, stiffness and aerodynamics, each a
+    number or, for a tuple field, a list of numbers.  A file that does not
+    read so raises ParamsFileError naming it; values out of range raise
+    PlantError."""
+    try:
+        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ParamsFileError(f"{path}: cannot read parameters: {exc}") from exc
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict) or not all(isinstance(raw.get(s, {}), dict) for s in _SECTIONS):
+        raise ParamsFileError(f"{path}: expected a mapping, with {', '.join(_SECTIONS)} "
+                              "mappings too")
+    kw = {key: value for key, value in raw.items() if key not in _SECTIONS + ("schema_version",)}
+    for section in _SECTIONS:
+        kw.update(raw.get(section, {}))
+    defaults = {f.name: f.default for f in fields(AerofoilParams)}
+    for key, value in kw.items():
+        if key not in defaults:
+            raise ParamsFileError(f"{path}: {key}: unknown field")
+        size = len(defaults[key]) if isinstance(defaults[key], tuple) else 0
+        values = value if size and isinstance(value, list) else [value]
+        if len(values) != max(size, 1) or not all(map(_finite, values)):
+            want = f"a list of {size} numbers" if size else "a number"
+            raise ParamsFileError(f"{path}: {key}: expected {want}, got {value!r}")
+        kw[key] = tuple(value) if size else value
     return AerofoilParams(**kw)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -128,24 +129,41 @@ def _read_meta(data, path, expected_kind: str, current_version: int) -> dict:
     return meta
 
 
+def _read_npz(path: Path, what: str) -> dict:
+    """The arrays of the .npz archive at path by name; a missing file, a file
+    of another kind or an unreadable array raises PlantIOError naming it."""
+    if not path.exists():
+        raise PlantIOError(f"{what} not found: {path}")
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("a single .npy array")
+        with data:
+            return {name: data[name] for name in data.files}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise PlantIOError(f"{path}: not a readable .npz archive: {exc}") from exc
+
+
 def load_plant(path) -> ExternalPlantBundle:
     path = Path(path)
-    if not path.exists():
-        raise PlantIOError(f"plant bundle not found: {path}")
-    with np.load(path) as data:
-        meta = _read_meta(data, path, "plant-bundle", PLANT_SCHEMA_VERSION)
-        for name in ("A", "B_c", "B_g", "C_out"):
-            if name not in data:
-                raise PlantIOError(f"{path}: missing matrix block '{name}'")
-        return ExternalPlantBundle(
-            A=data["A"], B_c=data["B_c"], B_g=data["B_g"], C_out=data["C_out"],
-            output_labels=tuple(meta["output_labels"]),
-            name=meta.get("name", "external"),
-            provenance_hash=meta.get("provenance_hash", ""),
-            stable=bool(meta.get("stable", True)),
-            quad=data["quad"] if meta.get("has_quad") else None,
-            cubic=data["cubic"] if meta.get("has_cubic") else None,
-        )
+    data = _read_npz(path, "plant bundle")
+    meta = _read_meta(data, path, "plant-bundle", PLANT_SCHEMA_VERSION)
+    flagged = [name for name in ("quad", "cubic") if meta.get(f"has_{name}")]
+    for name in ("A", "B_c", "B_g", "C_out", *flagged):
+        if name not in data:
+            raise PlantIOError(f"{path}: missing matrix block '{name}'")
+    labels = meta.get("output_labels")
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise PlantIOError(f"{path}: metadata 'output_labels' is not a list of names")
+    return ExternalPlantBundle(
+        A=data["A"], B_c=data["B_c"], B_g=data["B_g"], C_out=data["C_out"],
+        output_labels=tuple(labels),
+        name=meta.get("name", "external"),
+        provenance_hash=meta.get("provenance_hash", ""),
+        stable=bool(meta.get("stable", True)),
+        quad=data["quad"] if meta.get("has_quad") else None,
+        cubic=data["cubic"] if meta.get("has_cubic") else None,
+    )
 
 
 def save_rom(rom: ReducedOrderModel, path) -> None:
@@ -175,17 +193,13 @@ def load_rom(path, source_path=None) -> ReducedOrderModel:
     a warning.  ``source_path`` triggers a staleness warning when the stored
     source hash no longer matches the parameter file."""
     path = Path(path)
-    if not path.exists():
-        raise PlantIOError(f"reduced model not found: {path}")
-    with np.load(path) as data:
-        meta = _read_meta(data, path, "rom", ROM_SCHEMA_VERSION)
-        nl_blocks = _NL_BLOCKS if "G" in data else ()
-        required = ("A", "B_c", "B_g", "Phi", "Psi", "C_out", "eigenvalues",
-                    "participation") + nl_blocks
-        for name in required:
-            if name not in data:
-                raise PlantIOError(f"{path}: missing matrix block '{name}'")
-        arrays = {name: data[name] for name in required}
+    arrays = _read_npz(path, "reduced model")
+    meta = _read_meta(arrays, path, "rom", ROM_SCHEMA_VERSION)
+    nl_blocks = _NL_BLOCKS if "G" in arrays else ()
+    for name in ("A", "B_c", "B_g", "Phi", "Psi", "C_out", "eigenvalues",
+                 "participation") + nl_blocks:
+        if name not in arrays:
+            raise PlantIOError(f"{path}: missing matrix block '{name}'")
     for name in ("A", "B_c", "B_g", "Phi", "Psi", "C_out") + nl_blocks:
         if not np.isfinite(arrays[name]).all():
             raise PlantIOError(f"{path}: corrupt matrix block '{name}' (non-finite)")

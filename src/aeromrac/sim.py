@@ -23,8 +23,8 @@ from .mrac import ControllerState, LyapunovDesign, ReferenceModel
 from .romgen import Plant, poly_field, stack_plants
 
 DIVERGENCE_DEFAULT = 1e8
-# Log memory one closed-loop batch may hold; it sets the lanes per batch.
-BATCH_LOG_BYTES = 64 * 2**20
+# Logged rows a sweep's batch holds at a time; they are reduced to metrics.
+CHUNK_ROWS = 4096
 
 
 class SimulationError(RuntimeError):
@@ -99,26 +99,28 @@ def _gust_grid(gust, config: SimulationConfig, p: int) -> np.ndarray:
     return u_d
 
 
-def _rk4(f, y, config: SimulationConfig):
+def _rk4(f, y, config: SimulationConfig, take=None):
     """Classical RK4 of y' = f(j, y), with j indexing the half-step grid, on
-    one state (N,) or a batch of lanes (B, N).
-
-    Returns one (steps, states, error) per lane: the logged step numbers
-    (T,), the logged states (T, N) and None; or, for a lane whose state left
-    the divergence bound, its log up to that step, the diverged state
-    included when finite, and the message.  The other lanes run on."""
+    one state (N,) or a batch of lanes (B, N); a lane that leaves the
+    divergence bound fails alone.  Returns one (steps, states, error) per
+    lane: the logged step numbers (T,), the logged states (T, N) and None;
+    or, for a failed lane, its log up to that step, the diverged state
+    included when finite, and the message.  With take, the logged states go
+    instead to take(rows) CHUNK_ROWS rows at a time, (r, B, N) in a buffer
+    that the next chunk overwrites, and each lane's error alone returns."""
     # any stride past the last step logs the two ends; np.arange takes none past int64
     dt, steps, stride = config.dt, config.n_steps, min(config.log_stride, config.n_steps)
     threshold = config.divergence_threshold
     logged = np.arange(0, steps + 1, stride)
     if logged[-1] != steps:
         logged = np.append(logged, steps)
-    log = np.empty(logged.shape + y.shape)
-    lanes = log.reshape(logged.shape[0], -1, y.shape[-1])  # (T, B, N) view
+    size = logged.shape[0] if take is None else min(CHUNK_ROWS, logged.shape[0])
+    log = np.empty((size,) + y.shape)
+    lanes = log.reshape(size, -1, y.shape[-1])  # (r, B, N) view
     alive = np.ones(lanes.shape[1], dtype=bool)
-    failed = {}  # lane -> (steps, states, message)
+    failed = {}  # lane -> message, or (steps, states, message) without take
     log[0] = y
-    row = 1
+    row = 1  # rows in the chunk
     h2, h6 = 0.5 * dt, dt / 6.0
     for k in range(steps):
         j = 2 * k
@@ -132,14 +134,13 @@ def _rk4(f, y, config: SimulationConfig):
             ys = y.reshape(-1, y.shape[-1])
             lane_norm = np.abs(ys).max(axis=1)
             for b in np.flatnonzero(alive & ~(lane_norm <= threshold)):
-                states = lanes[:row, b]
-                done = logged[:row]
-                if np.isfinite(lane_norm[b]):
-                    states = np.vstack([states, ys[b]])
-                    done = np.append(done, k + 1)
-                failed[b] = (done, states, (
-                    f"state diverged at t = {(k + 1) * dt:.6g} "
-                    f"(norm {lane_norm[b]:.3e} > {threshold:.1e})"))
+                failed[b] = (f"state diverged at t = {(k + 1) * dt:.6g} "
+                             f"(norm {lane_norm[b]:.3e} > {threshold:.1e})")
+                if take is None:  # the one chunk holds the whole log so far
+                    states, done = lanes[:row, b], logged[:row]
+                    if np.isfinite(lane_norm[b]):
+                        states, done = np.vstack([states, ys[b]]), np.append(done, k + 1)
+                    failed[b] = (done, states, failed[b])
                 alive[b] = False
             if not alive.any():
                 break
@@ -147,10 +148,15 @@ def _rk4(f, y, config: SimulationConfig):
             # finite; its log ends where it failed
             ys[~alive] = 0.0
         if (k + 1) % stride == 0 or k + 1 == steps:
+            if row == size:  # a full chunk; the one chunk of a trace never is
+                take(lanes)
+                row = 0
             log[row] = y
             row += 1
-    return [failed[b] if b in failed else (logged, lanes[:, b], None)
-            for b in range(lanes.shape[1])]
+    if take is not None:
+        take(lanes[:row])
+        return [failed.get(b) for b in range(lanes.shape[1])]
+    return [failed.get(b, (logged, lanes[:, b], None)) for b in range(lanes.shape[1])]
 
 
 def _control(theta, x, K0):
@@ -216,11 +222,14 @@ def _lane_field(model, reference: ReferenceModel, config: SimulationConfig, u_d,
 
 
 def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
-                 config: SimulationConfig, open_loop: bool = False):
+                 config: SimulationConfig, open_loop: bool = False, take=None):
     """One trace or SimulationError per (design, controller) lane from zero
     state; the lanes are the rows (B, N) of one batch.  With open_loop the
-    open loop runs as lane 0 and its result comes first."""
+    open loop runs as lane 0 and its result comes first.  With take, only
+    each lane's error returns; the chunks of ``_rk4`` go to take(rows, K0^T)."""
     n, m = model.B_c.shape
+    if not designs or len(designs) != len(controllers):
+        raise ValueError("a batch needs one controller per design")
     if reference.A_m.shape != (n, n):
         raise ValueError("reference model dimension does not match the plant")
     if any(np.shape(c.theta) != (n, m) for c in controllers):
@@ -237,6 +246,8 @@ def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
                                  for a in (Gamma, PB, K0, theta0))
     y = np.hstack([np.zeros((lanes, 2 * n)), theta0])
     field = _lane_field(model, reference, config, u_d_grid, Gamma, PB, K0, open_loop)
+    if take is not None:
+        return _rk4(field, y, config, lambda rows: take(rows, K0))
 
     results = []
     for b, (steps, ys, error) in enumerate(_rk4(field, y, config)):
@@ -287,20 +298,10 @@ def integrate_open_and_closed(model, reference: ReferenceModel, designs,
     SimulationError carrying its partial trace instead.  A lane fails alone,
     the open lane on its plant state x alone.  The final gains of each
     finished closed loop are written back to its controller."""
-    if not designs or len(designs) != len(controllers):
-        raise ValueError("a batch needs one controller per design")
     _check_dt(config, model.A, reference.A_m)
     opened, *closed = _closed_loop(model, reference, list(designs), list(controllers), gust,
                                    config, open_loop=True)
     return opened, closed
-
-
-def batch_lanes(model, config: SimulationConfig) -> int:
-    """Lanes whose logs together fit in BATCH_LOG_BYTES (at least one); the
-    open lane logs as much as a closed lane."""
-    n, m = model.B_c.shape
-    rows = -(-config.n_steps // config.log_stride) + 1
-    return max(1, BATCH_LOG_BYTES // (rows * (2 * n + n * m) * 8))
 
 
 def integrate_open_loop(model, gust, config: SimulationConfig,
@@ -334,6 +335,38 @@ class GlaMetrics:
     settle_ratio: float  # terminal ||e|| over peak ||e||
 
 
+def _stats(y, u_c=None, e_norm=None):
+    """Per lane of the rows y (r, L), u_c (r, L, m) and ||e|| (r, L), 0 if
+    absent: max |y|, max |u_c|, max ||e||, sum y^2, the row count and the
+    last ||e||, as (6, L)."""
+    zero = np.zeros(y.shape[1])
+    e_norm = zero[None] if e_norm is None else e_norm
+    return np.vstack([np.abs(y).max(axis=0),
+                      np.abs(u_c).max(axis=(0, 2)) if u_c is not None else zero,
+                      e_norm.max(axis=0),
+                      # each lane's column summed pairwise, as np.mean sums it
+                      (np.ascontiguousarray(y.T) ** 2).sum(axis=1),
+                      zero + y.shape[0], e_norm[-1]])
+
+
+def _finish(label: str, opened, closed, settle_tol: float = 1e-4) -> GlaMetrics:
+    """GlaMetrics from the sums (6,) of the open and of the closed lane."""
+    peak_ol, _, _, squares_ol, rows, _ = opened
+    peak_cl, flap, e_max, squares_cl, _, e_last = closed
+    ratio = float(e_last / e_max) if e_max > 0 else 0.0
+    return GlaMetrics(
+        output=label,
+        peak_open=float(peak_ol),
+        peak_closed=float(peak_cl),
+        reduction_percent=float(100.0 * (1.0 - peak_cl / peak_ol)) if peak_ol > 0 else 0.0,
+        max_flap_cmd=float(flap),
+        rms_open=float(np.sqrt(squares_ol / rows)),
+        rms_closed=float(np.sqrt(squares_cl / rows)),
+        settled=ratio <= settle_tol,
+        settle_ratio=ratio,
+    )
+
+
 def compute_metrics(open_trace: SimulationTrace, closed_trace: SimulationTrace,
                     output: str | int = 0,
                     settle_tol: float = 1e-4) -> GlaMetrics:
@@ -341,31 +374,38 @@ def compute_metrics(open_trace: SimulationTrace, closed_trace: SimulationTrace,
         open_trace.time, closed_trace.time
     ):
         raise ValueError("open- and closed-loop traces do not share a time grid")
-    if isinstance(output, str):
-        idx = closed_trace.output_labels.index(output)
-    else:
-        idx = int(output)
-    label = closed_trace.output_labels[idx]
+    labels = closed_trace.output_labels
+    idx = labels.index(output) if isinstance(output, str) else int(output)
+    u_c = None if closed_trace.u_c is None else closed_trace.u_c[:, None]
+    e_norm = None if closed_trace.e is None else np.linalg.norm(closed_trace.e, axis=1)[:, None]
+    return _finish(labels[idx], _stats(open_trace.outputs[:, idx, None])[:, 0],
+                   _stats(closed_trace.outputs[:, idx, None], u_c, e_norm)[:, 0], settle_tol)
 
-    y_ol = open_trace.outputs[:, idx]
-    y_cl = closed_trace.outputs[:, idx]
-    peak_ol = float(np.abs(y_ol).max())
-    peak_cl = float(np.abs(y_cl).max())
-    reduction = 100.0 * (1.0 - peak_cl / peak_ol) if peak_ol > 0 else 0.0
 
-    e_norm = np.linalg.norm(closed_trace.e, axis=1) if closed_trace.e is not None else None
-    if e_norm is not None and e_norm.max() > 0:
-        ratio = float(e_norm[-1] / e_norm.max())
-    else:
-        ratio = 0.0
-    return GlaMetrics(
-        output=label,
-        peak_open=peak_ol,
-        peak_closed=peak_cl,
-        reduction_percent=float(reduction),
-        max_flap_cmd=float(np.abs(closed_trace.u_c).max()) if closed_trace.u_c is not None else 0.0,
-        rms_open=float(np.sqrt(np.mean(y_ol**2))),
-        rms_closed=float(np.sqrt(np.mean(y_cl**2))),
-        settled=ratio <= settle_tol,
-        settle_ratio=ratio,
-    )
+def sweep_metrics(model, reference: ReferenceModel, designs, controllers, gust,
+                  config: SimulationConfig, output: int = 0):
+    """``compute_metrics`` of model output index ``output`` for the lanes of
+    ``integrate_open_and_closed``, each chunk of logged rows reduced as it
+    fills, so that no trace is kept: one GlaMetrics or SimulationError
+    (without a trace) per closed loop.  If the open loop diverged, every
+    closed loop gets its error."""
+    _check_dt(config, model.A, reference.A_m)
+    n, m = model.B_c.shape
+    C_T, sums = model.C_out.T, None
+
+    def take(rows, K0):
+        nonlocal sums
+        x, theta = rows[..., :n], rows[..., 2 * n:].reshape(rows.shape[:2] + (n, m))
+        # each row's figures as a trace forms them, whatever chunk holds the
+        # row; e is squared in place, as np.linalg.norm sums it
+        e = x - rows[..., n:2 * n]
+        e = np.sqrt(np.multiply(e, e, out=e).sum(axis=-1))
+        chunk = _stats((x @ C_T)[..., output], _control(theta, x, K0), e)
+        sums = chunk if sums is None else np.vstack(  # maxima, sums, the last ||e||
+            [np.maximum(sums[:3], chunk[:3]), sums[3:5] + chunk[3:5], chunk[5:]])
+
+    opened, *closed = _closed_loop(model, reference, designs, controllers, gust, config,
+                                   open_loop=True, take=take)
+    return [SimulationError(opened or error) if opened or error
+            else _finish(model.output_labels[output], sums[:, 0], sums[:, b])
+            for b, error in enumerate(closed, 1)]

@@ -1,6 +1,10 @@
+import io
+import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +135,109 @@ class TestValidate:
         cfg = write_config(tmp_path / "run.yaml", controller={"B_m": [[1.0]]})
         assert cli.main(["validate", "--config", str(cfg)]) == cli.EXIT_CONFIG
         assert "controller.B_m: unknown field" in capsys.readouterr().err
+
+
+def _unusable_paths(tmp_path, case):
+    """(config, out) for a command whose config or output path cannot be used."""
+    cfg = write_config(tmp_path / "run.yaml")
+    (tmp_path / "file").write_text("")
+    if case == "out_is_file":
+        return cfg, tmp_path / "file"
+    if case == "out_below_file":
+        return cfg, tmp_path / "file" / "o"
+    if case == "config_is_dir":
+        return tmp_path, tmp_path / "o"
+    cfg.write_bytes(b"seed: 1\n# \xff\xfe\n")
+    return cfg, tmp_path / "o"
+
+
+@pytest.mark.parametrize("case, message", [
+    ("out_is_file", "output directory"), ("out_below_file", "output directory"),
+    ("config_is_dir", "cannot read the configuration"),
+    ("config_not_utf8", "cannot read the configuration")])
+def test_unusable_path_is_a_config_error(tmp_path, capsys, case, message):
+    cfg, out = _unusable_paths(tmp_path, case)
+    assert cli.main(["validate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def _npy_bytes():
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(1))
+    return buf.getvalue()
+
+
+def _bundle_bytes(labels=("y",), cut=None, **flags):
+    """A stable 2-state plant bundle with the given metadata output_labels
+    (None: no such entry) and flags, its array named cut cut short."""
+    buf = io.BytesIO()
+    save_plant(ExternalPlantBundle(A=-np.eye(2), B_c=np.ones((2, 1)), B_g=np.ones((2, 1)),
+                                   C_out=np.eye(1, 2), output_labels=("y",)), buf)
+    with np.load(io.BytesIO(buf.getvalue())) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    meta.pop("output_labels")
+    if labels is not None:
+        meta["output_labels"] = labels
+    meta.update(flags)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    if cut is None:
+        return buf.getvalue()
+    out = io.BytesIO()
+    with zipfile.ZipFile(buf) as src, zipfile.ZipFile(out, "w") as dst:
+        for name in src.namelist():
+            data = src.read(name)
+            dst.writestr(name, data[:20] if name == f"{cut}.npy" else data)
+    return out.getvalue()
+
+
+# plant files that a run cannot load, by name and contents, and the exit code
+# that validate and a run both give them
+_BAD_PLANT_FILES = [
+    pytest.param("bundle", _bundle_bytes(), cli.EXIT_OK, "", id="bundle-valid"),
+    pytest.param("bundle", b"not an archive\n", cli.EXIT_CONFIG, "not a readable .npz archive",
+                 id="bundle-text"),
+    pytest.param("bundle", _npy_bytes(), cli.EXIT_CONFIG, "not a readable .npz archive",
+                 id="bundle-npy"),
+    pytest.param("bundle", _bundle_bytes(cut="A"), cli.EXIT_CONFIG,
+                 "not a readable .npz archive", id="bundle-cut-array"),
+    pytest.param("bundle", _bundle_bytes(labels=None), cli.EXIT_CONFIG,
+                 "'output_labels' is not a list of names", id="bundle-no-labels"),
+    pytest.param("bundle", _bundle_bytes(labels=5), cli.EXIT_CONFIG,
+                 "'output_labels' is not a list of names", id="bundle-labels-not-names"),
+    pytest.param("bundle", _bundle_bytes(has_quad=True), cli.EXIT_CONFIG,
+                 "missing matrix block 'quad'", id="bundle-flagged-block-missing"),
+    pytest.param("params", b"- 1\n- 2\n", cli.EXIT_CONFIG, "expected a mapping",
+                 id="params-list"),
+    pytest.param("params", b"section: {mu: 300.0, typo: 1.0}\n", cli.EXIT_CONFIG,
+                 "typo: unknown field", id="params-unknown-key"),
+    pytest.param("params", b"section: {mu: abc}\n", cli.EXIT_CONFIG, "mu: expected a number",
+                 id="params-non-numeric"),
+    pytest.param("params", b"section: {mu: .nan}\n", cli.EXIT_CONFIG, "mu: expected a number",
+                 id="params-nan"),
+    pytest.param("params", b"aerodynamics: {wagner_rates: [0.1]}\n", cli.EXIT_CONFIG,
+                 "wagner_rates: expected a list of 2 numbers", id="params-short-list"),
+    pytest.param("params", b"U_star: 4.5 # \xff\n", cli.EXIT_CONFIG, "cannot read parameters",
+                 id="params-non-utf8"),
+    pytest.param("params", b"U_star: -1.0\n", cli.EXIT_VALIDATION, "U_star must be positive",
+                 id="params-out-of-range"),
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("kind, contents, code, message", _BAD_PLANT_FILES)
+def test_bad_plant_file_names_the_file(tmp_path, capsys, command, kind, contents, code,
+                                       message):
+    path = tmp_path / f"plant.{'npz' if kind == 'bundle' else 'yaml'}"
+    path.write_bytes(contents)
+    source = "external" if kind == "bundle" else "aerofoil"
+    cfg = write_config(tmp_path / "run.yaml", plant={"source": source, kind: str(path)},
+                       rom={"n": 2, "n_real": 2} if kind == "bundle" else {})
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert message in err and (code != cli.EXIT_CONFIG or str(path) in err)
 
 
 # each malformed value stops the command with exit 3 before any integration
@@ -553,34 +660,47 @@ class TestSweep:
         for got, want in zip([rows[0], rows[2]], outs["without"][1]):
             assert float(got[col]) == pytest.approx(float(want[col]), rel=1e-12)
 
-    @pytest.mark.parametrize("lanes, batches",
-                             [(5, [6]), (3, [3, 3]), (1, [2, 1, 1, 1, 1])])
-    def test_batches_share_one_open_loop(self, tmp_path, monkeypatch, lanes, batches):
-        # a log budget of fewer lanes than the five points and the open lane:
-        # the first batch alone holds the open lane, in a spare lane or above
-        # the budget, so the points take as many batches as they would
-        # alone; the rows match one batch's
+    @pytest.mark.parametrize("points", [5, 3, 1])
+    def test_grid_runs_as_one_batch(self, tmp_path, monkeypatch, points):
+        # any grid is one RK4 run of its points and the open loop as lanes,
+        # whose 501 logged rows here take eight chunks; every row reads the
+        # one open loop
         cfg = write_config(tmp_path / "run.yaml",
-                           sweep={"axis": "gamma", "grid": [0.01, 0.1, 0.3, 1.0, 2.0]},
+                           sweep={"axis": "gamma", "grid": [0.01, 0.1, 0.3, 1.0, 2.0][:points]},
                            sim={"dt": 0.02, "duration": 10.0})
-        rk4, outs = cli.sim._rk4, {}
-        for name, budget in (("one", 6), ("split", lanes)):
-            sizes = []
-            monkeypatch.setattr(cli.sim, "_rk4",
-                                lambda f, y, c: sizes.append(len(y)) or rk4(f, y, c))
-            monkeypatch.setattr(cli.sim, "BATCH_LOG_BYTES", budget * 501 * (2 * 8 + 8) * 8)
-            out = tmp_path / name
-            assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
-            outs[name] = (sizes, *read_csv(out / "sweep.csv"))
-        (one_sizes, header, one), (split_sizes, _, split) = outs["one"], outs["split"]
-        assert (one_sizes, split_sizes) == ([6], batches)
-        col = header.index("peak_open")
-        assert len({r[col] for r in one + split}) == 1
-        for got, want in zip(split, one):
-            assert got[1] == want[1] == "ok"
-            for name in ("peak_closed", "max_flap_deg", "rms_open", "rms_closed"):
-                j = header.index(name)
-                assert float(got[j]) == pytest.approx(float(want[j]), rel=1e-12), name
+        rk4, sizes = cli.sim._rk4, []
+        monkeypatch.setattr(cli.sim, "_rk4",
+                            lambda f, y, c, take=None: sizes.append(len(y)) or rk4(f, y, c, take))
+        monkeypatch.setattr(cli.sim, "CHUNK_ROWS", 64)
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        header, rows = read_csv(out / "sweep.csv")
+        assert sizes == [points + 1]
+        assert [r[header.index("status")] for r in rows] == ["ok"] * points
+        assert len({r[header.index("peak_open")] for r in rows}) == 1
+
+    def test_peak_memory_does_not_grow_with_duration(self, tmp_path, monkeypatch, fom, rom):
+        # a sweep keeps one chunk of logged rows, not its log: from one to four
+        # chunks of rows its traced peak grows by less than one chunk's log
+        # (each run is over two blocks of gust forcing, romgen.FORCING_BLOCK
+        # grid rows at two per step, so the forcing holds the same memory)
+        chunk = 600
+        monkeypatch.setattr(cli.sim, "CHUNK_ROWS", chunk)
+        monkeypatch.setattr(cli, "build_plant", lambda cfg: (fom, rom, None))
+        grid = [0.01, 0.1, 0.3, 1.0, 2.0, 5.0]
+        peaks = []
+        for chunks in (1, 2, 4):
+            cfg = write_config(tmp_path / f"{chunks}.yaml", sweep={"axis": "gamma", "grid": grid},
+                               sim={"dt": 0.02, "duration": 0.02 * chunk * chunks})
+            tracemalloc.start()
+            try:
+                assert cli.main(["sweep", "--config", str(cfg),
+                                 "--out", str(tmp_path / str(chunks))]) == cli.EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        chunk_log = chunk * (len(grid) + 1) * (2 * rom.n + rom.n * rom.m) * 8
+        assert peaks[-1] - peaks[0] < chunk_log, (peaks, chunk_log)
 
     def test_too_short_gust_point_becomes_error_row(self, tmp_path):
         # H_g = 0.0005 gives a default duration of 0.01 < dt

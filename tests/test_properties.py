@@ -2,9 +2,12 @@
 reduced model equals the original, a full-dimension reduction reproduces the
 full-order model, a batch of states evaluates like its rows one by one, the
 lanes of an open/closed batch run like the serial open and closed loops, a
+sweep's metrics, reduced a chunk at a time, equal those of its lanes' traces, a
 stack of plants evaluates like its parts, a plant's field along a gust grid
 evaluates like its rhs, and a reduction keeps the states it is asked for or
 refuses."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -148,6 +151,49 @@ def test_diverged_lane_fails_alone(rom, gammas, data):
         _, rest, _ = _run(rom, [gammas[k] for k in keep])
         for k, want in zip(keep, rest):
             _assert_close(batch[k], want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gammas=gamma_lists, data=st.data())
+def test_streamed_metrics_equal_serial_traces(rom, gammas, data):
+    # the one batch of a sweep, reduced a chunk at a time, against each
+    # lane's own open/closed pair traced in full and compute_metrics
+    diverging = data.draw(st.lists(st.booleans(), min_size=len(gammas),
+                                   max_size=len(gammas)), label="diverging lanes")
+    config = SimulationConfig(dt=0.02, duration=6.0,
+                              log_stride=data.draw(st.integers(1, 7), label="log_stride"),
+                              # below the open loop's peak state norm, 0.32
+                              divergence_threshold=data.draw(st.sampled_from([1e8, 0.2])))
+    rows = -(-config.n_steps // config.log_stride) + 1
+    chunk = data.draw(st.integers(1, rows + 1), label="CHUNK_ROWS")
+    output = data.draw(st.integers(0, rom.C_out.shape[0] - 1), label="output")
+
+    def lanes():
+        ref, designs, states = _lanes(rom, gammas)
+        for state, bad in zip(states, diverging):
+            if bad:  # a gain far outside the stable range
+                state.theta = np.full_like(state.theta, 1e3)
+        return ref, designs, states
+
+    ref, designs, states = lanes()
+    with mock.patch.object(sim, "CHUNK_ROWS", chunk):
+        got = sim.sweep_metrics(rom, ref, designs, states, BATCH_GUST, config, output)
+    _, designs, states = lanes()
+    assert len(got) == len(gammas)
+    for metrics, design, state in zip(got, designs, states):
+        opened, (closed,) = integrate_open_and_closed(rom, ref, [design], [state],
+                                                      BATCH_GUST, config)
+        error = next((r for r in (opened, closed) if isinstance(r, SimulationError)), None)
+        if error is not None:
+            assert isinstance(metrics, SimulationError) and str(metrics) == str(error)
+            continue
+        want = sim.compute_metrics(opened, closed, output)
+        for name in ("output", "peak_open", "peak_closed", "reduction_percent", "max_flap_cmd",
+                     "settled", "settle_ratio"):
+            assert getattr(metrics, name) == getattr(want, name), name
+        for name in ("rms_open", "rms_closed"):
+            assert abs(getattr(metrics, name) - getattr(want, name)) <= \
+                REL_TOL * getattr(want, name), name
 
 
 # (n, k) per part: k spring coordinates, k = 0 for a linear part
