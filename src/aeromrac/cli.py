@@ -38,6 +38,8 @@ CONFIG_SCHEMA_VERSION = 1
 # longest run any command starts, about 91 times the default 110 000 steps
 MAX_STEPS = 10**7
 _FLOAT_FMT = "%.17g"
+# Rows of a float array that write_csv formats with one % at a time.
+_CSV_BLOCK = 1024
 
 
 class ConfigError(ValueError):
@@ -276,12 +278,15 @@ def _fmt(val) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Header, then one line per row; a float array is formatted a row at a time."""
+    """Header, then one line per row; a float array is formatted _CSV_BLOCK
+    rows at a time."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
             line = ",".join([_FLOAT_FMT] * rows.shape[1]) + "\n"
-            fh.writelines(line % tuple(row) for row in rows.tolist())
+            for start in range(0, rows.shape[0], _CSV_BLOCK):
+                block = rows[start:start + _CSV_BLOCK]
+                fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
             return
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")

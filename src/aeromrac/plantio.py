@@ -134,14 +134,29 @@ def _read_npz(path: Path, what: str) -> dict:
     of another kind or an unreadable array raises PlantIOError naming it."""
     if not path.exists():
         raise PlantIOError(f"{what} not found: {path}")
+    name = None  # the array being read
     try:
         data = np.load(path)
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise ValueError("a single .npy array")
         with data:
-            return {name: data[name] for name in data.files}
+            arrays = {}
+            for name in data.files:
+                arrays[name] = data[name]
+            return arrays
     except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
-        raise PlantIOError(f"{path}: not a readable .npz archive: {exc}") from exc
+        block = "" if name is None else f"block '{name}': "
+        raise PlantIOError(f"{path}: not a readable .npz archive: {block}{exc}") from exc
+
+
+def _real(arrays: dict, name: str, path: Path) -> np.ndarray:
+    """Block name of a loaded archive as float64; a block of strings, complex
+    numbers or objects raises PlantIOError naming the file and the block."""
+    block = arrays[name]
+    if block.dtype.kind not in "biuf":
+        raise PlantIOError(f"{path}: matrix block '{name}' holds {block.dtype} entries, "
+                           "not real numbers")
+    return block.astype(float)
 
 
 def load_plant(path) -> ExternalPlantBundle:
@@ -155,14 +170,13 @@ def load_plant(path) -> ExternalPlantBundle:
     labels = meta.get("output_labels")
     if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
         raise PlantIOError(f"{path}: metadata 'output_labels' is not a list of names")
+    blocks = {name: _real(data, name, path) for name in ("A", "B_c", "B_g", "C_out", *flagged)}
     return ExternalPlantBundle(
-        A=data["A"], B_c=data["B_c"], B_g=data["B_g"], C_out=data["C_out"],
+        **blocks,
         output_labels=tuple(labels),
         name=meta.get("name", "external"),
         provenance_hash=meta.get("provenance_hash", ""),
         stable=bool(meta.get("stable", True)),
-        quad=data["quad"] if meta.get("has_quad") else None,
-        cubic=data["cubic"] if meta.get("has_cubic") else None,
     )
 
 
@@ -201,6 +215,7 @@ def load_rom(path, source_path=None) -> ReducedOrderModel:
         if name not in arrays:
             raise PlantIOError(f"{path}: missing matrix block '{name}'")
     for name in ("A", "B_c", "B_g", "Phi", "Psi", "C_out") + nl_blocks:
+        arrays[name] = _real(arrays, name, path)
         if not np.isfinite(arrays[name]).all():
             raise PlantIOError(f"{path}: corrupt matrix block '{name}' (non-finite)")
     if meta["schema_version"] < 2:
@@ -225,7 +240,7 @@ def load_rom(path, source_path=None) -> ReducedOrderModel:
             kind=kind,
             gust_participation=float(pp),
         )
-        for lam, kind, pp in zip(eigs, meta["mode_kinds"], arrays["participation"])
+        for lam, kind, pp in zip(eigs, meta["mode_kinds"], _real(arrays, "participation", path))
     )
     return ReducedOrderModel(
         A=arrays["A"], B_c=arrays["B_c"], B_g=arrays["B_g"], C_out=arrays["C_out"],

@@ -3,8 +3,8 @@
 The reduced dynamics keep a subset of the full-order eigenvalues; complex
 pairs are stored as 2x2 real rotation-scaling blocks so everything exported to
 the control modules is real.  The reduced model carries a projected
-polynomial nonlinearity: the full-order polynomial force mapped through the
-bases, held as data.
+polynomial nonlinearity, held as data, and every plant's derivative is one
+``PolyField``: its operators as data, the inputs as coordinates of its rows.
 """
 
 from __future__ import annotations
@@ -154,41 +154,25 @@ class PolyNonlinearity:
         return PolyNonlinearity(Psi @ self.G, self.H @ Phi, self.quad, self.cubic)
 
 
-# Grid rows of gust forcing that a plant field forms at a time: tens of kB,
-# where B_g u_d over a default run's whole grid is tens of MB.
-FORCING_BLOCK = 512
+@dataclass(frozen=True)
+class PolyField:
+    """The field f(y, u) = y L + u U + ((z P_1) * (z P_2) * (z P_3)) G as data,
+    on rows z = [y | u | 1]: one product z W gives the linear part and the
+    three factors, with P_3's offset c in the constant row, and [I; G] maps
+    the linear part and the triple product back.  W is stored transposed,
+    one operator per lane or one that every row shares."""
 
+    W: np.ndarray  # (B, N + 3K, Z) per lane or (N + 3K, Z) shared: W z^T
+    back: np.ndarray  # (N, N + K): [I; G]^T
 
-def poly_field(u_d, B_g, L, P, c, G, B_c=None):
-    """The derivative along a grid of gust inputs u_d (J, p) as one
-    polynomial field of a state row y (N,) or rows (B, N):
-    f(j, y, u_c=None) = y L + u_c B_c^T + B_g u_d[j] + ((y P_1) * (y P_2) * (y P_3 + c)) G.
-
-    P = [P_1 | P_2 | P_3] is (N, 3K), c (K,) and G (K, N); L, P and B_g
-    (N, p) may carry a lane axis (B, ...) matching y's rows.  Without u_c the
-    control term is left out, not formed from zeros.  B_g u_d is formed
-    FORCING_BLOCK grid rows at a time, as j enters them, summed over the
-    inputs in a fixed order so that a row does not depend on its block."""
-    W = np.concatenate([L, P], axis=-1)  # one product gives y L and the factors
-    N, K = L.shape[-1], c.shape[0]
-    B_c_T = None if B_c is None else B_c.T
-    start, forcing = None, None  # the block's first grid row, its B_g u_d
-
-    def f(j, y, u_c=None):
-        nonlocal start, forcing
-        i = j - j % FORCING_BLOCK
-        if i != start:
-            start, block = i, u_d[i:i + FORCING_BLOCK]
-            forcing = sum(np.multiply.outer(block[..., k], B_g[..., k])
-                          for k in range(B_g.shape[-1]))
-        Y = y @ W if W.ndim == 2 else (y[:, None, :] @ W)[:, 0]
-        dy = Y[..., :N]
-        if u_c is not None:
-            dy = dy + u_c @ B_c_T
-        z = Y[..., N:]
-        return dy + forcing[j - i] + (z[..., :K] * z[..., K:2 * K] * (z[..., 2 * K:] + c)) @ G
-
-    return f
+    def __call__(self, z):
+        """f on a row z (Z,) or rows (..., R, Z), row r under lane r's operator."""
+        N, K = self.back.shape[0], self.back.shape[1] - self.back.shape[0]
+        Y = (self.W @ z[..., None])[..., 0]
+        F = Y[..., N:N + K]
+        F *= Y[..., N + K:N + 2 * K]
+        F *= Y[..., N + 2 * K:]
+        return (self.back @ Y[..., :N + K, None])[..., 0]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -223,25 +207,31 @@ class Plant:
         return self.nl(x)
 
     def springs(self, nonlinear=True):
-        """F(x) as ``poly_field``'s triple product: ((H^T, H^T, H^T
+        """F(x) as ``PolyField``'s triple product: ((H^T, H^T, H^T
         diag(cubic)), quad, G^T); no product columns without F."""
         if self.nl is None or not nonlinear:
             return (np.zeros((self.n, 0)),) * 3, np.zeros(0), np.zeros((0, self.n))
         H_T = self.nl.H.T
         return (H_T, H_T, H_T * self.nl.cubic), self.nl.quad, self.nl.G.T
 
-    def field(self, u_d, nonlinear=True):
-        """The derivative along a grid of gust inputs u_d (J, p), as
-        f(j, x, u_c=None) = rhs(x, u_c, u_d[j], nonlinear) bit for bit: the
-        polynomial field with L = A^T and the springs' triple product."""
+    def field(self, nonlinear=True) -> PolyField:
+        """The derivative as a PolyField on rows [x | u_c | u_d | 1]: L = A^T,
+        U = [B_c^T; B_g^T] and the springs as the triple product."""
         P, c, G = self.springs(nonlinear)
-        return poly_field(u_d, self.B_g, self.A.T, np.hstack(P), c, G, self.B_c)
+        n, K = self.n, c.shape[0]
+        W = np.zeros((n + self.m + self.p + 1, n + 3 * K))  # one row per coordinate of z
+        W[:n, :n], W[n:-1, :n], W[:n, n:], W[-1, n + 2 * K:] = \
+            self.A.T, np.vstack([self.B_c.T, self.B_g.T]), np.hstack(P), c
+        return PolyField(W.T.copy(), np.hstack([np.eye(n), G.T]))
 
     def rhs(self, x, u_c, u_d, nonlinear=True):
         """Time derivative of one state or a (B, n) batch of rows, whose
         inputs are (B, m) and (B, p) rows or shared by every row;
         ``nonlinear=False`` leaves out F(x)."""
-        return self.field(np.atleast_1d(u_d)[None], nonlinear)(0, x, np.atleast_1d(u_c))
+        x, n, p = np.asarray(x, dtype=float), self.n, self.p
+        z = np.ones(x.shape[:-1] + (n + self.m + p + 1,))
+        z[..., :n], z[..., n:-1 - p], z[..., -1 - p:-1] = x, u_c, u_d
+        return self.field(nonlinear)(z)
 
 
 def _block_diag(blocks) -> np.ndarray:

@@ -1,13 +1,12 @@
 """Fixed-step closed-loop and open-loop time integration.
 
-One classical fourth-order Runge-Kutta kernel advances every run, on one
-state (N,) or on a batch of B lanes as rows (B, N).  Each run builds its
-polynomial field along the run's gust grid once (``romgen.poly_field``), and
-each RK4 stage makes one call of it.  A closed-loop lane is the flat row
+One classical fourth-order Runge-Kutta kernel advances every run on B lanes,
+the unbatched open loop being B = 1: its field is a ``romgen.PolyField``,
+operators as data that take the gust samples as input coordinates, and its
+buffers hold the lanes on the minor axis.  A closed-loop lane is the row
 [x, x_m, vec theta]: plant and reference model are one Plant from
-``romgen.stack_plants``, and the control theta^T x and the adaptation law are
-product columns of the same field, so a stage makes one lane product, one
-triple product and one back-projection.  The open loop is lane 0 of the
+``romgen.stack_plants``, and the control theta^T x and the adaptation law
+are product columns of the same field.  The open loop is lane 0 of the
 closed-loop batch: Gamma = 0, P B_c = 0, K0 = 0, theta(0) = 0 and no
 reference model keep its theta, u_c and x_m at exactly 0.
 """
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mrac import ControllerState, LyapunovDesign, ReferenceModel
-from .romgen import Plant, poly_field, stack_plants
+from .romgen import Plant, PolyField, stack_plants
 
 DIVERGENCE_DEFAULT = 1e8
 # Logged rows a sweep's batch holds at a time; they are reduced to metrics.
@@ -100,14 +99,17 @@ def _gust_grid(gust, config: SimulationConfig, p: int) -> np.ndarray:
 
 
 def _rk4(f, y, config: SimulationConfig, take=None):
-    """Classical RK4 of y' = f(j, y), with j indexing the half-step grid, on
-    one state (N,) or a batch of lanes (B, N); a lane that leaves the
-    divergence bound fails alone.  Returns one (steps, states, error) per
-    lane: the logged step numbers (T,), the logged states (T, N) and None;
-    or, for a failed lane, its log up to that step, the diverged state
-    included when finite, and the message.  With take, the logged states go
-    instead to take(rows) CHUNK_ROWS rows at a time, (r, B, N) in a buffer
-    that the next chunk overwrites, and each lane's error alone returns."""
+    """Classical RK4 of y' = field(y, u_d) on lanes y (B, N), with f =
+    (field, u_d): a ``romgen.PolyField`` whose inputs end with the p gust
+    coordinates, any others held at zero, and the gust (J, p) on the
+    half-step grid.  A lane that leaves the divergence bound fails alone.
+    Returns one (steps, states, error) per lane: the logged step numbers
+    (T,), the logged states (T, N) and None; or, for a failed lane, its log
+    up to that step, the diverged state included when finite, and the
+    message.  With take, the logged states go instead to take(rows)
+    CHUNK_ROWS rows at a time, (r, B, N) in a buffer that the next chunk
+    overwrites, and each lane's error alone returns."""
+    (field, u_d), (B, N) = f, y.shape
     # any stride past the last step logs the two ends; np.arange takes none past int64
     dt, steps, stride = config.dt, config.n_steps, min(config.log_stride, config.n_steps)
     threshold = config.divergence_threshold
@@ -115,48 +117,59 @@ def _rk4(f, y, config: SimulationConfig, take=None):
     if logged[-1] != steps:
         logged = np.append(logged, steps)
     size = logged.shape[0] if take is None else min(CHUNK_ROWS, logged.shape[0])
-    log = np.empty((size,) + y.shape)
-    lanes = log.reshape(size, -1, y.shape[-1])  # (r, B, N) view
-    alive = np.ones(lanes.shape[1], dtype=bool)
+    log, alive = np.empty((size, B, N)), np.ones(B, dtype=bool)
     failed = {}  # lane -> message, or (steps, states, message) without take
     log[0] = y
     row = 1  # rows in the chunk
-    h2, h6 = 0.5 * dt, dt / 6.0
-    for k in range(steps):
-        j = 2 * k
-        k1 = f(j, y)
-        k2 = f(j + 1, y + h2 * k1)
-        k3 = f(j + 1, y + h2 * k2)
-        k4 = f(j + 2, y + dt * k3)
-        y = y + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        norm = np.abs(y).max()
-        if not norm <= threshold:
-            ys = y.reshape(-1, y.shape[-1])
-            lane_norm = np.abs(ys).max(axis=1)
+    (C, Z), p = field.W.shape[-2:], u_d.shape[1]
+    # lanes are columns: z[0] holds the state, z[1] a stage's input, k[i] = h_i f_i
+    z, Y, k, s = np.zeros((2, Z, B)), np.empty((C, B)), np.empty((4, N, B)), np.empty((N, B))
+    x, inputs, gust, samples = z[0, :N], z[1, :N], z[:, Z - 1 - p:Z - 1], u_d[:, :, None]
+    z[:, -1], x[...], gust[...] = 1.0, y.T, samples[0]
+    (F, F2, F3), Yv = Y[N:].reshape(3, -1, B), Y.T[:, :, None]
+    Q = Y[:N + len(F)].T[:, :, None]  # the linear part and the triple product
+    stages = [(z[min(i, 1)].T[:, :, None], h * field.back, k[i].T[:, :, None])
+              for i, h in enumerate((0.5 * dt, 0.5 * dt, dt, dt / 6.0))]
+    for step, j in enumerate(range(0, 2 * steps, 2)):
+        for i, (zi, back, ki) in enumerate(stages):
+            if i:
+                np.add(x, k[i - 1], out=inputs)
+                if i != 2:  # stages 2 and 3 share sample j + 1; stage 4 reads j + 2
+                    gust[1] = samples[j + (i + 1) // 2]
+            np.matmul(field.W, zi, out=Yv)
+            np.multiply(F, F2, out=F)
+            np.multiply(F, F3, out=F)
+            np.matmul(back, Q, out=ki)
+        # y += h/6 (k1 + 2 k2 + 2 k3 + k4), at once, from k = (h/2 k1, h/2 k2, h k3, h/6 k4)
+        np.add(np.add(k[0], k[2], out=s), np.add(k[1], k[1], out=k[1]), out=s)
+        x += np.add(np.divide(s, 3.0, out=s), k[3], out=s)
+        gust[0] = samples[j + 2]
+        if not np.abs(x).max() <= threshold:
+            lane_norm = np.abs(x).max(axis=0)
             for b in np.flatnonzero(alive & ~(lane_norm <= threshold)):
-                failed[b] = (f"state diverged at t = {(k + 1) * dt:.6g} "
+                failed[b] = (f"state diverged at t = {(step + 1) * dt:.6g} "
                              f"(norm {lane_norm[b]:.3e} > {threshold:.1e})")
                 if take is None:  # the one chunk holds the whole log so far
-                    states, done = lanes[:row, b], logged[:row]
+                    states, done = log[:row, b], logged[:row]
                     if np.isfinite(lane_norm[b]):
-                        states, done = np.vstack([states, ys[b]]), np.append(done, k + 1)
+                        states, done = np.vstack([states, x[:, b]]), np.append(done, step + 1)
                     failed[b] = (done, states, failed[b])
                 alive[b] = False
             if not alive.any():
                 break
             # a failed lane restarts from zero so that its arithmetic stays
             # finite; its log ends where it failed
-            ys[~alive] = 0.0
-        if (k + 1) % stride == 0 or k + 1 == steps:
+            x[:, ~alive] = 0.0
+        if (step + 1) % stride == 0 or step + 1 == steps:
             if row == size:  # a full chunk; the one chunk of a trace never is
-                take(lanes)
+                take(log)
                 row = 0
-            log[row] = y
+            log[row] = x.T
             row += 1
     if take is not None:
-        take(lanes[:row])
-        return [failed.get(b) for b in range(lanes.shape[1])]
-    return [failed.get(b, (logged, lanes[:, b], None)) for b in range(lanes.shape[1])]
+        take(log[:row])
+        return [failed.get(b) for b in range(B)]
+    return [failed.get(b, (logged, log[:, b], None)) for b in range(B)]
 
 
 def _control(theta, x, K0):
@@ -180,17 +193,15 @@ def _failed_control(theta, x, K0):
     return np.clip(u_c, -big, big)
 
 
-def _lane_field(model, reference: ReferenceModel, config: SimulationConfig, u_d,
-                Gamma, PB, K0, open_loop: bool = False):
-    """The closed loop on lane rows y = [x, x_m, vec theta] (B, N) as one
-    ``romgen.poly_field``, given each lane's Gamma, P B_c and K0^T.
-
-    The stacked plant and reference model give the linear block, with B_c K0
-    folded in, and the springs; then come the product columns x_i theta_ij,
-    mapped through B_c, and (-Gamma x)_i (e^T P B_c)_j, mapped onto theta_ij
-    (``mrac.theta_rate``).  With open_loop, lane 0's A_m and its spring and
-    gust rows on x_m are zero, so with zero Gamma, P B_c and K0 its x_m and
-    theta stay exactly 0."""
+def _lane_field(model, reference: ReferenceModel, config: SimulationConfig, Gamma, PB, K0,
+                open_loop: bool = False):
+    """The closed loop on rows [x, x_m, vec theta | u_d | 1] as a PolyField,
+    one operator per lane from its Gamma, P B_c and K0^T: the stacked plant
+    and reference model give the linear block, B_c K0 folded in, and the
+    springs; the product columns x_i theta_ij map through B_c, and (-Gamma
+    x)_i (e^T P B_c)_j onto theta_ij (``mrac.theta_rate``).  With open_loop,
+    lane 0's A_m and its spring and gust rows on x_m are zero, so with zero
+    Gamma, P B_c and K0 its x_m and theta stay exactly 0."""
     B, n, m = PB.shape
     N, nm, ij = 2 * n + n * m, n * m, np.arange(n * m)
     i, j = ij // m, ij % m
@@ -202,23 +213,21 @@ def _lane_field(model, reference: ReferenceModel, config: SimulationConfig, u_d,
                                nl=nl if config.reference_nonlinear else None, **io))
     springs, c, G_s = plant.springs()
     k = c.shape[0]
-    control, adapt = k + ij, k + nm + ij  # product columns after the springs
-    L = np.zeros((B, N, N))
-    L[:, :2 * n, :2 * n] = plant.A.T
-    L[:, :n, :2 * n] += K0 @ plant.B_c.T
-    P = np.zeros((B, N, 3, k + 2 * nm))
-    P[:, :2 * n, :, :k] = np.stack(springs, axis=1)
+    K, control, adapt = k + 2 * nm, k + ij, k + nm + ij  # product columns after the springs
+    W, G = np.zeros((B, N + 3 * K, N + plant.p + 1)), np.zeros((K, N))
+    rows = W.transpose(0, 2, 1)  # each lane's W: rows of the state, the gust and the constant
+    P = rows[..., N:].reshape(B, -1, 3, K)  # the columns of the three factors
+    rows[:, :2 * n, :2 * n], rows[:, N:-1, :2 * n] = plant.A.T, plant.B_g.T
+    rows[:, :n, :2 * n] += K0 @ plant.B_c.T
+    P[:, :2 * n, :, :k], P[:, -1, 2] = np.stack(springs, axis=1), np.append(c, np.ones(2 * nm))
     P[:, i, 0, control] = P[:, 2 * n + ij, 1, control] = 1.0
     P[:, :n, 0, adapt] = -Gamma[:, i].transpose(0, 2, 1)
     P[:, :2 * n, 1, adapt] = np.hstack([PB, -PB])[:, :, j]  # e^T P B_c, e = x - x_m
-    G = np.zeros((k + 2 * nm, N))
     G[:k, :2 * n], G[control, :2 * n], G[adapt, 2 * n + ij] = G_s, plant.B_c.T[j], 1.0
-    B_g = np.tile(np.vstack([plant.B_g, np.zeros((nm, plant.p))]), (B, 1, 1))
     if open_loop:
-        L[0, :, n:2 * n] = B_g[0, n:2 * n] = 0.0
+        rows[0, :, n:2 * n] = 0.0
         P[0, ..., :k][..., G_s[:, n:].any(axis=1)] = 0.0
-    c = np.concatenate([c, np.ones(2 * nm)])
-    return poly_field(u_d, B_g, L, P.reshape(B, N, -1), c, G)
+    return PolyField(W, np.hstack([np.eye(N), G.T]))
 
 
 def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
@@ -245,12 +254,12 @@ def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
         Gamma, PB, K0, theta0 = (np.concatenate([np.zeros_like(a[:1]), a])
                                  for a in (Gamma, PB, K0, theta0))
     y = np.hstack([np.zeros((lanes, 2 * n)), theta0])
-    field = _lane_field(model, reference, config, u_d_grid, Gamma, PB, K0, open_loop)
+    run = (_lane_field(model, reference, config, Gamma, PB, K0, open_loop), u_d_grid)
     if take is not None:
-        return _rk4(field, y, config, lambda rows: take(rows, K0))
+        return _rk4(run, y, config, lambda rows: take(rows, K0))
 
     results = []
-    for b, (steps, ys, error) in enumerate(_rk4(field, y, config)):
+    for b, (steps, ys, error) in enumerate(_rk4(run, y, config)):
         # the open trace holds a copy of x, not the batch log
         x, closed = ys[:, :n].copy() if b < off else ys[:, :n], {}
         if b >= off:
@@ -309,8 +318,8 @@ def integrate_open_loop(model, gust, config: SimulationConfig,
     """Uncontrolled gust response under the same RK4 scheme."""
     _check_dt(config, model.A)
     u_d = _gust_grid(gust, config, model.p)
-    x = np.zeros(model.n) if x0 is None else np.array(x0, dtype=float)
-    ((steps, xs, error),) = _rk4(model.field(u_d, config.plant_nonlinear), x, config)
+    x = np.zeros((1, model.n)) if x0 is None else np.array(x0, dtype=float)[None]
+    ((steps, xs, error),) = _rk4((model.field(config.plant_nonlinear), u_d), x, config)
     trace = SimulationTrace(
         time=steps * config.dt, x=xs, outputs=xs @ model.C_out.T, u_d=u_d[2 * steps],
         output_labels=model.output_labels, diverged=error is not None,

@@ -75,6 +75,22 @@ def test_float_array_csv_matches_value_by_value_format(tmp_path):
     assert (tmp_path / "a.csv").read_text() == want
 
 
+
+@pytest.mark.parametrize("n_rows", [0, 1, 7, cli._CSV_BLOCK, cli._CSV_BLOCK + 1,
+                                    2 * cli._CSV_BLOCK + 3])
+def test_float_array_csv_matches_row_by_row_format(tmp_path, n_rows):
+    # blocks of rows formatted with one % write the bytes that formatting one
+    # row at a time writes, across block boundaries and with nan, inf and -0.0
+    rng = np.random.default_rng(n_rows)
+    rows = rng.normal(size=(n_rows, 3)) * 10.0 ** rng.integers(-300, 300, size=(n_rows, 3))
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324])
+    at = rng.choice(rows.size, size=min(rows.size, special.size), replace=False)
+    rows.flat[at] = special[:at.size]
+    line = ",".join([cli._FLOAT_FMT] * 3) + "\n"
+    want = "x,y,z\n" + "".join(line % tuple(row) for row in rows.tolist())
+    cli.write_csv(tmp_path / "a.csv", ["x", "y", "z"], rows)
+    assert (tmp_path / "a.csv").read_bytes() == want.encode()
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -167,9 +183,10 @@ def _npy_bytes():
     return buf.getvalue()
 
 
-def _bundle_bytes(labels=("y",), cut=None, **flags):
+def _bundle_bytes(labels=("y",), cut=None, A=None, **flags):
     """A stable 2-state plant bundle with the given metadata output_labels
-    (None: no such entry) and flags, its array named cut cut short."""
+    (None: no such entry) and flags, its array named cut cut short and its
+    A, when given, replaced."""
     buf = io.BytesIO()
     save_plant(ExternalPlantBundle(A=-np.eye(2), B_c=np.ones((2, 1)), B_g=np.ones((2, 1)),
                                    C_out=np.eye(1, 2), output_labels=("y",)), buf)
@@ -181,6 +198,8 @@ def _bundle_bytes(labels=("y",), cut=None, **flags):
         meta["output_labels"] = labels
     meta.update(flags)
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    if A is not None:
+        arrays["A"] = A
     buf = io.BytesIO()
     np.savez(buf, **arrays)
     if cut is None:
@@ -209,6 +228,12 @@ _BAD_PLANT_FILES = [
                  "'output_labels' is not a list of names", id="bundle-labels-not-names"),
     pytest.param("bundle", _bundle_bytes(has_quad=True), cli.EXIT_CONFIG,
                  "missing matrix block 'quad'", id="bundle-flagged-block-missing"),
+    pytest.param("bundle", _bundle_bytes(A=np.array([["a", "b"], ["c", "d"]])), cli.EXIT_CONFIG,
+                 "matrix block 'A' holds <U1 entries, not real numbers", id="bundle-string-A"),
+    pytest.param("bundle", _bundle_bytes(A=-np.eye(2) + 0j), cli.EXIT_CONFIG,
+                 "matrix block 'A' holds complex128 entries", id="bundle-complex-A"),
+    pytest.param("bundle", _bundle_bytes(A=-np.eye(2, dtype=int)), cli.EXIT_OK, "",
+                 id="bundle-integer-A"),
     pytest.param("params", b"- 1\n- 2\n", cli.EXIT_CONFIG, "expected a mapping",
                  id="params-list"),
     pytest.param("params", b"section: {mu: 300.0, typo: 1.0}\n", cli.EXIT_CONFIG,
@@ -682,8 +707,8 @@ class TestSweep:
     def test_peak_memory_does_not_grow_with_duration(self, tmp_path, monkeypatch, fom, rom):
         # a sweep keeps one chunk of logged rows, not its log: from one to four
         # chunks of rows its traced peak grows by less than one chunk's log
-        # (each run is over two blocks of gust forcing, romgen.FORCING_BLOCK
-        # grid rows at two per step, so the forcing holds the same memory)
+        # (the gust enters each RK4 stage as input coordinates, a few numbers
+        # per lane, so no forcing grows with the run)
         chunk = 600
         monkeypatch.setattr(cli.sim, "CHUNK_ROWS", chunk)
         monkeypatch.setattr(cli, "build_plant", lambda cfg: (fom, rom, None))
@@ -701,6 +726,35 @@ class TestSweep:
                 tracemalloc.stop()
         chunk_log = chunk * (len(grid) + 1) * (2 * rom.n + rom.n * rom.m) * 8
         assert peaks[-1] - peaks[0] < chunk_log, (peaks, chunk_log)
+
+    def test_peak_memory_per_lane_is_its_chunk_log_and_operator(self, tmp_path, monkeypatch,
+                                                                fom, rom):
+        # from 7 to 64 lanes a sweep's traced peak grows by less than the added
+        # lanes' chunk logs and twice their operators: each lane's W, and as
+        # much again for its design, gains and stage buffers.  Nothing a lane
+        # holds grows with the gust grid, here 1 201 half steps.
+        chunk = 16
+        monkeypatch.setattr(cli.sim, "CHUNK_ROWS", chunk)
+        monkeypatch.setattr(cli, "build_plant", lambda cfg: (fom, rom, None))
+        peaks = {}
+        for lanes in (7, 64):
+            cfg = write_config(tmp_path / f"{lanes}.yaml",
+                               sweep={"axis": "gamma",
+                                      "grid": np.geomspace(0.01, 5.0, lanes - 1).tolist()},
+                               sim={"dt": 0.02, "duration": 12.0})
+            tracemalloc.start()
+            try:
+                assert cli.main(["sweep", "--config", str(cfg),
+                                 "--out", str(tmp_path / str(lanes))]) == cli.EXIT_OK
+                peaks[lanes] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # a lane's state [x, x_m, vec theta]; its product columns are the
+        # springs of plant and reference model, then u_c and the law
+        N, K = 2 * rom.n + rom.n * rom.m, 2 * rom.nl.H.shape[0] + 2 * rom.n * rom.m
+        operator = (N + 3 * K) * (N + rom.p + 1) * 8
+        budget = (64 - 7) * (chunk * N * 8 + 2 * operator)
+        assert peaks[64] - peaks[7] < budget, (peaks, budget)
 
     def test_too_short_gust_point_becomes_error_row(self, tmp_path):
         # H_g = 0.0005 gives a default duration of 0.01 < dt

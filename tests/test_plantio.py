@@ -201,6 +201,32 @@ class TestRomRoundTrip:
             load_rom(path)
 
 
+    @pytest.mark.parametrize("block, value, message", [
+        ("A", lambda a: a.astype(str), "block 'A' holds <U"),
+        ("G", lambda a: a + 0j, "block 'G' holds complex128"),
+        ("B_c", lambda a: a.astype(object), "block 'B_c': Object arrays cannot be loaded"),
+    ])
+    def test_block_that_is_not_real_numbers_rejected(self, rom, tmp_path, block, value,
+                                                     message):
+        path = tmp_path / "rom.npz"
+        save_rom(rom, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[block] = value(arrays[block])
+        np.savez(path, **arrays)
+        with pytest.raises(PlantIOError, match=message) as exc:
+            load_rom(path)
+        assert str(path) in str(exc.value)
+
+    def test_integer_blocks_load_as_floats(self, rom, tmp_path):
+        path = tmp_path / "rom.npz"
+        save_rom(rom, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["C_out"] = np.ones_like(arrays["C_out"], dtype=int)
+        np.savez(path, **arrays)
+        assert load_rom(path).C_out.dtype == np.float64
+
 class TestHashing:
     def test_sha256_matches_hashlib(self, tmp_path):
         import hashlib

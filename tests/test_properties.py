@@ -2,8 +2,9 @@
 reduced model equals the original, a full-dimension reduction reproduces the
 full-order model, a batch of states evaluates like its rows one by one, the
 lanes of an open/closed batch run like the serial open and closed loops, a
-sweep's metrics, reduced a chunk at a time, equal those of its lanes' traces, a
-stack of plants evaluates like its parts, a plant's field along a gust grid
+lane runs the same bit for bit whatever batch holds it, a sweep's metrics,
+reduced a chunk at a time, equal those of its lanes' traces, a stack of
+plants evaluates like its parts, a plant's field on the rows of a gust grid
 evaluates like its rhs, and a reduction keeps the states it is asked for or
 refuses."""
 
@@ -26,7 +27,6 @@ from aeromrac.mrac import (
 )
 from aeromrac.plantio import load_rom, save_rom
 from aeromrac.romgen import (
-    FORCING_BLOCK,
     Plant,
     PolyNonlinearity,
     RomError,
@@ -196,6 +196,47 @@ def test_streamed_metrics_equal_serial_traces(rom, gammas, data):
                 REL_TOL * getattr(want, name), name
 
 
+def _same_trace(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, SimulationError):
+        assert str(got) == str(want)
+        got, want = got.trace, want.trace
+    for name in CLOSED_FIELDS if want.closed_loop else OPEN_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@settings(max_examples=25, deadline=None)
+@given(gammas=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=6), open_loop=st.booleans(),
+       plant_nl=st.booleans(), ref_nl=st.booleans(), log_stride=st.integers(1, 7),
+       seed=st.integers(0, 2**32 - 1))
+def test_lane_trace_does_not_depend_on_its_batch(rom, gammas, open_loop, plant_nl, ref_nl,
+                                                 log_stride, seed):
+    # a lane's trace is the same, bit for bit, whatever the lane count and its
+    # position: each closed lane alone and in the batch reversed, the open
+    # lane beside the first closed lane alone and in the reversed batch
+    config = SimulationConfig(dt=0.02, duration=6.0, plant_nonlinear=plant_nl,
+                              reference_nonlinear=ref_nl, log_stride=log_stride)
+    rng = np.random.default_rng(seed)
+    K0 = 0.01 * rng.normal(size=(len(gammas), rom.m, rom.n))
+    theta = 0.01 * rng.normal(size=(len(gammas), rom.n, rom.m))
+
+    def run(lanes, open_lane=False):
+        ref, designs, states = _lanes(rom, [gammas[b] for b in lanes])
+        for state, b in zip(states, lanes):
+            state.K0, state.theta = K0[b], theta[b].copy()
+        return sim._closed_loop(rom, ref, designs, states, BATCH_GUST, config, open_lane)
+
+    lanes = list(range(len(gammas)))
+    off = int(open_loop)
+    batch, backwards = run(lanes, open_loop), run(lanes[::-1], open_loop)
+    for b in lanes:
+        _same_trace(batch[off + b], run([b])[0])
+        _same_trace(batch[off + b], backwards[off + len(lanes) - 1 - b])
+    if open_loop:
+        _same_trace(batch[0], run([0], True)[0])
+        _same_trace(batch[0], backwards[0])
+
+
 # (n, k) per part: k spring coordinates, k = 0 for a linear part
 stack_parts = st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)), min_size=1,
                        max_size=3)
@@ -230,15 +271,17 @@ def test_stack_rhs_is_its_parts_rhs(parts, m, p, rows, seed, nonlinear):
     outputs = np.concatenate([xi @ part.C_out.T for part, xi in zip(plants, xs)], axis=-1)
     assert np.abs(x @ stack.C_out.T - outputs).max() <= REL_TOL * np.abs(outputs).max()
     assert (stack.nl is None) == all(k == 0 for _, k in parts)
-    # the field along a gust grid is rhs at grid row j, bit for bit, with
-    # the control term or without it; its first call may form another block
-    grid = rng.normal(size=(int(rng.integers(1, 3 * FORCING_BLOCK)), p))
-    j, other = rng.integers(grid.shape[0], size=2)
-    field = stack.field(grid, nonlinear)
-    field(int(other), x)
-    assert np.array_equal(field(int(j), x, u_c), stack.rhs(x, u_c, grid[j], nonlinear))
-    assert np.array_equal(field(int(j), x), stack.rhs(x, np.zeros_like(u_c), grid[j],
-                                                     nonlinear))
+    # the operator on the rows [x | u_c | u_d | 1] of a whole gust grid at
+    # once is rhs at grid row j, bit for bit, with the control or without it
+    grid = rng.normal(size=(int(rng.integers(1, 40)), p))
+    j = int(rng.integers(grid.shape[0]))
+    field, X = stack.field(nonlinear), np.atleast_2d(x)
+    for control in (u_c, np.zeros_like(u_c)):
+        z = np.ones((grid.shape[0], X.shape[0], stack.n + m + p + 1))
+        z[..., :stack.n], z[..., stack.n:-1 - p], z[..., -1 - p:-1] = \
+            X, np.atleast_2d(control), grid[:, None]
+        assert np.array_equal(field(z)[j].reshape(x.shape),
+                              stack.rhs(x, control, grid[j], nonlinear))
 
 
 @settings(max_examples=50, deadline=None)
@@ -258,9 +301,9 @@ def test_lane_field_is_plant_rhs_beside_the_law(n, k, m, p, lanes, open_loop, pl
     y = rng.normal(size=(lanes, 2 * n + n * m))
     if open_loop:
         Gamma[0] = PB[0] = K0[0] = y[0, 2 * n:] = 0.0
-    grid = rng.normal(size=(int(rng.integers(1, 3 * FORCING_BLOCK)), p))
-    j = int(rng.integers(grid.shape[0]))
-    got = sim._lane_field(model, reference, config, grid, Gamma, PB, K0, open_loop)(j, y)
+    u_d = rng.normal(size=p)
+    field = sim._lane_field(model, reference, config, Gamma, PB, K0, open_loop)
+    got = field(np.hstack([y, np.tile(u_d, (lanes, 1)), np.ones((lanes, 1))]))
 
     nl = model.nl if plant_nl else None
     io = dict(B_g=model.B_g, C_out=model.C_out, output_labels=model.output_labels)
@@ -268,7 +311,7 @@ def test_lane_field_is_plant_rhs_beside_the_law(n, k, m, p, lanes, open_loop, pl
                          Plant(A=reference.A_m, B_c=np.zeros((n, m)),
                                nl=nl if ref_nl else None, **io))
     x, xm, theta = y[:, :n], y[:, n:2 * n], y[:, 2 * n:].reshape(lanes, n, m)
-    want = np.hstack([stack.rhs(y[:, :2 * n], sim._control(theta, x, K0), grid[j]),
+    want = np.hstack([stack.rhs(y[:, :2 * n], sim._control(theta, x, K0), u_d),
                       theta_rate(x - xm, x, Gamma, PB).reshape(lanes, -1)])
     assert got.shape == want.shape
     if open_loop:  # its reference model and gains stay exactly at rest
