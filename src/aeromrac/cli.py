@@ -244,12 +244,14 @@ def _output_index(cfg, rom) -> int:
     return sel
 
 
-def build_controller(cfg, rom, gamma: float | None = None):
+def build_controller(cfg, rom):
     """(reference, design, controller state with zero gains)."""
+    if rom.m == 0:
+        raise mrac.MracError("the plant has no control input: B_c has no columns")
     ctl = cfg["controller"]
     reference = mrac.build_reference_model(rom, ctl["damping"])
     Q = build_weighting(cfg, rom.n)
-    design = mrac.make_design(reference.A_m, Q, ctl["gamma"] if gamma is None else gamma, m=rom.m)
+    design = mrac.make_design(reference.A_m, Q, ctl["gamma"], m=rom.m)
     state = mrac.ControllerState(theta=np.zeros((rom.n, rom.m)), K0=np.zeros((rom.m, rom.n)))
     return reference, design, state
 
@@ -485,26 +487,27 @@ def cmd_simulate(cfg, outdir: Path, args) -> int:
 
 def _gamma_points(cfg, rom, grid, idx):
     """(metrics of output idx, error) per gamma point.  The points share one
-    gust; their closed loops run beside the open loop as the lanes of one
-    batch, reduced to metrics as they run (``sim.sweep_metrics``).  A gust,
-    config, controller, numerics or ROM error, each a ValueError, fails the
-    points it reaches."""
+    gust, one reference model and one Q and P; their closed loops run beside
+    the open loop as the lanes of one batch, reduced to metrics as they run
+    (``sim.sweep_metrics``).  A gust, config, controller, numerics or ROM
+    error, each a ValueError, fails the points it reaches."""
     try:
         gust = build_gust(cfg, cfg["seed"])
         config = sim_config(cfg)
+        reference, design, _ = build_controller(cfg, rom)
     except ValueError as exc:
         return [(None, str(exc))] * len(grid)
     results = [None] * len(grid)
-    lanes = []  # (point, reference, design, controller state)
+    lanes = []  # (point, design, controller state)
     for k, gamma in enumerate(grid):
         try:
-            reference, design, state = build_controller(cfg, rom, gamma=gamma)
+            lanes.append((k, mrac.LyapunovDesign(design.Q, design.P, gamma),
+                          mrac.ControllerState(theta=np.zeros((rom.n, rom.m)),
+                                               K0=np.zeros((rom.m, rom.n)))))
         except ValueError as exc:
             results[k] = (None, str(exc))
-        else:
-            lanes.append((k, reference, design, state))
     if lanes:
-        points, (reference, *_), designs, states = zip(*lanes)
+        points, designs, states = zip(*lanes)
         metrics = sim.sweep_metrics(rom, reference, designs, states, gust, config, idx)
         for k, m in zip(points, metrics):
             results[k] = (None, str(m)) if isinstance(m, sim.SimulationError) else (m, None)

@@ -8,8 +8,10 @@ state-feedback MRAC (Lavretsky & Wise, Robust and Adaptive Control, 2013).
 Gain-storage convention (fixed once to prevent transpose bugs): the adaptive
 gain matrix is theta = Kx^T in R^{n x m} acting on the regression vector
 phi = x, so u_c = theta^T x + K0 x.  ``theta_rate`` below is the adaptation
-law, with Gamma = gamma Q; ``sim._lane_field`` integrates u_c and the law
-from its two factors -Gamma x and e^T P B_c.
+law, with Gamma = gamma Q (``LyapunovDesign``).  The law does not read theta,
+so the simulator integrates theta + K0^T from theta(0) + K0^T, and
+``sim._lane_field`` writes u_c and the law, at each lane's own gamma, as
+product columns of one operator that every lane shares.
 """
 
 from __future__ import annotations
@@ -169,25 +171,28 @@ def ideal_gains(A, B_c, A_m, tol: float = 1e-8) -> MatchingResult:
 
 @dataclass(frozen=True)
 class LyapunovDesign:
-    """Weighting Q, Lyapunov solution P and adaptation-rate matrix Gamma.
-
-    With the gamma parameterization, Gamma = gamma Q follows the weighting
-    matrix.
-    """
+    """Weighting Q, Lyapunov solution P and adaptation rate gamma > 0, from
+    which the adaptation-rate matrix Gamma = gamma Q and its inverse follow."""
 
     Q: np.ndarray  # (n, n) SPD
     P: np.ndarray  # (n, n) SPD
-    Gamma: np.ndarray  # (n, n) SPD
-    gamma: float | None = None
-    Gamma_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    gamma: float
 
     def __post_init__(self):
-        for name, M in (("Q", self.Q), ("Gamma", self.Gamma)):
-            if not np.allclose(M, M.T, atol=1e-10):
-                raise MracError(f"{name} must be symmetric")
-            if np.linalg.eigvalsh(M).min() <= 0.0:
-                raise MracError(f"{name} must be positive-definite")
-        object.__setattr__(self, "Gamma_inv", np.linalg.inv(self.Gamma))
+        if not self.gamma > 0:
+            raise MracError("gamma must be positive")
+        if not np.allclose(self.Q, self.Q.T, atol=1e-10):
+            raise MracError("Q must be symmetric")
+        if np.linalg.eigvalsh(self.Q).min() <= 0.0:
+            raise MracError("Q must be positive-definite")
+
+    @property
+    def Gamma(self) -> np.ndarray:
+        return self.gamma * self.Q
+
+    @property
+    def Gamma_inv(self) -> np.ndarray:
+        return np.linalg.inv(self.Gamma)
 
     @property
     def lipschitz_bound(self) -> float:
@@ -198,15 +203,12 @@ class LyapunovDesign:
 
 
 def make_design(A_m: np.ndarray, Q: np.ndarray, gamma: float, m: int) -> LyapunovDesign:
-    """Solve A_m^T P + P A_m = -Q and build Gamma = gamma Q.
+    """Solve A_m^T P + P A_m = -Q for the design of rate gamma.
 
     ``m`` (the number of control inputs) does not enter the design; it is
     kept because the benchmark's checks (``perfbench/checks.py``) pass it."""
-    if gamma <= 0:
-        raise MracError("gamma must be positive")
     Q = np.asarray(Q, dtype=float)
-    P = solve_lyapunov(A_m, Q)
-    return LyapunovDesign(Q=Q, P=P, Gamma=gamma * Q, gamma=gamma)
+    return LyapunovDesign(Q=Q, P=solve_lyapunov(A_m, Q), gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +227,9 @@ def theta_rate(e, phi, Gamma, PB) -> np.ndarray:
     """Adaptation law theta_dot = -Gamma phi e^T P B_c, given PB = P B_c and
     the regressor phi = x.
 
-    Every argument may carry a leading lane axis, so that lanes with their
-    own Gamma (B, n, n) and P B_c (B, n, m) adapt in one call on errors
-    e (B, n) and regressors phi (B, n)."""
+    Every argument may carry a leading lane axis, so that lanes adapt in one
+    call on errors e (B, n) and regressors phi (B, n), each lane at its own
+    rate, Gamma = gamma_b Q (B, n, n), and with the P B_c (n, m) they share."""
     return -Gamma @ (phi[..., :, None] * (e[..., None, :] @ PB))
 
 

@@ -48,7 +48,7 @@ class SpectralDecomposition:
     """Biorthogonal eigendecomposition: Psi @ A @ Phi = diag(eigenvalues),
     Psi @ Phi = I.  Complex-conjugate pairs are adjacent (positive imaginary
     part first); ordering is deterministic (|Im| ascending, then Re
-    descending, then original index)."""
+    descending, then LAPACK's order)."""
 
     eigenvalues: np.ndarray  # (n,) complex
     right_basis: np.ndarray  # Phi, (N, n) complex
@@ -59,41 +59,8 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[0]
 
 
-def _order_spectrum(eigs: np.ndarray) -> np.ndarray:
-    """Deterministic ordering: |Im| ascending, Re descending, index; conjugate
-    pairs adjacent with the +Im member first."""
-    n = eigs.shape[0]
-    used = np.zeros(n, dtype=bool)
-    order: list[int] = []
-    # greedy conjugate pairing on the sorted stream
-    idx = sorted(range(n), key=lambda i: (abs(eigs[i].imag), -eigs[i].real, i))
-    for i in idx:
-        if used[i]:
-            continue
-        if abs(eigs[i].imag) < 1e-12:
-            used[i] = True
-            order.append(i)
-            continue
-        # find closest unused conjugate partner
-        best, best_d = -1, np.inf
-        for j in range(n):
-            if j == i or used[j]:
-                continue
-            d = abs(eigs[j] - np.conj(eigs[i]))
-            if d < best_d:
-                best, best_d = j, d
-        if best < 0:
-            raise NumericsError(f"eigenvalue {eigs[i]} has no conjugate partner")
-        used[i] = used[best] = True
-        if eigs[i].imag > 0:
-            order.extend([i, best])
-        else:
-            order.extend([best, i])
-    return np.array(order)
-
-
 def eig_biorthogonal(A: np.ndarray, cond_threshold: float = 1e8) -> SpectralDecomposition:
-    """Eigendecomposition with left/right bases rescaled so Psi @ Phi = I.
+    """Eigendecomposition with the left basis Psi = Phi^-1, so Psi @ Phi = I.
 
     Raises if the right eigenbasis is ill-conditioned (near-defective), naming
     the clustered eigenvalues.
@@ -111,24 +78,11 @@ def eig_biorthogonal(A: np.ndarray, cond_threshold: float = 1e8) -> SpectralDeco
             f"eigenbasis condition number {cond:.3e} exceeds {cond_threshold:.1e}; "
             f"clustered eigenvalues near {pair}"
         )
-    order = _order_spectrum(eigs)
-    eigs = eigs[order]
-    phi = phi[:, order]
-
-    # left eigenvectors from A^T, matched to the right spectrum then rescaled
-    eigs_l, psi_t = np.linalg.eig(A.T)
-    remaining = list(range(n))
-    cols = []
-    for lam in eigs:
-        j = min(remaining, key=lambda k: abs(eigs_l[k] - lam))
-        remaining.remove(j)
-        cols.append(j)
-    psi = psi_t[:, cols].T
-
-    # enforce Psi Phi = I (block solve handles repeated eigenvalues)
-    M = psi @ phi
-    psi = np.linalg.solve(M, psi)
-    return SpectralDecomposition(eigenvalues=eigs, right_basis=phi, left_basis=psi)
+    # LAPACK returns a real matrix's conjugate pairs exactly conjugate and
+    # adjacent, +Im first; a stable sort on (|Im|, -Re) keeps them so
+    order = np.lexsort((-eigs.real, np.abs(eigs.imag)))
+    eigs, phi = eigs[order], phi[:, order]
+    return SpectralDecomposition(eigenvalues=eigs, right_basis=phi, left_basis=np.linalg.inv(phi))
 
 
 def transmission_zeros(

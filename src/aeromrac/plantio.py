@@ -46,6 +46,8 @@ class ExternalPlantBundle(Plant):
     nl: PolyNonlinearity | None = field(default=None, init=False)
 
     def __post_init__(self):
+        if self.A.ndim != 2 or not self.A.size:
+            raise PlantIOError(f"field 'A': shape {self.A.shape} is not (n, n) with n >= 1")
         n = self.A.shape[0]
         checks = [
             ("A", self.A.shape, (n, n)),
@@ -171,13 +173,16 @@ def load_plant(path) -> ExternalPlantBundle:
     if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
         raise PlantIOError(f"{path}: metadata 'output_labels' is not a list of names")
     blocks = {name: _real(data, name, path) for name in ("A", "B_c", "B_g", "C_out", *flagged)}
-    return ExternalPlantBundle(
-        **blocks,
-        output_labels=tuple(labels),
-        name=meta.get("name", "external"),
-        provenance_hash=meta.get("provenance_hash", ""),
-        stable=bool(meta.get("stable", True)),
-    )
+    try:
+        return ExternalPlantBundle(
+            **blocks,
+            output_labels=tuple(labels),
+            name=meta.get("name", "external"),
+            provenance_hash=meta.get("provenance_hash", ""),
+            stable=bool(meta.get("stable", True)),
+        )
+    except PlantIOError as exc:
+        raise PlantIOError(f"{path}: {exc}") from exc
 
 
 def save_rom(rom: ReducedOrderModel, path) -> None:

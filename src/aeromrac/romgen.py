@@ -159,14 +159,14 @@ class PolyField:
     """The field f(y, u) = y L + u U + ((z P_1) * (z P_2) * (z P_3)) G as data,
     on rows z = [y | u | 1]: one product z W gives the linear part and the
     three factors, with P_3's offset c in the constant row, and [I; G] maps
-    the linear part and the triple product back.  W is stored transposed,
-    one operator per lane or one that every row shares."""
+    the linear part and the triple product back.  W is stored transposed, one
+    operator that every row shares."""
 
-    W: np.ndarray  # (B, N + 3K, Z) per lane or (N + 3K, Z) shared: W z^T
+    W: np.ndarray  # (N + 3K, Z): W z^T
     back: np.ndarray  # (N, N + K): [I; G]^T
 
     def __call__(self, z):
-        """f on a row z (Z,) or rows (..., R, Z), row r under lane r's operator."""
+        """f on a row z (Z,) or rows (..., Z)."""
         N, K = self.back.shape[0], self.back.shape[1] - self.back.shape[0]
         Y = (self.W @ z[..., None])[..., 0]
         F = Y[..., N:N + K]

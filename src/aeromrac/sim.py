@@ -1,14 +1,17 @@
 """Fixed-step closed-loop and open-loop time integration.
 
 One classical fourth-order Runge-Kutta kernel advances every run on B lanes,
-the unbatched open loop being B = 1: its field is a ``romgen.PolyField``,
-operators as data that take the gust samples as input coordinates, and its
-buffers hold the lanes on the minor axis.  A closed-loop lane is the row
-[x, x_m, vec theta]: plant and reference model are one Plant from
-``romgen.stack_plants``, and the control theta^T x and the adaptation law
-are product columns of the same field.  The open loop is lane 0 of the
-closed-loop batch: Gamma = 0, P B_c = 0, K0 = 0, theta(0) = 0 and no
-reference model keep its theta, u_c and x_m at exactly 0.
+the unbatched open loop being B = 1: its field is one ``romgen.PolyField``
+that every lane shares, an operator as data whose input coordinates are
+each lane's held coordinates and the gust samples, and its buffers hold the
+lanes on the minor axis.  A closed-loop lane is the row [x, x_m, vec theta]
+with the held coordinates (kappa, gamma) = (1, its adaptation rate): plant
+and reference model are one Plant from ``romgen.stack_plants``, and the
+control theta^T x, the adaptation law and the reference model's gust
+forcing kappa u_d are product columns of the same field.  theta holds the
+gains plus K0^T, since the law does not read theta.  The open loop is lane 0
+of the closed-loop batch: kappa = gamma = 0 and theta(0) = 0 keep its theta,
+u_c and x_m at exactly 0.
 """
 
 from __future__ import annotations
@@ -99,17 +102,18 @@ def _gust_grid(gust, config: SimulationConfig, p: int) -> np.ndarray:
 
 
 def _rk4(f, y, config: SimulationConfig, take=None):
-    """Classical RK4 of y' = field(y, u_d) on lanes y (B, N), with f =
-    (field, u_d): a ``romgen.PolyField`` whose inputs end with the p gust
-    coordinates, any others held at zero, and the gust (J, p) on the
-    half-step grid.  A lane that leaves the divergence bound fails alone.
+    """Classical RK4 of y' = field(y, held, u_d) on lanes y (B, N), with f =
+    (field, held, u_d): a ``romgen.PolyField`` on the rows [y | held | u_d | 1],
+    each lane's held coordinates (B, H) and the gust on the half-step grid,
+    whose first p columns are the field's p gust coordinates.  A lane that
+    leaves the divergence bound fails alone.
     Returns one (steps, states, error) per lane: the logged step numbers
     (T,), the logged states (T, N) and None; or, for a failed lane, its log
     up to that step, the diverged state included when finite, and the
     message.  With take, the logged states go instead to take(rows)
     CHUNK_ROWS rows at a time, (r, B, N) in a buffer that the next chunk
     overwrites, and each lane's error alone returns."""
-    (field, u_d), (B, N) = f, y.shape
+    (field, held, u_d), (B, N) = f, y.shape
     # any stride past the last step logs the two ends; np.arange takes none past int64
     dt, steps, stride = config.dt, config.n_steps, min(config.log_stride, config.n_steps)
     threshold = config.divergence_threshold
@@ -121,11 +125,12 @@ def _rk4(f, y, config: SimulationConfig, take=None):
     failed = {}  # lane -> message, or (steps, states, message) without take
     log[0] = y
     row = 1  # rows in the chunk
-    (C, Z), p = field.W.shape[-2:], u_d.shape[1]
+    (C, Z), H = field.W.shape, held.shape[1]
+    p = Z - N - H - 1  # the gust coordinates: none for a plant without gust input
     # lanes are columns: z[0] holds the state, z[1] a stage's input, k[i] = h_i f_i
     z, Y, k, s = np.zeros((2, Z, B)), np.empty((C, B)), np.empty((4, N, B)), np.empty((N, B))
-    x, inputs, gust, samples = z[0, :N], z[1, :N], z[:, Z - 1 - p:Z - 1], u_d[:, :, None]
-    z[:, -1], x[...], gust[...] = 1.0, y.T, samples[0]
+    x, inputs, gust, samples = z[0, :N], z[1, :N], z[:, Z - 1 - p:Z - 1], u_d[:, :p, None]
+    z[:, N:Z - 1 - p], z[:, -1], x[...], gust[...] = held.T, 1.0, y.T, samples[0]
     (F, F2, F3), Yv = Y[N:].reshape(3, -1, B), Y.T[:, :, None]
     Q = Y[:N + len(F)].T[:, :, None]  # the linear part and the triple product
     stages = [(z[min(i, 1)].T[:, :, None], h * field.back, k[i].T[:, :, None])
@@ -172,40 +177,38 @@ def _rk4(f, y, config: SimulationConfig, take=None):
     return [failed.get(b, (logged, log[:, b], None)) for b in range(B)]
 
 
-def _control(theta, x, K0):
-    """u_c = theta^T x + K0 x, with K0 given as K0^T in theta's (n, m) shape;
-    any leading axes are lanes or log rows."""
-    return (x[..., None, :] @ (theta + K0))[..., 0, :]
+def _control(theta, x):
+    """u_c = theta^T x; any leading axes are lanes or log rows."""
+    return (x[..., None, :] @ theta)[..., 0, :]
 
 
-def _failed_control(theta, x, K0):
+def _failed_control(theta, x):
     """_control over the log rows of a failed lane, whose diverged last row
-    can put theta^T x past the float range.  Each row's x and theta + K0 are
+    can put theta^T x past the float range.  Each row's x and theta are
     scaled by powers of two, which is exact, and a product past the range
     saturates at the largest float instead of overflowing to inf."""
     ex = np.frexp(np.abs(x).max(axis=-1))[1][:, None]
-    eg = np.frexp(np.abs(theta + K0).max(axis=(-2, -1)))[1][:, None]
-    u_c = _control(np.ldexp(theta, -eg[..., None]), np.ldexp(x, -ex),
-                   np.ldexp(K0, -eg[..., None]))
+    eg = np.frexp(np.abs(theta).max(axis=(-2, -1)))[1][:, None]
+    u_c = _control(np.ldexp(theta, -eg[..., None]), np.ldexp(x, -ex))
     with np.errstate(over="ignore"):
         u_c = np.ldexp(u_c, ex + eg)
     big = np.finfo(u_c.dtype).max
     return np.clip(u_c, -big, big)
 
 
-def _lane_field(model, reference: ReferenceModel, config: SimulationConfig, Gamma, PB, K0,
-                open_loop: bool = False):
-    """The closed loop on rows [x, x_m, vec theta | u_d | 1] as a PolyField,
-    one operator per lane from its Gamma, P B_c and K0^T: the stacked plant
-    and reference model give the linear block, B_c K0 folded in, and the
-    springs; the product columns x_i theta_ij map through B_c, and (-Gamma
-    x)_i (e^T P B_c)_j onto theta_ij (``mrac.theta_rate``).  With open_loop,
-    lane 0's A_m and its spring and gust rows on x_m are zero, so with zero
-    Gamma, P B_c and K0 its x_m and theta stay exactly 0."""
-    B, n, m = PB.shape
-    N, nm, ij = 2 * n + n * m, n * m, np.arange(n * m)
-    i, j = ij // m, ij % m
-    # the reference model is a plant that the measured gust alone drives (B_c = 0)
+def _lane_field(model, reference: ReferenceModel, config: SimulationConfig,
+                design: LyapunovDesign):
+    """The closed loop on rows [x, x_m, vec theta | kappa, gamma | u_d | 1]
+    as one PolyField that every lane shares: the stacked plant and reference
+    model give the linear block and the springs, and the product columns
+    x_i theta_ij map through B_c (u_c = theta^T x), (-Q x)_i (e^T P B_c)_j
+    gamma onto theta_ij (``mrac.theta_rate`` with Gamma = gamma Q) and
+    u_d kappa 1 through B_g onto x_m.  A lane with kappa = gamma = 0 whose
+    x_m and theta start at 0 keeps them at exactly 0: the open loop."""
+    n, m = model.B_c.shape
+    N, nm, ij, p = 2 * n + n * m, n * m, np.arange(n * m), model.p
+    i, j, PB = ij // m, ij % m, design.P @ model.B_c
+    # the reference model is a plant without control (B_c = 0); its gust reads kappa
     nl = model.nl if config.plant_nonlinear else None
     io = dict(B_g=model.B_g, C_out=model.C_out, output_labels=model.output_labels)
     plant = stack_plants(Plant(A=model.A, B_c=model.B_c, nl=nl, **io),
@@ -213,29 +216,31 @@ def _lane_field(model, reference: ReferenceModel, config: SimulationConfig, Gamm
                                nl=nl if config.reference_nonlinear else None, **io))
     springs, c, G_s = plant.springs()
     k = c.shape[0]
-    K, control, adapt = k + 2 * nm, k + ij, k + nm + ij  # product columns after the springs
-    W, G = np.zeros((B, N + 3 * K, N + plant.p + 1)), np.zeros((K, N))
-    rows = W.transpose(0, 2, 1)  # each lane's W: rows of the state, the gust and the constant
-    P = rows[..., N:].reshape(B, -1, 3, K)  # the columns of the three factors
-    rows[:, :2 * n, :2 * n], rows[:, N:-1, :2 * n] = plant.A.T, plant.B_g.T
-    rows[:, :n, :2 * n] += K0 @ plant.B_c.T
-    P[:, :2 * n, :, :k], P[:, -1, 2] = np.stack(springs, axis=1), np.append(c, np.ones(2 * nm))
-    P[:, i, 0, control] = P[:, 2 * n + ij, 1, control] = 1.0
-    P[:, :n, 0, adapt] = -Gamma[:, i].transpose(0, 2, 1)
-    P[:, :2 * n, 1, adapt] = np.hstack([PB, -PB])[:, :, j]  # e^T P B_c, e = x - x_m
-    G[:k, :2 * n], G[control, :2 * n], G[adapt, 2 * n + ij] = G_s, plant.B_c.T[j], 1.0
-    if open_loop:
-        rows[0, :, n:2 * n] = 0.0
-        P[0, ..., :k][..., G_s[:, n:].any(axis=1)] = 0.0
+    K = k + 2 * nm + p
+    # product columns after the springs; rows of z after the state
+    control, adapt, gust = k + ij, k + nm + ij, k + 2 * nm + np.arange(p)
+    kappa, gamma, u_d = N, N + 1, N + 2 + np.arange(p)
+    W, G = np.zeros((N + 3 * K, N + 2 + p + 1)), np.zeros((K, N))
+    rows = W.T  # one row per coordinate of z
+    P = rows[:, N:].reshape(-1, 3, K)  # the columns of the three factors
+    rows[:2 * n, :2 * n], rows[u_d, :n] = plant.A.T, model.B_g.T  # x_m's gust reads kappa
+    P[:2 * n, :, :k], P[-1, 2, :k] = np.stack(springs, axis=1), c
+    P[i, 0, control] = P[2 * n + ij, 1, control] = P[-1, 2, control] = 1.0
+    P[:n, 0, adapt], P[gamma, 2, adapt] = -design.Q[i].T, 1.0
+    P[:2 * n, 1, adapt] = np.vstack([PB, -PB])[:, j]  # e^T P B_c, e = x - x_m
+    P[u_d, 0, gust] = P[kappa, 1, gust] = P[-1, 2, gust] = 1.0
+    G[:k, :2 * n], G[control, :n], G[adapt, 2 * n + ij] = G_s, model.B_c.T[j], 1.0
+    G[gust, n:2 * n] = model.B_g.T
     return PolyField(W, np.hstack([np.eye(N), G.T]))
 
 
 def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
                  config: SimulationConfig, open_loop: bool = False, take=None):
     """One trace or SimulationError per (design, controller) lane from zero
-    state; the lanes are the rows (B, N) of one batch.  With open_loop the
-    open loop runs as lane 0 and its result comes first.  With take, only
-    each lane's error returns; the chunks of ``_rk4`` go to take(rows, K0^T)."""
+    state; the lanes are the rows (B, N) of one batch and share the first
+    design's Q and P.  With open_loop the open loop runs as lane 0 and its
+    result comes first.  With take, only each lane's error returns; the
+    chunks of ``_rk4`` go to take(rows)."""
     n, m = model.B_c.shape
     if not designs or len(designs) != len(controllers):
         raise ValueError("a batch needs one controller per design")
@@ -243,20 +248,17 @@ def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
         raise ValueError("reference model dimension does not match the plant")
     if any(np.shape(c.theta) != (n, m) for c in controllers):
         raise ValueError(f"controller theta must have shape {(n, m)}")
+    if any(not (np.array_equal(d.Q, designs[0].Q) and np.array_equal(d.P, designs[0].P))
+           for d in designs):
+        raise ValueError("the designs of a batch must share the first lane's Q and P")
     off = 1 if open_loop else 0  # lanes before the first closed lane
-    dt, lanes = config.dt, len(designs) + off
-    u_d_grid = _gust_grid(gust, config, model.B_g.shape[1])
-    Gamma = np.stack([d.Gamma for d in designs])
-    PB = np.stack([d.P @ model.B_c for d in designs])
-    K0 = np.stack([c.K0.T for c in controllers])
-    theta0 = np.stack([np.ravel(c.theta) for c in controllers])
-    if open_loop:  # Gamma = 0, P B_c = 0, K0 = 0 and theta(0) = 0 in lane 0
-        Gamma, PB, K0, theta0 = (np.concatenate([np.zeros_like(a[:1]), a])
-                                 for a in (Gamma, PB, K0, theta0))
-    y = np.hstack([np.zeros((lanes, 2 * n)), theta0])
-    run = (_lane_field(model, reference, config, Gamma, PB, K0, open_loop), u_d_grid)
+    dt, u_d_grid = config.dt, _gust_grid(gust, config, model.B_g.shape[1])
+    held = np.array([(0.0, 0.0)] * off + [(1.0, d.gamma) for d in designs])  # kappa, gamma
+    y = np.zeros((off + len(designs), 2 * n + n * m))
+    y[off:, 2 * n:] = [np.ravel(c.theta + c.K0.T) for c in controllers]
+    run = (_lane_field(model, reference, config, designs[0]), held, u_d_grid)
     if take is not None:
-        return _rk4(run, y, config, lambda rows: take(rows, K0))
+        return _rk4(run, y, config, take)
 
     results = []
     for b, (steps, ys, error) in enumerate(_rk4(run, y, config)):
@@ -264,8 +266,9 @@ def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
         x, closed = ys[:, :n].copy() if b < off else ys[:, :n], {}
         if b >= off:
             xm, theta = ys[:, n:2 * n], ys[:, 2 * n:].reshape(-1, n, m)
-            control = _control if error is None else _failed_control
-            closed = dict(x_m=xm, e=x - xm, theta=theta, u_c=control(theta, x, K0[b]))
+            u_c = (_control if error is None else _failed_control)(theta, x)
+            theta -= controllers[b - off].K0.T  # the gains, in place in the log
+            closed = dict(x_m=xm, e=x - xm, theta=theta, u_c=u_c)
             if error is None:
                 controllers[b - off].theta = theta[-1].copy()
         trace = SimulationTrace(time=steps * dt, x=x, outputs=x @ model.C_out.T,
@@ -319,7 +322,8 @@ def integrate_open_loop(model, gust, config: SimulationConfig,
     _check_dt(config, model.A)
     u_d = _gust_grid(gust, config, model.p)
     x = np.zeros((1, model.n)) if x0 is None else np.array(x0, dtype=float)[None]
-    ((steps, xs, error),) = _rk4((model.field(config.plant_nonlinear), u_d), x, config)
+    run = (model.field(config.plant_nonlinear), np.zeros((1, model.m)), u_d)  # u_c = 0
+    ((steps, xs, error),) = _rk4(run, x, config)
     trace = SimulationTrace(
         time=steps * config.dt, x=xs, outputs=xs @ model.C_out.T, u_d=u_d[2 * steps],
         output_labels=model.output_labels, diverged=error is not None,
@@ -402,14 +406,14 @@ def sweep_metrics(model, reference: ReferenceModel, designs, controllers, gust,
     n, m = model.B_c.shape
     C_T, sums = model.C_out.T, None
 
-    def take(rows, K0):
+    def take(rows):
         nonlocal sums
         x, theta = rows[..., :n], rows[..., 2 * n:].reshape(rows.shape[:2] + (n, m))
         # each row's figures as a trace forms them, whatever chunk holds the
         # row; e is squared in place, as np.linalg.norm sums it
         e = x - rows[..., n:2 * n]
         e = np.sqrt(np.multiply(e, e, out=e).sum(axis=-1))
-        chunk = _stats((x @ C_T)[..., output], _control(theta, x, K0), e)
+        chunk = _stats((x @ C_T)[..., output], _control(theta, x), e)
         sums = chunk if sums is None else np.vstack(  # maxima, sums, the last ||e||
             [np.maximum(sums[:3], chunk[:3]), sums[3:5] + chunk[3:5], chunk[5:]])
 

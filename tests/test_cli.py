@@ -234,6 +234,10 @@ _BAD_PLANT_FILES = [
                  "matrix block 'A' holds complex128 entries", id="bundle-complex-A"),
     pytest.param("bundle", _bundle_bytes(A=-np.eye(2, dtype=int)), cli.EXIT_OK, "",
                  id="bundle-integer-A"),
+    pytest.param("bundle", _bundle_bytes(A=np.array(-1.0)), cli.EXIT_CONFIG,
+                 "field 'A': shape () is not (n, n)", id="bundle-scalar-A"),
+    pytest.param("bundle", _bundle_bytes(A=np.zeros((0, 0))), cli.EXIT_CONFIG,
+                 "field 'A': shape (0, 0) is not (n, n) with n >= 1", id="bundle-empty-A"),
     pytest.param("params", b"- 1\n- 2\n", cli.EXIT_CONFIG, "expected a mapping",
                  id="params-list"),
     pytest.param("params", b"section: {mu: 300.0, typo: 1.0}\n", cli.EXIT_CONFIG,
@@ -263,6 +267,24 @@ def test_bad_plant_file_names_the_file(tmp_path, capsys, command, kind, contents
     assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
     assert message in err and (code != cli.EXIT_CONFIG or str(path) in err)
+
+
+def test_plant_without_control_input_is_a_validation_error(tmp_path, capsys):
+    # B_c of shape (n, 0) loads and reduces, but no controller can act on it
+    path = tmp_path / "plant.npz"
+    save_plant(ExternalPlantBundle(A=-np.eye(2), B_c=np.zeros((2, 0)), B_g=np.ones((2, 1)),
+                                   C_out=np.eye(1, 2), output_labels=("y",)), path)
+    cfg = write_config(tmp_path / "run.yaml", plant={"source": "external", "bundle": str(path)},
+                       rom={"n": 2, "n_real": 2}, sweep={"axis": "gamma", "grid": [0.5, 1.0]})
+    for command in ("validate", "rom-build"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+    assert cli.main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "sim")]) == cli.EXIT_VALIDATION
+    assert "no control input" in capsys.readouterr().err
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == cli.EXIT_OK
+    header, rows = read_csv(tmp_path / "sw" / "sweep.csv")
+    assert [r[header.index("status")] for r in rows] == [
+        "error: the plant has no control input: B_c has no columns"] * 2
 
 
 # each malformed value stops the command with exit 3 before any integration
@@ -727,12 +749,13 @@ class TestSweep:
         chunk_log = chunk * (len(grid) + 1) * (2 * rom.n + rom.n * rom.m) * 8
         assert peaks[-1] - peaks[0] < chunk_log, (peaks, chunk_log)
 
-    def test_peak_memory_per_lane_is_its_chunk_log_and_operator(self, tmp_path, monkeypatch,
-                                                                fom, rom):
+    def test_peak_memory_per_lane_is_its_chunk_log_and_half_an_operator(self, tmp_path,
+                                                                        monkeypatch, fom, rom):
         # from 7 to 64 lanes a sweep's traced peak grows by less than the added
-        # lanes' chunk logs and twice their operators: each lane's W, and as
-        # much again for its design, gains and stage buffers.  Nothing a lane
-        # holds grows with the gust grid, here 1 201 half steps.
+        # lanes' chunk logs and half an operator W each: the lanes share one W,
+        # and a lane's design, gains and stage buffers take less than half of
+        # one.  Nothing a lane holds grows with the gust grid, here 1 201 half
+        # steps.
         chunk = 16
         monkeypatch.setattr(cli.sim, "CHUNK_ROWS", chunk)
         monkeypatch.setattr(cli, "build_plant", lambda cfg: (fom, rom, None))
@@ -749,11 +772,11 @@ class TestSweep:
                 peaks[lanes] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # a lane's state [x, x_m, vec theta]; its product columns are the
-        # springs of plant and reference model, then u_c and the law
+        # a lane's state [x, x_m, vec theta]; an operator's product columns are
+        # the springs of plant and reference model, then u_c and the law
         N, K = 2 * rom.n + rom.n * rom.m, 2 * rom.nl.H.shape[0] + 2 * rom.n * rom.m
         operator = (N + 3 * K) * (N + rom.p + 1) * 8
-        budget = (64 - 7) * (chunk * N * 8 + 2 * operator)
+        budget = (64 - 7) * (chunk * N * 8 + operator / 2)
         assert peaks[64] - peaks[7] < budget, (peaks, budget)
 
     def test_too_short_gust_point_becomes_error_row(self, tmp_path):

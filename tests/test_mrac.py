@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from aeromrac.mrac import (
+    LyapunovDesign,
     MracError,
     build_reference_model,
     ideal_gains,
@@ -131,6 +132,8 @@ class TestDesign:
     def test_nonpositive_gamma_rejected(self):
         with pytest.raises(MracError, match="gamma"):
             make_design(-np.eye(2), np.eye(2), gamma=0.0, m=1)
+        with pytest.raises(MracError, match="gamma"):
+            LyapunovDesign(np.eye(2), np.eye(2), gamma=0)
 
     def test_indefinite_q_rejected(self):
         with pytest.raises(MracError, match="positive-definite"):

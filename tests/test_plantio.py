@@ -41,6 +41,9 @@ class TestBundleValidation:
             _bundle(C_out=np.zeros((1, 3)))
         with pytest.raises(PlantIOError, match="'quad'"):
             _bundle(quad=np.zeros(5))
+        for A in (np.array(-1.0), np.zeros((0, 0)), np.zeros((0, 2)), np.array([-1.0])):
+            with pytest.raises(PlantIOError, match="field 'A'"):
+                _bundle(A=A)
 
     def test_input_matrices_must_be_2d(self, tmp_path):
         with pytest.raises(PlantIOError, match="'B_c'"):

@@ -20,6 +20,7 @@ from aeromrac.gusts import OneCosineGust
 from aeromrac import sim
 from aeromrac.mrac import (
     ControllerState,
+    LyapunovDesign,
     ReferenceModel,
     build_reference_model,
     make_design,
@@ -290,20 +291,24 @@ def test_stack_rhs_is_its_parts_rhs(parts, m, p, rows, seed, nonlinear):
        ref_nl=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_lane_field_is_plant_rhs_beside_the_law(n, k, m, p, lanes, open_loop, plant_nl,
                                                 ref_nl, seed):
-    # each lane has its own Gamma, P B_c, K0^T and theta; with open_loop, lane
-    # 0 is the open lane: zero Gamma, P B_c, K0 and theta
+    # every lane reads the one operator with its own gamma and theta; with
+    # open_loop, lane 0 is the open lane: kappa = gamma = 0, x_m = theta = 0
     rng = np.random.default_rng(seed)
     model = _random_plant(rng, n, k, m, p)
     reference = ReferenceModel(A_m=rng.normal(size=(n, n)), damping=())
     config = SimulationConfig(dt=0.01, duration=1.0, plant_nonlinear=plant_nl,
                               reference_nonlinear=ref_nl)
-    Gamma, PB, K0 = (rng.normal(size=(lanes, n, c)) for c in (n, m, m))
+    R = rng.normal(size=(n, n))
+    design = LyapunovDesign(Q=R @ R.T + np.eye(n), P=rng.normal(size=(n, n)), gamma=1.0)
+    kappa, gamma = np.ones(lanes), rng.uniform(0.01, 2.0, size=lanes)
     y = rng.normal(size=(lanes, 2 * n + n * m))
     if open_loop:
-        Gamma[0] = PB[0] = K0[0] = y[0, 2 * n:] = 0.0
+        kappa[0] = gamma[0] = y[0, n:] = 0.0
     u_d = rng.normal(size=p)
-    field = sim._lane_field(model, reference, config, Gamma, PB, K0, open_loop)
-    got = field(np.hstack([y, np.tile(u_d, (lanes, 1)), np.ones((lanes, 1))]))
+    field = sim._lane_field(model, reference, config, design)
+    assert field.W.ndim == 2
+    got = field(np.hstack([y, kappa[:, None], gamma[:, None], np.tile(u_d, (lanes, 1)),
+                           np.ones((lanes, 1))]))
 
     nl = model.nl if plant_nl else None
     io = dict(B_g=model.B_g, C_out=model.C_out, output_labels=model.output_labels)
@@ -311,8 +316,9 @@ def test_lane_field_is_plant_rhs_beside_the_law(n, k, m, p, lanes, open_loop, pl
                          Plant(A=reference.A_m, B_c=np.zeros((n, m)),
                                nl=nl if ref_nl else None, **io))
     x, xm, theta = y[:, :n], y[:, n:2 * n], y[:, 2 * n:].reshape(lanes, n, m)
-    want = np.hstack([stack.rhs(y[:, :2 * n], sim._control(theta, x, K0), u_d),
-                      theta_rate(x - xm, x, Gamma, PB).reshape(lanes, -1)])
+    Gamma = gamma[:, None, None] * design.Q
+    want = np.hstack([stack.rhs(y[:, :2 * n], sim._control(theta, x), u_d),
+                      theta_rate(x - xm, x, Gamma, design.P @ model.B_c).reshape(lanes, -1)])
     assert got.shape == want.shape
     if open_loop:  # its reference model and gains stay exactly at rest
         assert np.all(got[0, n:] == 0.0)

@@ -133,6 +133,21 @@ class TestOpenLoop:
         assert f"t = {trace.time[-1]:.6g} " in str(exc.value)
 
 
+    def test_plant_without_gust_input_is_not_driven(self):
+        # B_g of shape (n, 0): the gust reaches no coordinate of the field,
+        # neither the control nor a gain
+        plant = Plant(A=-np.eye(2), B_c=np.ones((2, 1)), B_g=np.zeros((2, 0)),
+                      C_out=np.eye(1, 2), output_labels=("y",))
+        gust, cfg = OneCosineGust(0.5, 2.0, 1.0), SimulationConfig(dt=0.02, duration=6.0)
+        assert np.all(integrate_open_loop(plant, gust, cfg).x == 0.0)
+        ref = ReferenceModel(A_m=-2.0 * np.eye(2), damping=())
+        state = ControllerState(theta=np.zeros((2, 1)), K0=np.zeros((1, 2)))
+        opened, (closed,) = integrate_open_and_closed(
+            plant, ref, [make_design(ref.A_m, np.eye(2), gamma=0.5, m=1)], [state], gust, cfg)
+        assert np.all(opened.x == 0.0) and np.all(closed.x == 0.0)
+        assert np.all(closed.theta == 0.0) and np.all(closed.u_c == 0.0)
+
+
 class TestClosedLoop:
     def test_zero_gust_zero_gains_stay_zero(self, rom):
         ref, design, state = _controller(rom)
@@ -147,6 +162,19 @@ class TestClosedLoop:
         cfg = SimulationConfig(dt=0.01, duration=1.0)
         with pytest.raises(ValueError, match="dimension"):
             integrate_closed_loop(plant, ref, design, state, ZeroGust(), cfg)
+
+    def test_batch_refuses_designs_that_differ_in_q_or_p(self, rom):
+        ref, design, _ = _controller(rom)
+        states = [ControllerState(theta=np.zeros((rom.n, 1)), K0=np.zeros((1, rom.n)))
+                  for _ in range(2)]
+        cfg = SimulationConfig(dt=0.01, duration=1.0)
+        for other in (LyapunovDesign(2.0 * design.Q, design.P, design.gamma),
+                      LyapunovDesign(design.Q, 2.0 * design.P, design.gamma)):
+            with pytest.raises(ValueError, match="Q and P"):
+                integrate_open_and_closed(rom, ref, [design, other], states, ZeroGust(), cfg)
+        # a lane of its own rate shares the batch
+        other = LyapunovDesign(design.Q.copy(), design.P.copy(), 2.0)
+        integrate_open_and_closed(rom, ref, [design, other], states, ZeroGust(), cfg)
 
     def test_deterministic(self, rom):
         cfg = SimulationConfig(dt=0.02, duration=10.0)
@@ -187,7 +215,7 @@ class TestClosedLoop:
         plant = Plant(A=np.zeros((1, 1)), B_c=np.ones((1, 1)), B_g=np.ones((1, 1)),
                       C_out=np.eye(1), output_labels=("y",))
         ref = ReferenceModel(A_m=-np.eye(1), damping=())
-        design = LyapunovDesign(Q=np.eye(1), P=np.eye(1), Gamma=6e166 * np.eye(1))
+        design = LyapunovDesign(Q=np.eye(1), P=np.eye(1), gamma=6e166)
         state = ControllerState(theta=np.full((1, 1), 1e80), K0=np.zeros((1, 1)))
         cfg = SimulationConfig(dt=0.01, duration=1.0)
         with warnings.catch_warnings():
