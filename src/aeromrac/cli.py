@@ -244,16 +244,22 @@ def _output_index(cfg, rom) -> int:
     return sel
 
 
+def _require_gust_input(model):
+    """Refuse a plant that no gust drives: its gust responses are all zero."""
+    if model.p == 0:
+        raise PlantError("the plant has no gust input: B_g has no columns")
+
+
 def build_controller(cfg, rom):
-    """(reference, design, controller state with zero gains)."""
+    """(reference, design); every lane starts from zero gains."""
     if rom.m == 0:
         raise mrac.MracError("the plant has no control input: B_c has no columns")
+    _require_gust_input(rom)
     ctl = cfg["controller"]
     reference = mrac.build_reference_model(rom, ctl["damping"])
     Q = build_weighting(cfg, rom.n)
     design = mrac.make_design(reference.A_m, Q, ctl["gamma"], m=rom.m)
-    state = mrac.ControllerState(theta=np.zeros((rom.n, rom.m)), K0=np.zeros((rom.m, rom.n)))
-    return reference, design, state
+    return reference, design
 
 
 def sim_config(cfg) -> sim.SimulationConfig:
@@ -373,6 +379,7 @@ def cmd_gust_gen(cfg, outdir: Path, args) -> int:
 
 def cmd_rom_build(cfg, outdir: Path, args) -> int:
     full, rom, _ = build_plant(cfg)
+    _require_gust_input(rom)  # the validation compares gust responses
     plantio.save_rom(rom, outdir / "rom.npz")
 
     gust = build_gust(cfg, cfg["seed"])
@@ -424,9 +431,9 @@ def cmd_simulate(cfg, outdir: Path, args) -> int:
     idx = _output_index(cfg, rom)
     gust = build_gust(cfg, cfg["seed"])
     config = sim_config(cfg)
-    reference, design, state = build_controller(cfg, rom)
-    tr_open, (tr_closed,) = sim.integrate_open_and_closed(rom, reference, [design], [state],
-                                                          gust, config)
+    reference, design = build_controller(cfg, rom)
+    tr_open, (tr_closed,) = sim.integrate_open_and_closed(
+        rom, reference, [design], [np.zeros((rom.n, rom.m))], gust, config)
     for result in (tr_open, tr_closed):  # an open loop that diverged is reported first
         if isinstance(result, sim.SimulationError):
             header, rows = trace_columns(result.trace)
@@ -494,21 +501,20 @@ def _gamma_points(cfg, rom, grid, idx):
     try:
         gust = build_gust(cfg, cfg["seed"])
         config = sim_config(cfg)
-        reference, design, _ = build_controller(cfg, rom)
+        reference, design = build_controller(cfg, rom)
     except ValueError as exc:
         return [(None, str(exc))] * len(grid)
     results = [None] * len(grid)
-    lanes = []  # (point, design, controller state)
+    lanes = []  # (point, design)
     for k, gamma in enumerate(grid):
         try:
-            lanes.append((k, mrac.LyapunovDesign(design.Q, design.P, gamma),
-                          mrac.ControllerState(theta=np.zeros((rom.n, rom.m)),
-                                               K0=np.zeros((rom.m, rom.n)))))
+            lanes.append((k, mrac.LyapunovDesign(design.Q, design.P, gamma)))
         except ValueError as exc:
             results[k] = (None, str(exc))
     if lanes:
-        points, designs, states = zip(*lanes)
-        metrics = sim.sweep_metrics(rom, reference, designs, states, gust, config, idx)
+        points, designs = zip(*lanes)
+        thetas = [np.zeros((rom.n, rom.m))] * len(designs)
+        metrics = sim.sweep_metrics(rom, reference, designs, thetas, gust, config, idx)
         for k, m in zip(points, metrics):
             results[k] = (None, str(m)) if isinstance(m, sim.SimulationError) else (m, None)
     return results

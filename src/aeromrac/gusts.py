@@ -36,7 +36,6 @@ class OneCosineGust:
     w_gmax: float
     H_g: float
     U_inf: float = 1.0
-    kind: str = "one-cosine"
 
     def __post_init__(self):
         if self.H_g <= 0 or self.U_inf <= 0:
@@ -52,9 +51,6 @@ class OneCosineGust:
 
 @dataclass(frozen=True)
 class ZeroGust:
-    kind: str = "zero"
-    duration: float = 0.0
-
     def __call__(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
@@ -174,7 +170,6 @@ class VonKarmanGust:
     dt: float
     duration: float
     seed: int
-    kind: str = "von-karman"
     time: np.ndarray = field(init=False, repr=False, compare=False)
     samples: np.ndarray = field(init=False, repr=False, compare=False)
     short_duration: bool = field(init=False, compare=False)

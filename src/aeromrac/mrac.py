@@ -7,11 +7,11 @@ reference model is driven by the measured gust.  So the controller is
 state-feedback MRAC (Lavretsky & Wise, Robust and Adaptive Control, 2013).
 Gain-storage convention (fixed once to prevent transpose bugs): the adaptive
 gain matrix is theta = Kx^T in R^{n x m} acting on the regression vector
-phi = x, so u_c = theta^T x + K0 x.  ``theta_rate`` below is the adaptation
-law, with Gamma = gamma Q (``LyapunovDesign``).  The law does not read theta,
-so the simulator integrates theta + K0^T from theta(0) + K0^T, and
-``sim._lane_field`` writes u_c and the law, at each lane's own gamma, as
-product columns of one operator that every lane shares.
+phi = x, so u_c = theta^T x.  ``theta_rate`` below is the adaptation law,
+with Gamma = gamma Q (``LyapunovDesign``).  The law does not read theta, so
+a fixed pre-gain K0 (``minimum_phase_correct``) is part of the initial gains,
+theta(0) = K0^T, and ``sim._lane_field`` writes u_c and the law, at each
+lane's own gamma, as product columns of one operator that every lane shares.
 """
 
 from __future__ import annotations
@@ -41,13 +41,9 @@ class MracError(ValueError):
 
 @dataclass(frozen=True)
 class ReferenceModel:
-    """Damping-augmented Hurwitz reference dynamics in real block-modal form.
-
-    ``damping`` records one (sigma_m, omega_dm, zeta_m) triple per mode (real
-    modes carry omega_dm = 0)."""
+    """Damping-augmented Hurwitz reference dynamics in real block-modal form."""
 
     A_m: np.ndarray  # (n, n)
-    damping: tuple[tuple[float, float, float], ...]
 
 
 def _modal_blocks(A: np.ndarray):
@@ -95,12 +91,7 @@ def build_reference_model(
             raise MracError(f"damping spec names unknown oscillatory mode(s) {bad}")
 
     A_m = A.copy()
-    damping: list[tuple[float, float, float]] = []
-    for start, size in blocks:
-        if size == 1:
-            damping.append((-A[start, start], 0.0, 1.0))
-            continue
-        ordinal = osc.index((start, size))
+    for ordinal, (start, _) in enumerate(osc):
         sigma = -A[start, start]
         omega = abs(A[start, start + 1])
         entry = spec.get(ordinal)
@@ -119,15 +110,13 @@ def build_reference_model(
         A_m[start, start] = A_m[start + 1, start + 1] = -sigma_m
         A_m[start, start + 1] = np.sign(A[start, start + 1]) * omega_m
         A_m[start + 1, start] = -A_m[start, start + 1]
-        mag = np.hypot(sigma_m, omega_m)
-        damping.append((sigma_m, omega_m, sigma_m / mag if mag > 0 else 1.0))
 
     eigs = np.linalg.eigvals(A_m)
     if eigs.real.max() >= 0.0:
         worst = eigs[np.argmax(eigs.real)]
         raise MracError(f"reference model is not Hurwitz: eigenvalue {worst}")
 
-    return ReferenceModel(A_m=A_m, damping=tuple(damping))
+    return ReferenceModel(A_m=A_m)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +202,6 @@ def make_design(A_m: np.ndarray, Q: np.ndarray, gamma: float, m: int) -> Lyapuno
 
 # ---------------------------------------------------------------------------
 # adaptation law
-
-
-@dataclass
-class ControllerState:
-    """Adaptive gains plus the fixed pre-gain; advanced by the simulator."""
-
-    theta: np.ndarray  # (n, m)
-    K0: np.ndarray  # (m, n) minimum-phase / pre-stabilisation gain
 
 
 def theta_rate(e, phi, Gamma, PB) -> np.ndarray:

@@ -240,8 +240,6 @@ def load_rom(path, source_path=None) -> ReducedOrderModel:
     modes = tuple(
         ModeInfo(
             eigenvalue=complex(lam),
-            frequency=abs(lam.imag),
-            damping_ratio=float(-lam.real / abs(lam)) if abs(lam) > 0 else 0.0,
             kind=kind,
             gust_participation=float(pp),
         )

@@ -25,8 +25,6 @@ class RomError(ValueError):
 @dataclass(frozen=True)
 class ModeInfo:
     eigenvalue: complex
-    frequency: float  # |Im lambda|
-    damping_ratio: float  # -Re / |lambda|
     kind: str  # "oscillatory" | "real-gust"
     gust_participation: float
 
@@ -286,8 +284,6 @@ def build_nrom(fom, modes: list[int], decomp: SpectralDecomposition | None = Non
         infos.append(
             ModeInfo(
                 eigenvalue=complex(lam),
-                frequency=abs(lam.imag),
-                damping_ratio=float(-lam.real / abs(lam)) if abs(lam) > 0 else 0.0,
                 kind=kind,
                 gust_participation=float(pp),
             )

@@ -8,10 +8,10 @@ lanes on the minor axis.  A closed-loop lane is the row [x, x_m, vec theta]
 with the held coordinates (kappa, gamma) = (1, its adaptation rate): plant
 and reference model are one Plant from ``romgen.stack_plants``, and the
 control theta^T x, the adaptation law and the reference model's gust
-forcing kappa u_d are product columns of the same field.  theta holds the
-gains plus K0^T, since the law does not read theta.  The open loop is lane 0
-of the closed-loop batch: kappa = gamma = 0 and theta(0) = 0 keep its theta,
-u_c and x_m at exactly 0.
+forcing kappa u_d are product columns of the same field.  A lane's gains
+start from its theta(0), which holds any fixed pre-gain, as the law does
+not read theta.  The open loop is lane 0 of the closed-loop batch: kappa =
+gamma = 0 and theta(0) = 0 keep its theta, u_c and x_m at exactly 0.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mrac import ControllerState, LyapunovDesign, ReferenceModel
+from .mrac import LyapunovDesign, ReferenceModel
 from .romgen import Plant, PolyField, stack_plants
 
 DIVERGENCE_DEFAULT = 1e8
@@ -234,20 +234,20 @@ def _lane_field(model, reference: ReferenceModel, config: SimulationConfig,
     return PolyField(W, np.hstack([np.eye(N), G.T]))
 
 
-def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
+def _closed_loop(model, reference: ReferenceModel, designs, thetas, gust,
                  config: SimulationConfig, open_loop: bool = False, take=None):
-    """One trace or SimulationError per (design, controller) lane from zero
+    """One trace or SimulationError per (design, theta(0)) lane from zero
     state; the lanes are the rows (B, N) of one batch and share the first
     design's Q and P.  With open_loop the open loop runs as lane 0 and its
     result comes first.  With take, only each lane's error returns; the
     chunks of ``_rk4`` go to take(rows)."""
     n, m = model.B_c.shape
-    if not designs or len(designs) != len(controllers):
-        raise ValueError("a batch needs one controller per design")
+    if not designs or len(designs) != len(thetas):
+        raise ValueError("a batch needs one theta(0) per design")
     if reference.A_m.shape != (n, n):
         raise ValueError("reference model dimension does not match the plant")
-    if any(np.shape(c.theta) != (n, m) for c in controllers):
-        raise ValueError(f"controller theta must have shape {(n, m)}")
+    if any(np.shape(theta) != (n, m) for theta in thetas):
+        raise ValueError(f"theta(0) must have shape {(n, m)}")
     if any(not (np.array_equal(d.Q, designs[0].Q) and np.array_equal(d.P, designs[0].P))
            for d in designs):
         raise ValueError("the designs of a batch must share the first lane's Q and P")
@@ -255,7 +255,7 @@ def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
     dt, u_d_grid = config.dt, _gust_grid(gust, config, model.B_g.shape[1])
     held = np.array([(0.0, 0.0)] * off + [(1.0, d.gamma) for d in designs])  # kappa, gamma
     y = np.zeros((off + len(designs), 2 * n + n * m))
-    y[off:, 2 * n:] = [np.ravel(c.theta + c.K0.T) for c in controllers]
+    y[off:, 2 * n:] = [np.ravel(theta) for theta in thetas]
     run = (_lane_field(model, reference, config, designs[0]), held, u_d_grid)
     if take is not None:
         return _rk4(run, y, config, take)
@@ -267,10 +267,7 @@ def _closed_loop(model, reference: ReferenceModel, designs, controllers, gust,
         if b >= off:
             xm, theta = ys[:, n:2 * n], ys[:, 2 * n:].reshape(-1, n, m)
             u_c = (_control if error is None else _failed_control)(theta, x)
-            theta -= controllers[b - off].K0.T  # the gains, in place in the log
             closed = dict(x_m=xm, e=x - xm, theta=theta, u_c=u_c)
-            if error is None:
-                controllers[b - off].theta = theta[-1].copy()
         trace = SimulationTrace(time=steps * dt, x=x, outputs=x @ model.C_out.T,
                                 u_d=u_d_grid[2 * steps], output_labels=model.output_labels,
                                 diverged=error is not None, **closed)
@@ -282,7 +279,7 @@ def integrate_closed_loop(
     model,
     reference: ReferenceModel,
     design: LyapunovDesign,
-    controller: ControllerState,
+    theta0: np.ndarray,
     gust,
     config: SimulationConfig,
 ) -> SimulationTrace:
@@ -290,28 +287,26 @@ def integrate_closed_loop(
 
     The measured gust drives both the plant and the reference model; the
     nonlinear residual enters both (Eq. 4/5 structure) unless disabled via the
-    config flags.  Both start from zero; there is no reference command
-    (gust-load-alleviation regulation).  The final gains are written back to
-    ``controller.theta``."""
+    config flags.  Both start from zero and the gains from theta0 (n, m);
+    there is no reference command (gust-load-alleviation regulation)."""
     _check_dt(config, model.A, reference.A_m)
-    (result,) = _closed_loop(model, reference, [design], [controller], gust, config)
+    (result,) = _closed_loop(model, reference, [design], [theta0], gust, config)
     if isinstance(result, SimulationError):
         raise result
     return result
 
 
 def integrate_open_and_closed(model, reference: ReferenceModel, designs,
-                              controllers, gust, config: SimulationConfig):
-    """The open loop and one closed loop per (design, controller) pair under
+                              thetas, gust, config: SimulationConfig):
+    """The open loop and one closed loop per (design, theta(0)) pair under
     one gust, run from zero state as the lanes of one batch, lane 0 the open.
 
     Returns (open, closed): the open-loop trace, as ``integrate_open_loop``
     gives it, and a list of closed-loop traces; a run that diverged is a
     SimulationError carrying its partial trace instead.  A lane fails alone,
-    the open lane on its plant state x alone.  The final gains of each
-    finished closed loop are written back to its controller."""
+    the open lane on its plant state x alone."""
     _check_dt(config, model.A, reference.A_m)
-    opened, *closed = _closed_loop(model, reference, list(designs), list(controllers), gust,
+    opened, *closed = _closed_loop(model, reference, list(designs), list(thetas), gust,
                                    config, open_loop=True)
     return opened, closed
 
@@ -395,7 +390,7 @@ def compute_metrics(open_trace: SimulationTrace, closed_trace: SimulationTrace,
                    _stats(closed_trace.outputs[:, idx, None], u_c, e_norm)[:, 0], settle_tol)
 
 
-def sweep_metrics(model, reference: ReferenceModel, designs, controllers, gust,
+def sweep_metrics(model, reference: ReferenceModel, designs, thetas, gust,
                   config: SimulationConfig, output: int = 0):
     """``compute_metrics`` of model output index ``output`` for the lanes of
     ``integrate_open_and_closed``, each chunk of logged rows reduced as it
@@ -417,7 +412,7 @@ def sweep_metrics(model, reference: ReferenceModel, designs, controllers, gust,
         sums = chunk if sums is None else np.vstack(  # maxima, sums, the last ||e||
             [np.maximum(sums[:3], chunk[:3]), sums[3:5] + chunk[3:5], chunk[5:]])
 
-    opened, *closed = _closed_loop(model, reference, designs, controllers, gust, config,
+    opened, *closed = _closed_loop(model, reference, designs, thetas, gust, config,
                                    open_loop=True, take=take)
     return [SimulationError(opened or error) if opened or error
             else _finish(model.output_labels[output], sums[:, 0], sums[:, b])

@@ -72,8 +72,7 @@ def _random_adaptive_config(rng):
 def _canonical_controller(rom, gamma=0.5, q_scale=0.03):
     ref = mrac.build_reference_model(rom, 1.5)
     design = mrac.make_design(ref.A_m, q_scale * np.eye(rom.n), gamma, m=1)
-    state = mrac.ControllerState(theta=np.zeros((rom.n, 1)), K0=np.zeros((1, rom.n)))
-    return ref, design, state
+    return ref, design, np.zeros((rom.n, 1))
 
 
 def _open_and_closed(rom, gust, cfg, gammas, q_scale=0.03):
@@ -113,12 +112,11 @@ def test_criterion_02_random_config_stability():
         A, B, B_g, Q, gamma, A_m = _random_adaptive_config(rng)
         n = A.shape[0]
         plant = linear_plant(A, B, B_g)
-        ref = mrac.ReferenceModel(A_m=A_m, damping=())
+        ref = mrac.ReferenceModel(A_m=A_m)
         design = mrac.make_design(A_m, Q, gamma, m=1)
-        state = mrac.ControllerState(theta=np.zeros((n, 1)), K0=np.zeros((1, n)))
         gust = OneCosineGust(w_gmax=1.0, H_g=10.0)
         cfg = SimulationConfig(dt=0.02, duration=5 * gust.duration, plant_nonlinear=False)
-        trace = integrate_closed_loop(plant, ref, design, state, gust, cfg)
+        trace = integrate_closed_loop(plant, ref, design, np.zeros((n, 1)), gust, cfg)
         theta_star = mrac.ideal_gains(A, B, A_m).theta_star
         cert = mrac.lyapunov_certificate(trace.time, trace.e, design, trace.theta, theta_star)
         e_norm = np.linalg.norm(trace.e, axis=1)
@@ -132,7 +130,7 @@ def test_criterion_02_random_config_stability():
 def test_criterion_03_ideal_gain_tracking(rom):
     kx = np.array([[-0.02, 0.01, 0.03, -0.01, 0.02, 0.0, 0.01, -0.02]])
     A_m = rom.A + np.atleast_2d(rom.B_c) @ kx
-    ref = mrac.ReferenceModel(A_m=A_m, damping=())
+    ref = mrac.ReferenceModel(A_m=A_m)
     design = mrac.make_design(A_m, 0.03 * np.eye(8), 0.5, m=1)
     theta_star = mrac.ideal_gains(rom.A, rom.B_c, A_m).theta_star
     worst = 0.0
@@ -141,9 +139,8 @@ def test_criterion_03_ideal_gain_tracking(rom):
         VonKarmanGust(0.05, 12.0, 1.0, 0.02, 200.0, seed=3),
         ZeroGust(),
     ):
-        state = mrac.ControllerState(theta=theta_star.copy(), K0=np.zeros((1, 8)))
         cfg = SimulationConfig(dt=0.02, duration=200.0, plant_nonlinear=False)
-        trace = integrate_closed_loop(rom, ref, design, state, gust, cfg)
+        trace = integrate_closed_loop(rom, ref, design, theta_star.copy(), gust, cfg)
         worst = max(worst, float(np.abs(trace.e).max()))
     ok = worst <= 1e-9
     _verdict(3, ok, f"max ||x - x_m|| over 3 gust types = {worst:.2e}")
@@ -212,14 +209,14 @@ def test_criterion_07_zero_relocation_and_adaptive_run():
 
     A_m = np.array([[0.0, 1.0], [-3.0, -4.0]])  # A + b k, k = [-1, -1]
     plant = linear_plant(A, b, np.array([1.0, 0.0]))
-    ref = mrac.ReferenceModel(A_m=A_m, damping=())
+    ref = mrac.ReferenceModel(A_m=A_m)
     design = mrac.make_design(A_m, np.eye(2), 0.5, m=1)
-    state = mrac.ControllerState(theta=np.zeros((2, 1)), K0=K0)
     gust = OneCosineGust(1.0, 10.0)
     cfg = SimulationConfig(dt=0.01, duration=5 * gust.duration, plant_nonlinear=False)
-    trace = integrate_closed_loop(plant, ref, design, state, gust, cfg)
-    # matching target accounts for the pre-gain: A + b(K0 + Kx*) = A_m
-    theta_star = mrac.ideal_gains(A + np.outer(b, K0[0]), b[:, None], A_m).theta_star
+    # the pre-gain starts the gains, theta(0) = K0^T, so theta is the total gain
+    trace = integrate_closed_loop(plant, ref, design, K0.T, gust, cfg)
+    # and is matched on the raw plant: A + b Kx* = A_m
+    theta_star = mrac.ideal_gains(A, b[:, None], A_m).theta_star
     cert = mrac.lyapunov_certificate(trace.time, trace.e, design, trace.theta, theta_star)
     e_norm = np.linalg.norm(trace.e, axis=1)
     settled = e_norm[-1] <= 1e-4 * e_norm.max()
@@ -233,7 +230,7 @@ def test_criterion_07_zero_relocation_and_adaptive_run():
 
 
 def test_criterion_08_lipschitz_monitor_consistency(rom):
-    ref, design, state = _canonical_controller(rom)
+    ref, design, theta0 = _canonical_controller(rom)
     # (a) bound recomputed from first principles
     lam_min = np.linalg.eigvalsh(design.Q).min()
     p_norm = np.linalg.svd(design.P, compute_uv=False).max()
@@ -243,12 +240,12 @@ def test_criterion_08_lipschitz_monitor_consistency(rom):
     rom_lin = dataclasses.replace(rom, nl=None)
     gust = OneCosineGust(0.14, 55.0)
     cfg = SimulationConfig(dt=0.02, duration=2 * gust.duration, log_stride=5)
-    tr_lin = integrate_closed_loop(rom_lin, ref, design, state, gust, cfg)
+    tr_lin = integrate_closed_loop(rom_lin, ref, design, theta0, gust, cfg)
     mon_lin = mrac.lipschitz_margin(design, rom_lin, tr_lin.time, tr_lin.x, tr_lin.x_m)
 
     # (c) five-fold gust amplitude: online flag matches offline recomputation
-    ref, design, state = _canonical_controller(rom)
-    tr = integrate_closed_loop(rom, ref, design, state, OneCosineGust(0.7, 55.0), cfg)
+    ref, design, theta0 = _canonical_controller(rom)
+    tr = integrate_closed_loop(rom, ref, design, theta0, OneCosineGust(0.7, 55.0), cfg)
     mon = mrac.lipschitz_margin(design, rom, tr.time, tr.x, tr.x_m)
     ratios = mrac.lipschitz_ratio_series(rom, tr.x, tr.x_m)
     offline_max = float(np.nanmax(ratios))
@@ -328,10 +325,10 @@ def test_criterion_11_rk4_convergence_order(rom):
     gust = OneCosineGust(0.14, 55.0)
     finals = []
     for dt in (0.1, 0.05, 0.025):
-        ref, design, state = _canonical_controller(rom)
+        ref, design, theta0 = _canonical_controller(rom)
         cfg = SimulationConfig(dt=dt, duration=220.0, plant_nonlinear=False,
                                log_stride=10**9)
-        tr = integrate_closed_loop(rom, ref, design, state, gust, cfg)
+        tr = integrate_closed_loop(rom, ref, design, theta0, gust, cfg)
         finals.append(np.concatenate([tr.x[-1], tr.x_m[-1], tr.theta[-1].ravel()]))
     ratio = np.linalg.norm(finals[0] - finals[1]) / np.linalg.norm(finals[1] - finals[2])
     ok = 10.0 <= ratio <= 24.0

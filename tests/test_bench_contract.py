@@ -36,14 +36,13 @@ gust = gusts.OneCosineGust(0.14, 2.0, 1.0)
 config = sim.SimulationConfig(dt=0.02, duration=4.0)
 reference = mrac.build_reference_model(rom, 1.5)
 design = mrac.make_design(reference.A_m, 0.03 * np.eye(rom.n), 0.5, m=rom.m)
-state = mrac.ControllerState(theta=np.zeros((rom.n, 1)), K0=np.zeros((1, rom.n)))
 sim.integrate_open_loop(fom, gust, config)
 sim.integrate_open_loop(rom, gust, config)
 # the integrators evaluate a plant field, not rhs: one direct call each
 # checks that the hooked rhs names exist and are wrapped
 fom.rhs(np.zeros(fom.n), 0.0, 0.0)
 rom.rhs(np.zeros(rom.n), 0.0, 0.0)
-tr = sim.integrate_closed_loop(rom, reference, design, state, gust, config)
+tr = sim.integrate_closed_loop(rom, reference, design, np.zeros((rom.n, 1)), gust, config)
 mon = mrac.lipschitz_margin(design, rom, tr.time, tr.x, tr.x_m)
 cli.write_csv({csv!r}, ["t", "ratio"], np.column_stack([tr.time, mon.ratios]))
 

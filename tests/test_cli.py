@@ -270,21 +270,29 @@ def test_bad_plant_file_names_the_file(tmp_path, capsys, command, kind, contents
 
 
 def test_plant_without_control_input_is_a_validation_error(tmp_path, capsys):
-    # B_c of shape (n, 0) loads and reduces, but no controller can act on it
-    path = tmp_path / "plant.npz"
-    save_plant(ExternalPlantBundle(A=-np.eye(2), B_c=np.zeros((2, 0)), B_g=np.ones((2, 1)),
-                                   C_out=np.eye(1, 2), output_labels=("y",)), path)
-    cfg = write_config(tmp_path / "run.yaml", plant={"source": "external", "bundle": str(path)},
-                       rom={"n": 2, "n_real": 2}, sweep={"axis": "gamma", "grid": [0.5, 1.0]})
-    for command in ("validate", "rom-build"):
-        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
-    assert cli.main(["simulate", "--config", str(cfg),
-                     "--out", str(tmp_path / "sim")]) == cli.EXIT_VALIDATION
-    assert "no control input" in capsys.readouterr().err
-    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == cli.EXIT_OK
-    header, rows = read_csv(tmp_path / "sw" / "sweep.csv")
-    assert [r[header.index("status")] for r in rows] == [
-        "error: the plant has no control input: B_c has no columns"] * 2
+    # B_c of shape (n, 0) loads and reduces, but no controller can act on it;
+    # B_g of shape (n, 0) loads too, but no gust drives it: its gust
+    # responses, which rom-build compares, are all zero
+    cases = [(np.zeros((2, 0)), np.ones((2, 1)), cli.EXIT_OK,
+              "the plant has no control input: B_c has no columns"),
+             (np.ones((2, 1)), np.zeros((2, 0)), cli.EXIT_VALIDATION,
+              "the plant has no gust input: B_g has no columns")]
+    for case, (B_c, B_g, rom_build, message) in enumerate(cases):
+        out, path = tmp_path / str(case), tmp_path / f"plant{case}.npz"
+        save_plant(ExternalPlantBundle(A=-np.eye(2), B_c=B_c, B_g=B_g, C_out=np.eye(1, 2),
+                                       output_labels=("y",)), path)
+        cfg = write_config(tmp_path / "run.yaml",
+                           plant={"source": "external", "bundle": str(path)},
+                           rom={"n": 2, "n_real": 2}, sweep={"axis": "gamma", "grid": [0.5, 1.0]})
+        assert cli.main(["validate", "--config", str(cfg), "--out", str(out / "v")]) == 0
+        assert cli.main(["rom-build", "--config", str(cfg),
+                         "--out", str(out / "rom")]) == rom_build
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out / "sim")]) == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out / "sw")]) == cli.EXIT_OK
+        header, rows = read_csv(out / "sw" / "sweep.csv")
+        assert [r[header.index("status")] for r in rows] == [f"error: {message}"] * 2
 
 
 # each malformed value stops the command with exit 3 before any integration

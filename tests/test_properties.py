@@ -19,7 +19,6 @@ from hypothesis.extra.numpy import arrays
 from aeromrac.gusts import OneCosineGust
 from aeromrac import sim
 from aeromrac.mrac import (
-    ControllerState,
     LyapunovDesign,
     ReferenceModel,
     build_reference_model,
@@ -96,9 +95,7 @@ gamma_lists = st.lists(st.floats(0.01, 2.0), min_size=1, max_size=5)
 def _lanes(rom, gammas):
     ref = build_reference_model(rom, 1.5)
     designs = [make_design(ref.A_m, 0.03 * np.eye(rom.n), g, m=rom.m) for g in gammas]
-    states = [ControllerState(theta=np.zeros((rom.n, rom.m)),
-                              K0=np.zeros((rom.m, rom.n))) for _ in gammas]
-    return ref, designs, states
+    return ref, designs, [np.zeros((rom.n, rom.m)) for _ in gammas]
 
 
 def _assert_close(got, want, fields=CLOSED_FIELDS):
@@ -109,26 +106,25 @@ def _assert_close(got, want, fields=CLOSED_FIELDS):
 
 
 def _run(rom, gammas):
-    ref, designs, states = _lanes(rom, gammas)
-    opened, closed = integrate_open_and_closed(rom, ref, designs, states, BATCH_GUST,
+    ref, designs, thetas = _lanes(rom, gammas)
+    opened, closed = integrate_open_and_closed(rom, ref, designs, thetas, BATCH_GUST,
                                                BATCH_CONFIG)
-    return opened, closed, states
+    return opened, closed
 
 
 @settings(max_examples=10, deadline=None)
 @given(gammas=gamma_lists)
 def test_batched_lanes_equal_serial_runs(rom, gammas):
     # the lane count is the length of the drawn gamma list
-    opened, closed, states = _run(rom, gammas)
+    opened, closed = _run(rom, gammas)
     assert not opened.closed_loop and opened.theta is None and opened.u_c is None
     _assert_close(opened, integrate_open_loop(rom, BATCH_GUST, BATCH_CONFIG), OPEN_FIELDS)
     assert len(closed) == len(gammas)
-    for gamma, state, got in zip(gammas, states, closed):
+    for gamma, got in zip(gammas, closed):
         ref, (design,), (serial,) = _lanes(rom, [gamma])
         want = integrate_closed_loop(rom, ref, design, serial, BATCH_GUST, BATCH_CONFIG)
         _assert_close(got, want)
-        assert np.array_equal(state.theta, got.theta[-1])
-    again_open, again_closed, _ = _run(rom, gammas)
+    again_open, again_closed = _run(rom, gammas)
     for got, want in zip([opened, *closed], [again_open, *again_closed]):
         for name in CLOSED_FIELDS if got.closed_loop else OPEN_FIELDS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -138,10 +134,10 @@ def test_batched_lanes_equal_serial_runs(rom, gammas):
 @given(gammas=gamma_lists, data=st.data())
 def test_diverged_lane_fails_alone(rom, gammas, data):
     bad = data.draw(st.integers(0, len(gammas) - 1), label="diverging lane")
-    ref, designs, states = _lanes(rom, gammas)
+    ref, designs, thetas = _lanes(rom, gammas)
     # a gain far outside the stable range: the lane diverges within a few steps
-    states[bad].theta = np.full_like(states[bad].theta, 1e3)
-    opened, batch = integrate_open_and_closed(rom, ref, designs, states, BATCH_GUST,
+    thetas[bad] = np.full_like(thetas[bad], 1e3)
+    opened, batch = integrate_open_and_closed(rom, ref, designs, thetas, BATCH_GUST,
                                               BATCH_CONFIG)
     failed = batch[bad]
     assert isinstance(failed, SimulationError) and failed.trace.diverged
@@ -149,7 +145,7 @@ def test_diverged_lane_fails_alone(rom, gammas, data):
     _assert_close(opened, integrate_open_loop(rom, BATCH_GUST, BATCH_CONFIG), OPEN_FIELDS)
     keep = [k for k in range(len(gammas)) if k != bad]
     if keep:
-        _, rest, _ = _run(rom, [gammas[k] for k in keep])
+        _, rest = _run(rom, [gammas[k] for k in keep])
         for k, want in zip(keep, rest):
             _assert_close(batch[k], want)
 
@@ -170,19 +166,19 @@ def test_streamed_metrics_equal_serial_traces(rom, gammas, data):
     output = data.draw(st.integers(0, rom.C_out.shape[0] - 1), label="output")
 
     def lanes():
-        ref, designs, states = _lanes(rom, gammas)
-        for state, bad in zip(states, diverging):
+        ref, designs, thetas = _lanes(rom, gammas)
+        for theta, bad in zip(thetas, diverging):
             if bad:  # a gain far outside the stable range
-                state.theta = np.full_like(state.theta, 1e3)
-        return ref, designs, states
+                theta[...] = 1e3
+        return ref, designs, thetas
 
-    ref, designs, states = lanes()
+    ref, designs, thetas = lanes()
     with mock.patch.object(sim, "CHUNK_ROWS", chunk):
-        got = sim.sweep_metrics(rom, ref, designs, states, BATCH_GUST, config, output)
-    _, designs, states = lanes()
+        got = sim.sweep_metrics(rom, ref, designs, thetas, BATCH_GUST, config, output)
+    _, designs, thetas = lanes()
     assert len(got) == len(gammas)
-    for metrics, design, state in zip(got, designs, states):
-        opened, (closed,) = integrate_open_and_closed(rom, ref, [design], [state],
+    for metrics, design, theta in zip(got, designs, thetas):
+        opened, (closed,) = integrate_open_and_closed(rom, ref, [design], [theta],
                                                       BATCH_GUST, config)
         error = next((r for r in (opened, closed) if isinstance(r, SimulationError)), None)
         if error is not None:
@@ -222,10 +218,10 @@ def test_lane_trace_does_not_depend_on_its_batch(rom, gammas, open_loop, plant_n
     theta = 0.01 * rng.normal(size=(len(gammas), rom.n, rom.m))
 
     def run(lanes, open_lane=False):
-        ref, designs, states = _lanes(rom, [gammas[b] for b in lanes])
-        for state, b in zip(states, lanes):
-            state.K0, state.theta = K0[b], theta[b].copy()
-        return sim._closed_loop(rom, ref, designs, states, BATCH_GUST, config, open_lane)
+        ref, designs, _ = _lanes(rom, [gammas[b] for b in lanes])
+        # a pre-gain K0 enters as theta(0) = theta + K0^T
+        thetas = [theta[b] + K0[b].T for b in lanes]
+        return sim._closed_loop(rom, ref, designs, thetas, BATCH_GUST, config, open_lane)
 
     lanes = list(range(len(gammas)))
     off = int(open_loop)
@@ -295,7 +291,7 @@ def test_lane_field_is_plant_rhs_beside_the_law(n, k, m, p, lanes, open_loop, pl
     # open_loop, lane 0 is the open lane: kappa = gamma = 0, x_m = theta = 0
     rng = np.random.default_rng(seed)
     model = _random_plant(rng, n, k, m, p)
-    reference = ReferenceModel(A_m=rng.normal(size=(n, n)), damping=())
+    reference = ReferenceModel(A_m=rng.normal(size=(n, n)))
     config = SimulationConfig(dt=0.01, duration=1.0, plant_nonlinear=plant_nl,
                               reference_nonlinear=ref_nl)
     R = rng.normal(size=(n, n))

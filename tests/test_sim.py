@@ -5,7 +5,6 @@ import pytest
 
 from aeromrac.gusts import OneCosineGust, ZeroGust
 from aeromrac.mrac import (
-    ControllerState,
     LyapunovDesign,
     ReferenceModel,
     build_reference_model,
@@ -34,8 +33,7 @@ def tiny_plant(A, quad=0.0):
 def _controller(rom, gamma=0.5, q_scale=0.03, damping=1.5):
     ref = build_reference_model(rom, damping)
     design = make_design(ref.A_m, q_scale * np.eye(rom.n), gamma=gamma, m=1)
-    state = ControllerState(theta=np.zeros((rom.n, 1)), K0=np.zeros((1, rom.n)))
-    return ref, design, state
+    return ref, design, np.zeros((rom.n, 1))
 
 
 class TestConfig:
@@ -59,15 +57,15 @@ class TestConfig:
     def test_dt_heuristic_reads_the_reference_model(self, rom):
         # |lambda(A_m)| = 30 puts the limit at 0.0033 < dt, while the plant
         # alone passes the heuristic
-        ref, design, state = _controller(rom, damping={0: (30.0, 0.07)})
+        ref, design, theta0 = _controller(rom, damping={0: (30.0, 0.07)})
         cfg = SimulationConfig(dt=0.01, duration=0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             integrate_open_loop(rom, ZeroGust(), cfg)
         with pytest.warns(UserWarning, match="stability heuristic"):
-            integrate_closed_loop(rom, ref, design, state, ZeroGust(), cfg)
+            integrate_closed_loop(rom, ref, design, theta0, ZeroGust(), cfg)
         with pytest.warns(UserWarning, match="stability heuristic"):
-            integrate_open_and_closed(rom, ref, [design], [state], ZeroGust(), cfg)
+            integrate_open_and_closed(rom, ref, [design], [theta0], ZeroGust(), cfg)
 
 
 class TestOpenLoop:
@@ -140,71 +138,75 @@ class TestOpenLoop:
                       C_out=np.eye(1, 2), output_labels=("y",))
         gust, cfg = OneCosineGust(0.5, 2.0, 1.0), SimulationConfig(dt=0.02, duration=6.0)
         assert np.all(integrate_open_loop(plant, gust, cfg).x == 0.0)
-        ref = ReferenceModel(A_m=-2.0 * np.eye(2), damping=())
-        state = ControllerState(theta=np.zeros((2, 1)), K0=np.zeros((1, 2)))
+        ref = ReferenceModel(A_m=-2.0 * np.eye(2))
         opened, (closed,) = integrate_open_and_closed(
-            plant, ref, [make_design(ref.A_m, np.eye(2), gamma=0.5, m=1)], [state], gust, cfg)
+            plant, ref, [make_design(ref.A_m, np.eye(2), gamma=0.5, m=1)], [np.zeros((2, 1))],
+            gust, cfg)
         assert np.all(opened.x == 0.0) and np.all(closed.x == 0.0)
         assert np.all(closed.theta == 0.0) and np.all(closed.u_c == 0.0)
 
 
 class TestClosedLoop:
     def test_zero_gust_zero_gains_stay_zero(self, rom):
-        ref, design, state = _controller(rom)
+        ref, design, theta0 = _controller(rom)
         cfg = SimulationConfig(dt=0.01, duration=1.0)
-        trace = integrate_closed_loop(rom, ref, design, state, ZeroGust(), cfg)
+        trace = integrate_closed_loop(rom, ref, design, theta0, ZeroGust(), cfg)
         assert np.all(trace.x == 0.0) and np.all(trace.x_m == 0.0)
         assert np.all(trace.theta == 0.0) and np.all(trace.u_c == 0.0)
 
     def test_dimension_mismatch_rejected(self, rom):
-        ref, design, state = _controller(rom)
+        ref, design, theta0 = _controller(rom)
         plant = tiny_plant(-np.eye(2))
         cfg = SimulationConfig(dt=0.01, duration=1.0)
         with pytest.raises(ValueError, match="dimension"):
-            integrate_closed_loop(plant, ref, design, state, ZeroGust(), cfg)
+            integrate_closed_loop(plant, ref, design, theta0, ZeroGust(), cfg)
 
     def test_batch_refuses_designs_that_differ_in_q_or_p(self, rom):
-        ref, design, _ = _controller(rom)
-        states = [ControllerState(theta=np.zeros((rom.n, 1)), K0=np.zeros((1, rom.n)))
-                  for _ in range(2)]
+        ref, design, theta0 = _controller(rom)
+        thetas = [theta0, theta0.copy()]
         cfg = SimulationConfig(dt=0.01, duration=1.0)
         for other in (LyapunovDesign(2.0 * design.Q, design.P, design.gamma),
                       LyapunovDesign(design.Q, 2.0 * design.P, design.gamma)):
             with pytest.raises(ValueError, match="Q and P"):
-                integrate_open_and_closed(rom, ref, [design, other], states, ZeroGust(), cfg)
+                integrate_open_and_closed(rom, ref, [design, other], thetas, ZeroGust(), cfg)
         # a lane of its own rate shares the batch
         other = LyapunovDesign(design.Q.copy(), design.P.copy(), 2.0)
-        integrate_open_and_closed(rom, ref, [design, other], states, ZeroGust(), cfg)
+        integrate_open_and_closed(rom, ref, [design, other], thetas, ZeroGust(), cfg)
 
     def test_deterministic(self, rom):
         cfg = SimulationConfig(dt=0.02, duration=10.0)
         runs = []
         for _ in range(2):
-            ref, design, state = _controller(rom)
+            ref, design, theta0 = _controller(rom)
             runs.append(
-                integrate_closed_loop(rom, ref, design, state,
+                integrate_closed_loop(rom, ref, design, theta0,
                                       OneCosineGust(0.14, 2.0, 1.0), cfg)
             )
         assert np.array_equal(runs[0].x, runs[1].x)
         assert np.array_equal(runs[0].theta, runs[1].theta)
 
-    def test_theta_written_back(self, rom):
-        ref, design, state = _controller(rom)
-        cfg = SimulationConfig(dt=0.02, duration=10.0)
-        trace = integrate_closed_loop(rom, ref, design, state,
-                                      OneCosineGust(0.14, 2.0, 1.0), cfg)
-        assert np.array_equal(state.theta, trace.theta[-1])
-        assert np.abs(state.theta).max() > 0.0
+    def test_initial_gains_are_not_mutated(self, rom):
+        # the run integrates a copy of theta(0): the caller's array keeps its
+        # values while the logged gains move away from them
+        ref, design, _ = _controller(rom)
+        theta0 = 0.01 * np.random.default_rng(23).normal(size=(rom.n, 1))
+        given = theta0.copy()
+        gust, cfg = OneCosineGust(0.14, 2.0, 1.0), SimulationConfig(dt=0.02, duration=10.0)
+        _, (batched,) = integrate_open_and_closed(rom, ref, [design], [theta0], gust, cfg)
+        for trace in (integrate_closed_loop(rom, ref, design, theta0, gust, cfg), batched):
+            assert np.array_equal(trace.theta[0], given)
+            assert not np.array_equal(trace.theta[-1], given)
+        assert np.array_equal(theta0, given)
 
     def test_logged_control_is_the_law(self, rom):
-        # u_c = theta^T x + K0 x
+        # u_c = theta^T x, theta the total gain: a pre-gain K0 is in theta(0) = K0^T
         ref, design, _ = _controller(rom)
         rng = np.random.default_rng(21)
         K0 = 0.01 * rng.normal(size=(1, rom.n))
-        state = ControllerState(theta=0.01 * rng.normal(size=(rom.n, 1)), K0=K0)
-        trace = integrate_closed_loop(rom, ref, design, state, OneCosineGust(0.14, 2.0, 1.0),
+        theta0 = 0.01 * rng.normal(size=(rom.n, 1)) + K0.T
+        trace = integrate_closed_loop(rom, ref, design, theta0, OneCosineGust(0.14, 2.0, 1.0),
                                       SimulationConfig(dt=0.02, duration=10.0))
-        want = np.einsum("ti,tik->tk", trace.x, trace.theta) + trace.x @ K0.T
+        want = np.einsum("ti,tik->tk", trace.x, trace.theta)
         assert np.abs(want).max() > 0.0
         np.testing.assert_allclose(trace.u_c, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
@@ -214,14 +216,13 @@ class TestClosedLoop:
         # logged diverged row is past the float range: it saturates, silently
         plant = Plant(A=np.zeros((1, 1)), B_c=np.ones((1, 1)), B_g=np.ones((1, 1)),
                       C_out=np.eye(1), output_labels=("y",))
-        ref = ReferenceModel(A_m=-np.eye(1), damping=())
+        ref = ReferenceModel(A_m=-np.eye(1))
         design = LyapunovDesign(Q=np.eye(1), P=np.eye(1), gamma=6e166)
-        state = ControllerState(theta=np.full((1, 1), 1e80), K0=np.zeros((1, 1)))
         cfg = SimulationConfig(dt=0.01, duration=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SimulationError) as exc:
-                integrate_closed_loop(plant, ref, design, state,
+                integrate_closed_loop(plant, ref, design, np.full((1, 1), 1e80),
                                       lambda t: np.full_like(t, 4e-116), cfg)
         trace = exc.value.trace
         assert trace.time.shape == (2,) and trace.u_c.shape == (2, 1)
@@ -231,10 +232,10 @@ class TestClosedLoop:
     def test_adaptation_is_gust_driven(self, rom):
         # gains start moving while the gust acts, then settle once the
         # transient has rung down
-        ref, design, state = _controller(rom)
+        ref, design, theta0 = _controller(rom)
         gust = OneCosineGust(0.14, 2.5, 1.0)  # active on [0, 5]
         cfg = SimulationConfig(dt=0.02, duration=120.0)
-        trace = integrate_closed_loop(rom, ref, design, state, gust, cfg)
+        trace = integrate_closed_loop(rom, ref, design, theta0, gust, cfg)
         drift = np.linalg.norm(trace.theta - trace.theta[0], axis=(1, 2))
         in_gust = trace.time <= gust.duration
         assert drift[in_gust][-1] > 0.0
@@ -249,14 +250,13 @@ class TestOpenLane:
     def test_reference_divergence_fails_only_the_closed_lanes(self, rom):
         # A_m = -1e-3 I barely damps: x_m integrates the gust to 7.9 while the
         # plant peaks at 3.7, and the small gains keep the closed x below 5
-        ref = ReferenceModel(A_m=-1e-3 * np.eye(rom.n), damping=())
+        ref = ReferenceModel(A_m=-1e-3 * np.eye(rom.n))
         designs = [make_design(ref.A_m, 0.03 * np.eye(rom.n), gamma=g, m=1)
                    for g in (1e-6, 1e-4)]
-        states = [ControllerState(theta=np.zeros((rom.n, 1)), K0=np.zeros((1, rom.n)))
-                  for _ in designs]
+        thetas = [np.zeros((rom.n, 1)) for _ in designs]
         gust = OneCosineGust(0.14, 50.0, 1.0)
         cfg = SimulationConfig(dt=0.1, duration=110.0, divergence_threshold=5.0)
-        opened, closed = integrate_open_and_closed(rom, ref, designs, states, gust, cfg)
+        opened, closed = integrate_open_and_closed(rom, ref, designs, thetas, gust, cfg)
         assert isinstance(opened, SimulationTrace) and not opened.diverged
         want = integrate_open_loop(rom, gust, cfg)
         assert np.abs(opened.x - want.x).max() <= 1e-12 * np.abs(want.x).max()
@@ -266,12 +266,11 @@ class TestOpenLane:
 
     def test_open_divergence_is_the_open_loop_error(self):
         plant = tiny_plant([[-0.5, 1.0], [-1.0, -0.5]], quad=4.0)
-        ref = ReferenceModel(A_m=-np.eye(2), damping=())
+        ref = ReferenceModel(A_m=-np.eye(2))
         design = make_design(ref.A_m, np.eye(2), gamma=0.5, m=1)
-        state = ControllerState(theta=np.zeros((2, 1)), K0=np.zeros((1, 2)))
         gust = OneCosineGust(3.0, 2.0, 1.0)
         cfg = SimulationConfig(dt=0.01, duration=20.0, divergence_threshold=1e6)
-        opened, _ = integrate_open_and_closed(plant, ref, [design], [state], gust, cfg)
+        opened, _ = integrate_open_and_closed(plant, ref, [design], [np.zeros((2, 1))], gust, cfg)
         with pytest.raises(SimulationError) as alone:
             integrate_open_loop(plant, gust, cfg)
         assert isinstance(opened, SimulationError) and str(opened) == str(alone.value)
@@ -279,25 +278,25 @@ class TestOpenLane:
         assert np.array_equal(opened.trace.time, alone.value.trace.time)
 
 
-def _written_out_run(rom, ref, design, state, gust, cfg):
+def _written_out_run(rom, ref, design, theta0, gust, cfg):
     """x, x_m, theta and u_c from a serial RK4 of the written-out law:
     x' = A x + B_c u + B_g u_d + F(x), x_m' = A_m x_m + B_g u_d + [F(x_m)],
-    theta' = -gamma Q x e^T P B_c, u = x^T (theta + K0^T), theta (n, m)."""
+    theta' = -gamma Q x e^T P B_c, u = x^T theta, theta (n, m) from theta0."""
     n, m, h = rom.n, rom.m, cfg.dt
-    b_g, PB, K0_T = rom.B_g[:, 0], design.P @ rom.B_c, state.K0.T
+    b_g, PB = rom.B_g[:, 0], design.P @ rom.B_c
     f_plant = cfg.plant_nonlinear
     f_ref = cfg.plant_nonlinear and cfg.reference_nonlinear
 
     def f(t, y):
         x, xm, theta = y[:n], y[n:2 * n], y[2 * n:].reshape(n, m)
-        u = x @ (theta + K0_T)
+        u = x @ theta
         w = gust(t)
         dx = rom.A @ x + rom.B_c @ u + b_g * w + (rom.nl(x) if f_plant else 0.0)
         dxm = ref.A_m @ xm + b_g * w + (rom.nl(xm) if f_ref else 0.0)
         dtheta = -design.gamma * np.outer(design.Q @ x, (x - xm) @ PB)
         return np.concatenate([dx, dxm, dtheta.ravel()])
 
-    y = np.concatenate([np.zeros(2 * n), state.theta.ravel()])
+    y = np.concatenate([np.zeros(2 * n), theta0.ravel()])
     ys = [y]
     for k in range(cfg.n_steps):
         t0, t1, t2 = 0.5 * h * (2 * k), 0.5 * h * (2 * k + 1), 0.5 * h * (2 * k + 2)
@@ -309,7 +308,7 @@ def _written_out_run(rom, ref, design, state, gust, cfg):
         ys.append(y)
     ys = np.array(ys)
     x, theta = ys[:, :n], ys[:, 2 * n:].reshape(-1, n, m)
-    u_c = np.einsum("ti,tij->tj", x, theta + K0_T)
+    u_c = np.einsum("ti,tij->tj", x, theta)
     return x, ys[:, n:2 * n], theta, u_c
 
 
@@ -325,9 +324,9 @@ class TestStackedPlant:
         lanes = []
         for gamma in (0.5, 0.1, 2.0)[:count]:
             design = make_design(ref.A_m, 0.03 * np.eye(rom.n), gamma=gamma, m=rom.m)
-            state = ControllerState(theta=0.01 * rng.normal(size=(rom.n, rom.m)),
-                                    K0=0.01 * rng.normal(size=(rom.m, rom.n)))
-            lanes.append((design, state))
+            theta = 0.01 * rng.normal(size=(rom.n, rom.m))
+            K0 = 0.01 * rng.normal(size=(rom.m, rom.n))
+            lanes.append((design, theta + K0.T))  # a pre-gain K0 enters as theta(0) = K0^T
         return ref, lanes
 
     def _assert_batch_matches(self, rom, count, cfg):
@@ -364,8 +363,8 @@ class TestStackedPlant:
     def test_reference_nonlinearity_is_visible(self, rom):
         # the flag moves x_m far beyond the tolerance above, so the cases
         # with and without the reference block are told apart
-        ref, [(design, state)] = self._lanes(rom, 1)
-        runs = [_written_out_run(rom, ref, design, state, self.GUST,
+        ref, [(design, theta0)] = self._lanes(rom, 1)
+        runs = [_written_out_run(rom, ref, design, theta0, self.GUST,
                                  SimulationConfig(dt=0.02, duration=6.0,
                                                   reference_nonlinear=flag))[1]
                 for flag in (True, False)]
@@ -421,8 +420,8 @@ class TestStackPlants:
         assert np.array_equal(stacked.value.trace.time, alone.value.trace.time)
 
     def _closed(self, rom, config):
-        ref, design, state = _controller(rom)
-        return ref, integrate_closed_loop(rom, ref, design, state, self.GUST, config)
+        ref, design, theta0 = _controller(rom)
+        return ref, integrate_closed_loop(rom, ref, design, theta0, self.GUST, config)
 
     def test_closed_loop_plant_is_the_two_block_layout(self, rom, monkeypatch):
         built = []
