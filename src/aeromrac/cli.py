@@ -214,14 +214,14 @@ def build_plant(cfg):
     return full, rom, params_path
 
 
-def build_gust(cfg, seed: int):
+def build_gust(cfg):
     g = cfg["gust"]
     if g["kind"] == "zero":
         return ZeroGust()
     if g["kind"] == "one-cosine":
         return OneCosineGust(w_gmax=g["w_gmax"], H_g=g["H_g"], U_inf=g["U_inf"])
     return VonKarmanGust(sigma_g=g["sigma"], L_g=g["L"], U_inf=g["U_inf"],
-                         dt=cfg["sim"]["dt"], duration=_sim_duration(cfg), seed=seed)
+                         dt=cfg["sim"]["dt"], duration=_sim_duration(cfg), seed=cfg["seed"])
 
 
 def build_weighting(cfg, n: int) -> np.ndarray:
@@ -367,7 +367,7 @@ def cmd_validate(cfg, outdir: Path, args) -> int:
 
 def cmd_gust_gen(cfg, outdir: Path, args) -> int:
     config = sim_config(cfg)  # a run's checks of dt and duration
-    gust = build_gust(cfg, cfg["seed"])
+    gust = build_gust(cfg)
     t = np.arange(config.n_steps + 1) * config.dt
     w = np.asarray(gust(t), dtype=float)
     write_csv(outdir / "gust.csv", ["t", "w_g"], np.column_stack([t, w]))
@@ -382,7 +382,7 @@ def cmd_rom_build(cfg, outdir: Path, args) -> int:
     _require_gust_input(rom)  # the validation compares gust responses
     plantio.save_rom(rom, outdir / "rom.npz")
 
-    gust = build_gust(cfg, cfg["seed"])
+    gust = build_gust(cfg)
     trace = sim.integrate_open_loop(stack_plants(full, rom), gust, sim_config(cfg))
     y_full, y_rom = np.hsplit(trace.outputs, [full.C_out.shape[0]])
     header = ["t"] + [f"{s}_{label}" for label in rom.output_labels for s in ("full", "rom")]
@@ -429,7 +429,7 @@ def _metrics_row(metrics: sim.GlaMetrics):
 def cmd_simulate(cfg, outdir: Path, args) -> int:
     full, rom, _ = build_plant(cfg)
     idx = _output_index(cfg, rom)
-    gust = build_gust(cfg, cfg["seed"])
+    gust = build_gust(cfg)
     config = sim_config(cfg)
     reference, design = build_controller(cfg, rom)
     tr_open, (tr_closed,) = sim.integrate_open_and_closed(
@@ -499,7 +499,7 @@ def _gamma_points(cfg, rom, grid, idx):
     (``sim.sweep_metrics``).  A gust, config, controller, numerics or ROM
     error, each a ValueError, fails the points it reaches."""
     try:
-        gust = build_gust(cfg, cfg["seed"])
+        gust = build_gust(cfg)
         config = sim_config(cfg)
         reference, design = build_controller(cfg, rom)
     except ValueError as exc:

@@ -170,15 +170,12 @@ class VonKarmanGust:
     dt: float
     duration: float
     seed: int
-    time: np.ndarray = field(init=False, repr=False, compare=False)
     samples: np.ndarray = field(init=False, repr=False, compare=False)
-    short_duration: bool = field(init=False, compare=False)
 
     def __post_init__(self):
         if min(self.L_g, self.U_inf, self.dt, self.duration) <= 0 or self.sigma_g < 0:
             raise GustError("Von Karman parameters must be positive")
         n = int(round(self.duration / self.dt)) + 1
-        t = np.arange(n) * self.dt
         if self.sigma_g == 0.0:
             w = np.zeros(n)
         else:
@@ -199,11 +196,7 @@ class VonKarmanGust:
                 raise GustError(
                     f"Von Karman parameters out of range: sigma = {self.sigma_g:g}, "
                     f"L = {self.L_g:g}, U_inf = {self.U_inf:g}, dt = {self.dt:g}") from None
-        object.__setattr__(self, "time", t)
         object.__setattr__(self, "samples", w)
-        object.__setattr__(
-            self, "short_duration", self.duration < 200.0 * self.L_g / self.U_inf
-        )
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

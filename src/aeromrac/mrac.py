@@ -29,6 +29,8 @@ from .numerics import (
 )
 
 _REAL_TOL = 1e-9
+_SKIP_TOL = 1e-12  # ||x - x_m|| below which the Lipschitz ratio is undefined
+_CERT_EPS = 1e-8  # the certificate's per-step slack, relative to V(0)
 
 
 class MracError(ValueError):
@@ -308,10 +310,9 @@ class LipschitzMonitor:
     ratios: np.ndarray = field(repr=False, compare=False)  # NaN where skipped
 
 
-def lipschitz_ratio_series(rom, x_traj, xm_traj,
-                           skip_tol: float = 1e-12) -> np.ndarray:
+def lipschitz_ratio_series(rom, x_traj, xm_traj) -> np.ndarray:
     """Per-step ||F_NR(x) - F_NR(x_m)|| / ||x - x_m||; NaN where the ratio is
-    undefined (||x - x_m|| < skip_tol)."""
+    undefined (||x - x_m|| < _SKIP_TOL)."""
     x_traj = np.atleast_2d(np.asarray(x_traj, dtype=float))
     xm_traj = np.atleast_2d(np.asarray(xm_traj, dtype=float))
     T = x_traj.shape[0]
@@ -319,20 +320,19 @@ def lipschitz_ratio_series(rom, x_traj, xm_traj,
     de = np.linalg.norm(x_traj - xm_traj, axis=1)
     dF = np.linalg.norm(F[:T] - F[T:], axis=1)
     out = np.full(T, np.nan)
-    np.divide(dF, de, out=out, where=de >= skip_tol)
+    np.divide(dF, de, out=out, where=de >= _SKIP_TOL)
     return out
 
 
-def lipschitz_margin(design: LyapunovDesign, rom, time, x_traj, xm_traj,
-                     skip_tol: float = 1e-12) -> LipschitzMonitor:
+def lipschitz_margin(design: LyapunovDesign, rom, time, x_traj, xm_traj) -> LipschitzMonitor:
     """Evaluate ||F_NR(x) - F_NR(x_m)|| / ||x - x_m|| along a trajectory pair
     and compare the running max against the bound L_F = lambda_min(Q)/(2||P||).
 
-    Steps with ||x - x_m|| < skip_tol are skipped (ratio undefined); the
+    Steps with ||x - x_m|| < _SKIP_TOL are skipped (ratio undefined); the
     monitor carries the whole ratio series."""
     L_F = design.lipschitz_bound
     time = np.asarray(time, dtype=float)
-    ratios = lipschitz_ratio_series(rom, x_traj, xm_traj, skip_tol)
+    ratios = lipschitz_ratio_series(rom, x_traj, xm_traj)
     defined = np.isfinite(ratios)
     n_eval = int(defined.sum())
     n_skip = ratios.shape[0] - n_eval
@@ -367,10 +367,10 @@ class CertificateResult:
 
 
 def lyapunov_certificate(time, e_traj, design: LyapunovDesign,
-                         theta_traj=None, theta_star=None,
-                         eps_factor: float = 1e-8) -> CertificateResult:
+                         theta_traj=None, theta_star=None) -> CertificateResult:
     """V(t) = e^T P e + tr(theta_tilde^T Gamma^{-1} theta_tilde) with a
-    non-increase verdict (per-step slack eps_factor * V(0)).
+    non-increase verdict (per-step slack _CERT_EPS * V(0), or _CERT_EPS when
+    V(0) = 0).
 
     When theta_star is unknown the caller must omit the gain term by passing
     theta_traj=None (error-only mode); requesting the full V without
@@ -386,7 +386,7 @@ def lyapunov_certificate(time, e_traj, design: LyapunovDesign,
     if include_theta:
         td = np.asarray(theta_traj, dtype=float) - np.asarray(theta_star, dtype=float)
         V = V + np.einsum("tik,ij,tjk->t", td, design.Gamma_inv, td)
-    tol = eps_factor * V[0] if V[0] > 0 else eps_factor
+    tol = _CERT_EPS * V[0] if V[0] > 0 else _CERT_EPS
     dV = np.diff(V)
     max_inc = float(dV.max()) if dV.size else 0.0
     return CertificateResult(

@@ -11,6 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# eig_biorthogonal rejects a right eigenbasis whose condition number exceeds this
+_COND_MAX = 1e8
+
 
 class NumericsError(ValueError):
     """Raised when a numerical precondition is violated."""
@@ -59,7 +62,7 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[0]
 
 
-def eig_biorthogonal(A: np.ndarray, cond_threshold: float = 1e8) -> SpectralDecomposition:
+def eig_biorthogonal(A: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition with the left basis Psi = Phi^-1, so Psi @ Phi = I.
 
     Raises if the right eigenbasis is ill-conditioned (near-defective), naming
@@ -69,13 +72,13 @@ def eig_biorthogonal(A: np.ndarray, cond_threshold: float = 1e8) -> SpectralDeco
     n = A.shape[0]
     eigs, phi = np.linalg.eig(A)
     cond = np.linalg.cond(phi)
-    if cond > cond_threshold:
+    if cond > _COND_MAX:
         order = np.argsort(eigs.real)
         gaps = np.abs(np.diff(eigs[order]))
         k = int(np.argmin(gaps)) if n > 1 else 0
         pair = eigs[order][k : k + 2]
         raise NumericsError(
-            f"eigenbasis condition number {cond:.3e} exceeds {cond_threshold:.1e}; "
+            f"eigenbasis condition number {cond:.3e} exceeds {_COND_MAX:.1e}; "
             f"clustered eigenvalues near {pair}"
         )
     # LAPACK returns a real matrix's conjugate pairs exactly conjugate and
@@ -85,11 +88,9 @@ def eig_biorthogonal(A: np.ndarray, cond_threshold: float = 1e8) -> SpectralDeco
     return SpectralDecomposition(eigenvalues=eigs, right_basis=phi, left_basis=np.linalg.inv(phi))
 
 
-def transmission_zeros(
-    A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray | None = None
-) -> np.ndarray:
-    """Finite invariant zeros of (A, B, C, D) from the system pencil
-    [[A - sI, B], [C, D]].  Requires a square (same input/output count)
+def transmission_zeros(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Finite invariant zeros of (A, B, C) from the system pencil
+    [[A - sI, B], [C, 0]].  Requires a square (same input/output count)
     system."""
     import scipy.linalg  # here, not at module load: no CLI command needs it
 
@@ -101,13 +102,10 @@ def transmission_zeros(
     n = A.shape[0]
     m = B.shape[1]
     p = C.shape[0]
-    if D is None:
-        D = np.zeros((p, m))
-    D = np.atleast_2d(np.asarray(D, dtype=float))
     if p != m:
         raise NumericsError(f"zero computation requires a square system, got {m} inputs, {p} outputs")
 
-    pencil = np.block([[A, B], [C, D]])
+    pencil = np.block([[A, B], [C, np.zeros((p, m))]])
     E = np.zeros_like(pencil)
     E[:n, :n] = np.eye(n)
     alpha, beta = scipy.linalg.eig(pencil, E, right=False, homogeneous_eigvals=True)

@@ -1,10 +1,14 @@
 """Reduced-order model construction by biorthogonal eigenvector projection.
 
-The reduced dynamics keep a subset of the full-order eigenvalues; complex
-pairs are stored as 2x2 real rotation-scaling blocks so everything exported to
-the control modules is real.  The reduced model carries a projected
-polynomial nonlinearity, held as data, and every plant's derivative is one
-``PolyField``: its operators as data, the inputs as coordinates of its rows.
+``default_rom`` is the one ROM builder: it selects the modes, ranking real
+modes by the residue-weighted gust participation ||psi_i B_g|| ||C_out phi_i||,
+and projects onto them; each retained ``ModeInfo`` reports the input-only
+participation ||psi_i B_g||.  The reduced dynamics keep a subset of the
+full-order eigenvalues; complex pairs are stored as 2x2 real rotation-scaling
+blocks so everything exported to the control modules is real.  The reduced
+model carries a projected polynomial nonlinearity, held as data, and every
+plant's derivative is one ``PolyField``: its operators as data, the inputs as
+coordinates of its rows.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SpectralDecomposition, eig_biorthogonal
+from .numerics import eig_biorthogonal
 
 _REAL_TOL = 1e-9
 
@@ -27,77 +31,6 @@ class ModeInfo:
     eigenvalue: complex
     kind: str  # "oscillatory" | "real-gust"
     gust_participation: float
-
-
-@dataclass(frozen=True)
-class SelectionCriteria:
-    """Mode-retention policy.
-
-    n: reduced dimension; n_real: how many real (gust-coupling) modes to
-    keep — plant-specific, e.g. two for the 3-DOF section.  When an output
-    map is given, participation is residue-weighted (input coupling times
-    output observability) which is normalisation-invariant.
-    """
-
-    n: int
-    n_real: int = 2
-    output_map: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.n < 1 or self.n_real < 0:
-            raise RomError(f"need n >= 1 and n_real >= 0, got n = {self.n}, n_real = {self.n_real}")
-        if self.n < self.n_real or (self.n - self.n_real) % 2:
-            raise RomError(
-                f"cannot fit {self.n_real} real modes plus conjugate pairs into n = {self.n}"
-            )
-
-
-def _participation(decomp: SpectralDecomposition, B_gf: np.ndarray,
-                   output_map: np.ndarray | None) -> np.ndarray:
-    p_in = np.linalg.norm(decomp.left_basis @ np.atleast_2d(B_gf.T).T, axis=1)
-    if output_map is None:
-        return p_in
-    p_out = np.linalg.norm(np.atleast_2d(output_map) @ decomp.right_basis, axis=0)
-    return p_in * p_out
-
-
-def select_modes(
-    decomp: SpectralDecomposition,
-    B_gf: np.ndarray,
-    criteria: SelectionCriteria,
-    B_c: np.ndarray | None = None,
-) -> list[int]:
-    """Indices of retained modes: lowest-frequency oscillatory pairs first,
-    real modes ranked by gust participation.  Conjugate pairs are always
-    selected together."""
-    N = decomp.dim
-    if criteria.n > N:
-        raise RomError(f"requested reduced dimension {criteria.n} exceeds N = {N}")
-    eigs = decomp.eigenvalues
-    part = _participation(decomp, B_gf, criteria.output_map)
-    ctrl = (
-        _participation(decomp, B_c, criteria.output_map)
-        if B_c is not None
-        else np.zeros(N)
-    )
-
-    pair_leads = [i for i in range(N) if eigs[i].imag > _REAL_TOL]
-    reals = [i for i in range(N) if abs(eigs[i].imag) <= _REAL_TOL]
-    pair_leads.sort(key=lambda i: (eigs[i].imag, -part[i], i))
-    # rank reals by participation (control participation breaks ties)
-    reals.sort(key=lambda i: (-part[i], -ctrl[i], i))
-
-    n_pairs = (criteria.n - criteria.n_real) // 2
-    if n_pairs > len(pair_leads) or criteria.n_real > len(reals):
-        raise RomError(
-            f"spectrum has {len(pair_leads)} pairs and {len(reals)} real modes; "
-            f"cannot satisfy n = {criteria.n}, n_real = {criteria.n_real}"
-        )
-    idx: list[int] = []
-    for i in pair_leads[:n_pairs]:
-        idx.extend([i, i + 1])  # conjugate stored adjacent by eig_biorthogonal
-    idx.extend(sorted(reals[: criteria.n_real]))
-    return idx
 
 
 def realify(eigenvalues: np.ndarray, phi: np.ndarray, psi: np.ndarray):
@@ -266,29 +199,49 @@ class ReducedOrderModel(Plant):
     source_hash: str = ""
 
 
-def build_nrom(fom, modes: list[int], decomp: SpectralDecomposition | None = None,
-               source_hash: str = "") -> ReducedOrderModel:
-    """Project a full-order plant (aerofoil model or external bundle) onto
-    the given mode indices."""
-    if decomp is None:
-        decomp = eig_biorthogonal(fom.A)
-    eigs = decomp.eigenvalues[modes]
-    phi = decomp.right_basis[:, modes]
-    psi = decomp.left_basis[modes, :]
-    A, Phi, Psi = realify(eigs, phi, psi)
+def default_rom(fom, n: int = 8, n_real: int = 2,
+                source_hash: str = "") -> ReducedOrderModel:
+    """The one ROM builder: keep the (n - n_real) / 2 lowest-frequency
+    conjugate pairs and the n_real real modes of largest residue-weighted
+    gust participation ||psi_i B_g|| ||C_out phi_i||, which is
+    normalisation-invariant (control participation ||psi_i B_c||
+    ||C_out phi_i|| breaks ties), and project a full-order plant (aerofoil
+    model or external bundle) and its nonlinearity onto them.  Conjugate
+    pairs are always kept together."""
+    decomp = eig_biorthogonal(fom.A)
+    if n < 1 or n_real < 0:
+        raise RomError(f"need n >= 1 and n_real >= 0, got n = {n}, n_real = {n_real}")
+    if n < n_real or (n - n_real) % 2:
+        raise RomError(f"cannot fit {n_real} real modes plus conjugate pairs into n = {n}")
+    N, eigs = decomp.dim, decomp.eigenvalues
+    if n > N:
+        raise RomError(f"requested reduced dimension {n} exceeds N = {N}")
+    p_out = np.linalg.norm(fom.C_out @ decomp.right_basis, axis=0)
+    part = np.linalg.norm(decomp.left_basis @ fom.B_g, axis=1) * p_out
+    ctrl = np.linalg.norm(decomp.left_basis @ fom.B_c, axis=1) * p_out
 
-    part = np.linalg.norm(psi @ np.atleast_2d(fom.B_g.T).T, axis=1)
-    infos = []
-    for lam, pp in zip(eigs, part):
-        kind = "oscillatory" if abs(lam.imag) > _REAL_TOL else "real-gust"
-        infos.append(
-            ModeInfo(
-                eigenvalue=complex(lam),
-                kind=kind,
-                gust_participation=float(pp),
-            )
+    pair_leads = [i for i in range(N) if eigs[i].imag > _REAL_TOL]
+    reals = [i for i in range(N) if abs(eigs[i].imag) <= _REAL_TOL]
+    pair_leads.sort(key=lambda i: (eigs[i].imag, -part[i], i))
+    reals.sort(key=lambda i: (-part[i], -ctrl[i], i))
+    n_pairs = (n - n_real) // 2
+    if n_pairs > len(pair_leads) or n_real > len(reals):
+        raise RomError(
+            f"spectrum has {len(pair_leads)} pairs and {len(reals)} real modes; "
+            f"cannot satisfy n = {n}, n_real = {n_real}"
         )
+    idx: list[int] = []
+    for i in pair_leads[:n_pairs]:
+        idx.extend([i, i + 1])  # conjugate stored adjacent by eig_biorthogonal
+    idx.extend(sorted(reals[:n_real]))
 
+    kept, psi = eigs[idx], decomp.left_basis[idx, :]
+    A, Phi, Psi = realify(kept, decomp.right_basis[:, idx], psi)
+    modes = tuple(  # each reports the input-only participation ||psi_i B_g||
+        ModeInfo(eigenvalue=complex(lam),
+                 kind="oscillatory" if abs(lam.imag) > _REAL_TOL else "real-gust",
+                 gust_participation=float(pp))
+        for lam, pp in zip(kept, np.linalg.norm(psi @ fom.B_g, axis=1)))
     return ReducedOrderModel(
         A=A,
         B_c=Psi @ fom.B_c,
@@ -298,16 +251,6 @@ def build_nrom(fom, modes: list[int], decomp: SpectralDecomposition | None = Non
         nl=None if fom.nl is None else fom.nl.project(Phi, Psi),
         Phi=Phi,
         Psi=Psi,
-        modes=tuple(infos),
+        modes=modes,
         source_hash=source_hash,
     )
-
-
-def default_rom(fom, n: int = 8, n_real: int = 2,
-                source_hash: str = "") -> ReducedOrderModel:
-    """Standard reduction path: residue-weighted selection on the physical
-    outputs."""
-    decomp = eig_biorthogonal(fom.A)
-    crit = SelectionCriteria(n=n, n_real=n_real, output_map=fom.C_out)
-    modes = select_modes(decomp, fom.B_g, crit, B_c=fom.B_c)
-    return build_nrom(fom, modes, decomp=decomp, source_hash=source_hash)

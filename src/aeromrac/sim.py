@@ -27,6 +27,8 @@ from .romgen import Plant, PolyField, stack_plants
 DIVERGENCE_DEFAULT = 1e8
 # Logged rows a sweep's batch holds at a time; they are reduced to metrics.
 CHUNK_ROWS = 4096
+# A lane is settled when its final error norm is at most this fraction of its peak.
+_SETTLE_TOL = 1e-4
 
 
 class SimulationError(RuntimeError):
@@ -357,7 +359,7 @@ def _stats(y, u_c=None, e_norm=None):
                       zero + y.shape[0], e_norm[-1]])
 
 
-def _finish(label: str, opened, closed, settle_tol: float = 1e-4) -> GlaMetrics:
+def _finish(label: str, opened, closed) -> GlaMetrics:
     """GlaMetrics from the sums (6,) of the open and of the closed lane."""
     peak_ol, _, _, squares_ol, rows, _ = opened
     peak_cl, flap, e_max, squares_cl, _, e_last = closed
@@ -370,14 +372,13 @@ def _finish(label: str, opened, closed, settle_tol: float = 1e-4) -> GlaMetrics:
         max_flap_cmd=float(flap),
         rms_open=float(np.sqrt(squares_ol / rows)),
         rms_closed=float(np.sqrt(squares_cl / rows)),
-        settled=ratio <= settle_tol,
+        settled=ratio <= _SETTLE_TOL,
         settle_ratio=ratio,
     )
 
 
 def compute_metrics(open_trace: SimulationTrace, closed_trace: SimulationTrace,
-                    output: str | int = 0,
-                    settle_tol: float = 1e-4) -> GlaMetrics:
+                    output: str | int = 0) -> GlaMetrics:
     if open_trace.time.shape != closed_trace.time.shape or not np.array_equal(
         open_trace.time, closed_trace.time
     ):
@@ -387,7 +388,7 @@ def compute_metrics(open_trace: SimulationTrace, closed_trace: SimulationTrace,
     u_c = None if closed_trace.u_c is None else closed_trace.u_c[:, None]
     e_norm = None if closed_trace.e is None else np.linalg.norm(closed_trace.e, axis=1)[:, None]
     return _finish(labels[idx], _stats(open_trace.outputs[:, idx, None])[:, 0],
-                   _stats(closed_trace.outputs[:, idx, None], u_c, e_norm)[:, 0], settle_tol)
+                   _stats(closed_trace.outputs[:, idx, None], u_c, e_norm)[:, 0])
 
 
 def sweep_metrics(model, reference: ReferenceModel, designs, thetas, gust,

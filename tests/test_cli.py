@@ -615,6 +615,9 @@ class TestSimulate:
         summary = (outs[0] / "summary.txt").read_text()
         assert "reduction" in summary
         assert "certificate" in summary
+        # error-only V starts at 0 and leaves out the gain term: the gust fails it
+        [verdict] = [line for line in summary.splitlines() if line.startswith("V(0) = ")]
+        assert verdict.endswith(": FAIL")
         assert "Lipschitz monitor" in summary
         header, rows = read_csv(outs[0] / "trace_closed.csv")
         assert header[:4] == ["t", "y_pitch", "y_plunge", "y_flap"]

@@ -86,12 +86,6 @@ class TestVonKarmanRealization:
         z = VonKarmanGust(0.0, 50.0, 25.0, 0.05, 10.0, seed=1)
         assert np.all(z.samples == 0.0)
 
-    def test_short_duration_flag(self):
-        short = VonKarmanGust(1.0, 50.0, 25.0, 0.05, 50.0, seed=1)
-        assert short.short_duration
-        long = VonKarmanGust(1.0, 50.0, 25.0, 0.05, 500.0, seed=1)
-        assert not long.short_duration
-
     def test_invalid_parameters(self):
         with pytest.raises(GustError):
             VonKarmanGust(sigma_g=1.0, L_g=0.0, U_inf=1.0, dt=0.01, duration=1.0, seed=0)
@@ -113,7 +107,7 @@ class TestVonKarmanRealization:
 
     def test_callable_holds_samples(self):
         g = VonKarmanGust(1.0, 50.0, 25.0, 0.05, 10.0, seed=2)
-        t = g.time[3]
+        t = 3 * g.dt
         assert g(t) == g.samples[3]
         assert g(-1.0) == 0.0
         assert g(1e9) == g.samples[-1]

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from aeromrac.numerics import eig_biorthogonal
-from aeromrac.romgen import (
-    RomError,
-    SelectionCriteria,
-    build_nrom,
-    default_rom,
-    realify,
-    select_modes,
-)
+from aeromrac.romgen import RomError, default_rom, realify
 
 
 class TestRealify:
@@ -45,16 +38,15 @@ class TestRealify:
 
 
 class TestSelection:
-    def test_criteria_parity_validation(self):
+    def test_criteria_parity_validation(self, fom):
         with pytest.raises(RomError, match="conjugate pairs"):
-            SelectionCriteria(n=7, n_real=2)
+            default_rom(fom, n=7, n_real=2)
         with pytest.raises(RomError, match="conjugate pairs"):
-            SelectionCriteria(n=1, n_real=2)
+            default_rom(fom, n=1, n_real=2)
 
     def test_oversized_request_rejected(self, fom):
-        decomp = eig_biorthogonal(fom.A_f)
         with pytest.raises(RomError, match="exceeds"):
-            select_modes(decomp, fom.B_gf, SelectionCriteria(n=16))
+            default_rom(fom, n=16)
 
     def test_kussner_modes_retained(self, rom):
         reals = [m for m in rom.modes if m.kind == "real-gust"]
@@ -112,9 +104,6 @@ class TestReducedModel:
             )
 
     def test_build_from_explicit_modes(self, fom):
-        decomp = eig_biorthogonal(fom.A_f)
-        crit = SelectionCriteria(n=4, n_real=2, output_map=fom.C_out)
-        modes = select_modes(decomp, fom.B_gf, crit, B_c=fom.B_c)
-        rom4 = build_nrom(fom, modes, decomp=decomp)
+        rom4 = default_rom(fom, n=4, n_real=2)
         assert rom4.n == 4
         assert sum(m.kind == "real-gust" for m in rom4.modes) == 2
