@@ -3,15 +3,19 @@
 One classical fourth-order Runge-Kutta kernel advances every run on B lanes,
 the unbatched open loop being B = 1: its field is one ``romgen.PolyField``
 that every lane shares, an operator as data whose input coordinates are
-each lane's held coordinates and the gust samples, and its buffers hold the
-lanes on the minor axis.  A closed-loop lane is the row [x, x_m, vec theta]
-with the held coordinates (kappa, gamma) = (1, its adaptation rate): plant
-and reference model are one Plant from ``romgen.stack_plants``, and the
-control theta^T x, the adaptation law and the reference model's gust
-forcing kappa u_d are product columns of the same field.  A lane's gains
-start from its theta(0), which holds any fixed pre-gain, as the law does
-not read theta.  The open loop is lane 0 of the closed-loop batch: kappa =
-gamma = 0 and theta(0) = 0 keep its theta, u_c and x_m at exactly 0.
+each lane's held coordinates and the gust samples.  The kernel composes the
+field's operators with the RK4 stage coefficients once per run, so that a
+step is five matrix products, one gemm per tile of TILE lanes whatever the
+batch, and a lane runs the same bit for bit in any batch.
+
+A closed-loop lane is the row [x, x_m, vec theta] with the held coordinates
+(kappa, gamma) = (1, its adaptation rate): plant and reference model are
+one Plant from ``romgen.stack_plants``, and the control theta^T x, the
+adaptation law and the reference model's gust forcing kappa u_d are product
+columns of the same field.  A lane's gains start from its theta(0), which
+holds any fixed pre-gain, as the law does not read theta.  The open loop is
+lane 0 of the closed-loop batch: kappa = gamma = 0 and theta(0) = 0 keep its
+theta, u_c and x_m at exactly 0.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ from .romgen import Plant, PolyField, stack_plants
 DIVERGENCE_DEFAULT = 1e8
 # Logged rows a sweep's batch holds at a time; they are reduced to metrics.
 CHUNK_ROWS = 4096
+# Lanes per tile of ``_rk4``: each of its products is one gemm of this many
+# columns per tile, whatever the batch.
+TILE = 8
 # A lane is settled when its final error norm is at most this fraction of its peak.
 _SETTLE_TOL = 1e-4
 
@@ -103,6 +110,46 @@ def _gust_grid(gust, config: SimulationConfig, p: int) -> np.ndarray:
     return u_d
 
 
+def _stage_operators(field: PolyField, H: int, dt: float):
+    """One RK4 step of the field, with H held coordinates, on the lane
+    columns w = [v | v | phi_1 .. phi_4] of ``_rk4``, v = [y | held | u_d(j)
+    u_d(j+1) u_d(j+2) | 1] and phi_i the K triple products of stage i: the
+    stage operators M_1 .. M_4 on w's leading rows, whose products are stage
+    i's three factor blocks, and M_y on w[V:], whose product is the step's
+    increment of y.
+
+    f_i = L z_i + G phi_i is expanded stage by stage on (v, phi_1 .. phi_i):
+    z_i reads v at its gust sample, and its y is y + c_i f_{i-1}.  M_i holds
+    W's own factor rows on the first copy of v and the composed c_i P_y
+    f_{i-1} on the second copy and the phi blocks; M_y = sum b_i f_i.  The
+    identity of y + c_i f_{i-1} stays out of every composed operator: folded
+    into one copy, an entry 1 + c_i a keeps c_i a with fewer digits, and
+    that rounding repeats on every step.  The operators are composed in
+    extended precision and rounded once, an entry past the float range to
+    the largest float, so that a lane at rest stays at rest."""
+    (C, Z), N, ld = field.W.shape, field.back.shape[0], np.longdouble
+    K, p = (C - N) // 3, Z - N - H - 1
+    V = Z + 2 * p
+    W, G = field.W.astype(ld), field.back[:, N:].astype(ld)  # back = [I | G]
+    L, P = W[:N], W[N:]
+    A, B = np.zeros((N, V), ld), np.zeros((N, 4 * K), ld)  # f_i on v and on phi
+    M_y, stages = np.zeros((N, V + 4 * K), ld), []
+    h = ld(dt)
+    for i, (c, b, sample) in enumerate(zip((0, h / 2, h / 2, h), (h / 6, h / 3, h / 3, h / 6),
+                                           (0, 1, 1, 2))):
+        z = np.r_[:N + H, N + H + sample * p + np.arange(p), V - 1]  # v's columns of z_i
+        own = np.zeros((3 * K, V))
+        own[:, z] = field.W[N:]
+        stages.append(np.hstack([own, c * P[:, :N] @ np.hstack([A, B[:, :i * K]])])
+                      if i else own)
+        A, B = c * L[:, :N] @ A, c * L[:, :N] @ B
+        A[:, z] += L
+        B[:, i * K:(i + 1) * K] = G
+        M_y += b * np.hstack([A, B])
+    big = np.finfo(float).max
+    return [np.clip(M, -big, big).astype(float) for M in stages + [M_y]]
+
+
 def _rk4(f, y, config: SimulationConfig, take=None):
     """Classical RK4 of y' = field(y, held, u_d) on lanes y (B, N), with f =
     (field, held, u_d): a ``romgen.PolyField`` on the rows [y | held | u_d | 1],
@@ -114,7 +161,13 @@ def _rk4(f, y, config: SimulationConfig, take=None):
     up to that step, the diverged state included when finite, and the
     message.  With take, the logged states go instead to take(rows)
     CHUNK_ROWS rows at a time, (r, B, N) in a buffer that the next chunk
-    overwrites, and each lane's error alone returns."""
+    overwrites, and each lane's error alone returns.
+
+    A step is the five products of ``_stage_operators`` on the lanes'
+    columns w, TILE to a tile: each is one gemm per tile, of one shape
+    whatever the batch, so a lane's bits depend neither on its tile nor on
+    its column in it.  The last tile's spare columns copy lane 0, fail with
+    it and are dropped."""
     (field, held, u_d), (B, N) = f, y.shape
     # any stride past the last step logs the two ends; np.arange takes none past int64
     dt, steps, stride = config.dt, config.n_steps, min(config.log_stride, config.n_steps)
@@ -128,51 +181,63 @@ def _rk4(f, y, config: SimulationConfig, take=None):
     log[0] = y
     row = 1  # rows in the chunk
     (C, Z), H = field.W.shape, held.shape[1]
-    p = Z - N - H - 1  # the gust coordinates: none for a plant without gust input
-    # lanes are columns: z[0] holds the state, z[1] a stage's input, k[i] = h_i f_i
-    z, Y, k, s = np.zeros((2, Z, B)), np.empty((C, B)), np.empty((4, N, B)), np.empty((N, B))
-    x, inputs, gust, samples = z[0, :N], z[1, :N], z[:, Z - 1 - p:Z - 1], u_d[:, :p, None]
-    z[:, N:Z - 1 - p], z[:, -1], x[...], gust[...] = held.T, 1.0, y.T, samples[0]
-    (F, F2, F3), Yv = Y[N:].reshape(3, -1, B), Y.T[:, :, None]
-    Q = Y[:N + len(F)].T[:, :, None]  # the linear part and the triple product
-    stages = [(z[min(i, 1)].T[:, :, None], h * field.back, k[i].T[:, :, None])
-              for i, h in enumerate((0.5 * dt, 0.5 * dt, dt, dt / 6.0))]
-    for step, j in enumerate(range(0, 2 * steps, 2)):
-        for i, (zi, back, ki) in enumerate(stages):
-            if i:
-                np.add(x, k[i - 1], out=inputs)
-                if i != 2:  # stages 2 and 3 share sample j + 1; stage 4 reads j + 2
-                    gust[1] = samples[j + (i + 1) // 2]
-            np.matmul(field.W, zi, out=Yv)
-            np.multiply(F, F2, out=F)
-            np.multiply(F, F3, out=F)
-            np.matmul(back, Q, out=ki)
-        # y += h/6 (k1 + 2 k2 + 2 k3 + k4), at once, from k = (h/2 k1, h/2 k2, h k3, h/6 k4)
-        np.add(np.add(k[0], k[2], out=s), np.add(k[1], k[1], out=k[1]), out=s)
-        x += np.add(np.divide(s, 3.0, out=s), k[3], out=s)
-        gust[0] = samples[j + 2]
-        if not np.abs(x).max() <= threshold:
-            lane_norm = np.abs(x).max(axis=0)
-            for b in np.flatnonzero(alive & ~(lane_norm <= threshold)):
-                failed[b] = (f"state diverged at t = {(step + 1) * dt:.6g} "
-                             f"(norm {lane_norm[b]:.3e} > {threshold:.1e})")
-                if take is None:  # the one chunk holds the whole log so far
-                    states, done = log[:row, b], logged[:row]
-                    if np.isfinite(lane_norm[b]):
-                        states, done = np.vstack([states, x[:, b]]), np.append(done, step + 1)
-                    failed[b] = (done, states, failed[b])
-                alive[b] = False
-            if not alive.any():
-                break
-            # a failed lane restarts from zero so that its arithmetic stays
-            # finite; its log ends where it failed
-            x[:, ~alive] = 0.0
-        if (step + 1) % stride == 0 or step + 1 == steps:
-            if row == size:  # a full chunk; the one chunk of a trace never is
-                take(log)
-                row = 0
-            log[row] = x.T
-            row += 1
+    K, p = (C - N) // 3, Z - N - H - 1  # p = 0 for a plant without gust input
+    V, tiles = Z + 2 * p, -(-B // TILE)
+    *stages, M_y = _stage_operators(field, H, dt)
+
+    def tiled(a):  # rows (r, lanes) as the stack (tiles, r, TILE) of their tiles
+        return a.reshape(a.shape[0], tiles, TILE).transpose(1, 0, 2)
+
+    # the lanes' columns w, the last tile's spare columns copies of lane 0
+    w, lane = np.zeros((2 * V + 4 * K, tiles * TILE)), np.r_[:B, np.zeros(tiles * TILE - B, int)]
+    v = w[:2 * V].reshape(2, V, -1)  # both copies of v
+    x, ys, gust = w[:N], v[:, :N], v[:, N + H:V - 1]
+    v[:, :N + H] = np.hstack([y, held])[lane].T
+    v[:, -1] = 1.0
+    # samples j, j + 1 and j + 2 of step j / 2, read in place
+    samples = np.lib.stride_tricks.sliding_window_view(
+        np.ascontiguousarray(u_d[:, :p]).ravel(), 3 * p)[::2 * p, :, None] if p else None
+    F, dy = np.empty((3 * K, tiles * TILE)), np.empty((N, tiles * TILE))
+    stages = [(M, tiled(w[:M.shape[1]]), tiled(F), w[2 * V + i * K:2 * V + (i + 1) * K])
+              for i, M in enumerate(stages if K else [])]
+    F1, F2, F3, tail, dyt = F[:K], F[K:2 * K], F[2 * K:], tiled(w[V:]), tiled(dy)
+    # a squared norm within a quarter of threshold^2 puts every |x_i| within it
+    flat, bound = x.reshape(-1), (threshold / 2.0) ** 2
+
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging lane overflows
+        for step in range(steps):
+            if p:
+                gust[...] = samples[step]
+            for M, src, out, phi in stages:
+                np.matmul(M, src, out=out)
+                np.multiply(F1, F2, out=phi)
+                np.multiply(phi, F3, out=phi)
+            np.matmul(M_y, tail, out=dyt)
+            np.add(x, dy, out=x)
+            ys[1] = x
+            if not np.dot(flat, flat) <= bound:
+                lane_norm = np.abs(x).max(axis=0)
+                for b in np.flatnonzero(alive & ~(lane_norm[:B] <= threshold)):
+                    failed[b] = (f"state diverged at t = {(step + 1) * dt:.6g} "
+                                 f"(norm {lane_norm[b]:.3e} > {threshold:.1e})")
+                    if take is None:  # the one chunk holds the whole log so far
+                        states, done = log[:row, b], logged[:row]
+                        if np.isfinite(lane_norm[b]):
+                            states, done = np.vstack([states, x[:, b]]), np.append(done, step + 1)
+                        failed[b] = (done, states, failed[b])
+                    alive[b] = False
+                if not alive.any():
+                    break
+                # a failed lane, and a spare column with lane 0, restarts from
+                # zero so that its arithmetic stays finite; its log ends where
+                # it failed
+                ys[:, :, ~alive[lane]] = 0.0
+            if (step + 1) % stride == 0 or step + 1 == steps:
+                if row == size:  # a full chunk; the one chunk of a trace never is
+                    take(log)
+                    row = 0
+                log[row] = x[:, :B].T
+                row += 1
     if take is not None:
         take(log[:row])
         return [failed.get(b) for b in range(B)]

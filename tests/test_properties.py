@@ -8,6 +8,7 @@ plants evaluates like its parts, a plant's field on the rows of a gust grid
 evaluates like its rhs, and a reduction keeps the states it is asked for or
 refuses."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -150,6 +151,29 @@ def test_diverged_lane_fails_alone(rom, gammas, data):
             _assert_close(batch[k], want)
 
 
+def test_diverged_lane_in_a_later_tile_fails_alone_and_silently(rom):
+    # a batch of sim.TILE + 2 lanes whose one diverging lane sits in the second
+    # tile fails that lane at the step and with the message it fails with
+    # alone, warns of nothing, and leaves every other lane, bit for bit, as
+    # in the batch without it
+    gammas = np.linspace(0.05, 2.0, sim.TILE + 1).tolist()
+    bad = len(gammas) - 1  # column sim.TILE + 1, after the open lane
+    ref, designs, thetas = _lanes(rom, gammas)
+    thetas[bad] = np.full_like(thetas[bad], 1e3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        opened, batch = integrate_open_and_closed(rom, ref, designs, thetas, BATCH_GUST,
+                                                  BATCH_CONFIG)
+        _, (alone,) = integrate_open_and_closed(rom, ref, designs[bad:], thetas[bad:],
+                                                BATCH_GUST, BATCH_CONFIG)
+        rest_open, rest = integrate_open_and_closed(rom, ref, designs[:bad], thetas[:bad],
+                                                    BATCH_GUST, BATCH_CONFIG)
+    assert isinstance(alone, SimulationError)
+    _same_trace(batch[bad], alone)
+    for got, want in zip([opened, *batch[:bad]], [rest_open, *rest]):
+        _same_trace(got, want)
+
+
 @settings(max_examples=40, deadline=None)
 @given(gammas=gamma_lists, data=st.data())
 def test_streamed_metrics_equal_serial_traces(rom, gammas, data):
@@ -203,14 +227,18 @@ def _same_trace(got, want):
 
 
 @settings(max_examples=25, deadline=None)
-@given(gammas=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=6), open_loop=st.booleans(),
-       plant_nl=st.booleans(), ref_nl=st.booleans(), log_stride=st.integers(1, 7),
-       seed=st.integers(0, 2**32 - 1))
+@given(gammas=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=2 * sim.TILE + 1),
+       open_loop=st.booleans(), plant_nl=st.booleans(), ref_nl=st.booleans(),
+       log_stride=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+@example(gammas=np.linspace(0.01, 2.0, 2 * sim.TILE + 1).tolist(), open_loop=True,
+         plant_nl=True, ref_nl=True, log_stride=1, seed=0)
 def test_lane_trace_does_not_depend_on_its_batch(rom, gammas, open_loop, plant_nl, ref_nl,
                                                  log_stride, seed):
     # a lane's trace is the same, bit for bit, whatever the lane count and its
     # position: each closed lane alone and in the batch reversed, the open
-    # lane beside the first closed lane alone and in the reversed batch
+    # lane beside the first closed lane alone and in the reversed batch.  Past
+    # one tile of sim.TILE lanes, reversing the batch moves lanes between
+    # tiles and between columns of a tile.
     config = SimulationConfig(dt=0.02, duration=6.0, plant_nonlinear=plant_nl,
                               reference_nonlinear=ref_nl, log_stride=log_stride)
     rng = np.random.default_rng(seed)
@@ -225,7 +253,16 @@ def test_lane_trace_does_not_depend_on_its_batch(rom, gammas, open_loop, plant_n
 
     lanes = list(range(len(gammas)))
     off = int(open_loop)
-    batch, backwards = run(lanes, open_loop), run(lanes[::-1], open_loop)
+    rk4, runs = sim._rk4, []
+    with mock.patch.object(sim, "_rk4", lambda *args: runs.append(rk4(*args)) or runs[-1]):
+        batch = run(lanes, open_loop)
+    backwards = run(lanes[::-1], open_loop)
+    if open_loop:
+        # the open lane's x_m, theta and u_c, which its trace leaves out, stay
+        # exactly 0, in a batch of one tile or of several
+        (_, ys, error), n = runs[0][0], rom.n
+        assert error is None and np.all(ys[:, n:] == 0.0)
+        assert np.all(sim._control(ys[:, 2 * n:].reshape(-1, n, rom.m), ys[:, :n]) == 0.0)
     for b in lanes:
         _same_trace(batch[off + b], run([b])[0])
         _same_trace(batch[off + b], backwards[off + len(lanes) - 1 - b])
