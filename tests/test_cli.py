@@ -700,6 +700,21 @@ class TestSweep:
         status = [r[header.index("status")] for r in rows]
         assert status == ["error: gamma must be positive", "ok"]
 
+    def test_non_positive_gammas_leave_the_other_point_as_alone(self, tmp_path):
+        # gamma 0 and -1 are error rows; the remaining point's row is, byte for
+        # byte, that of a one-point sweep at its gamma
+        outs = {}
+        for name, grid in (("mixed", [0, -1, 0.5]), ("alone", [0.5])):
+            cfg = write_config(tmp_path / f"{name}.yaml", sweep={"axis": "gamma", "grid": grid},
+                               sim={"dt": 0.02, "duration": 10.0})
+            out = tmp_path / name
+            assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+            outs[name] = read_csv(out / "sweep.csv")
+        header, rows = outs["mixed"]
+        status = header.index("status")
+        assert [r[status] for r in rows] == ["error: gamma must be positive"] * 2 + ["ok"]
+        assert rows[2][status:] == outs["alone"][1][0][status:]
+
     def test_diverged_point_fails_alone(self, tmp_path):
         # gamma = 1e6 diverges near t = 2.5; the other points run on
         outs = {}
