@@ -432,8 +432,11 @@ def cmd_simulate(cfg, outdir: Path, args) -> int:
     gust = build_gust(cfg)
     config = sim_config(cfg)
     reference, design = build_controller(cfg, rom)
-    tr_open, (tr_closed,) = sim.integrate_open_and_closed(
-        rom, reference, [design], [np.zeros((rom.n, rom.m))], gust, config)
+    # the open loop is the lane gamma = kappa = 0 beside the closed loop
+    opened, tr_closed = sim.integrate_lanes(rom, reference, design.Q, design.P,
+                                            [0.0, design.gamma], [0.0, 1.0],
+                                            np.zeros((2, rom.n, rom.m)), gust, config)
+    tr_open = sim.open_loop_of(opened)
     for result in (tr_open, tr_closed):  # an open loop that diverged is reported first
         if isinstance(result, sim.SimulationError):
             header, rows = trace_columns(result.trace)
@@ -497,24 +500,21 @@ def _gamma_points(cfg, rom, grid, idx):
     gust, one reference model and one Q and P; their closed loops run beside
     the open loop as the lanes of one batch, reduced to metrics as they run
     (``sim.sweep_metrics``).  A gust, config, controller, numerics or ROM
-    error, each a ValueError, fails the points it reaches."""
+    error, each a ValueError, fails the points it reaches, and a gamma that
+    is not positive its own point."""
     try:
         gust = build_gust(cfg)
         config = sim_config(cfg)
         reference, design = build_controller(cfg, rom)
     except ValueError as exc:
         return [(None, str(exc))] * len(grid)
-    results = [None] * len(grid)
-    lanes = []  # (point, design)
-    for k, gamma in enumerate(grid):
-        try:
-            lanes.append((k, mrac.LyapunovDesign(design.Q, design.P, gamma)))
-        except ValueError as exc:
-            results[k] = (None, str(exc))
-    if lanes:
-        points, designs = zip(*lanes)
-        thetas = [np.zeros((rom.n, rom.m))] * len(designs)
-        metrics = sim.sweep_metrics(rom, reference, designs, thetas, gust, config, idx)
+    results = [(None, "gamma must be positive")] * len(grid)
+    points = [k for k, gamma in enumerate(grid) if gamma > 0]
+    if points:
+        lanes = len(points)
+        metrics = sim.sweep_metrics(rom, reference, design.Q, design.P,
+                                    [grid[k] for k in points], [1.0] * lanes,
+                                    np.zeros((lanes, rom.n, rom.m)), gust, config, idx)
         for k, m in zip(points, metrics):
             results[k] = (None, str(m)) if isinstance(m, sim.SimulationError) else (m, None)
     return results

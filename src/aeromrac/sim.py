@@ -8,20 +8,24 @@ field's operators with the RK4 stage coefficients once per run, so that a
 step is five matrix products, one gemm per tile of TILE lanes whatever the
 batch, and a lane runs the same bit for bit in any batch.
 
-A closed-loop lane is the row [x, x_m, vec theta] with the held coordinates
-(kappa, gamma) = (1, its adaptation rate): plant and reference model are
-one Plant from ``romgen.stack_plants``, and the control theta^T x, the
-adaptation law and the reference model's gust forcing kappa u_d are product
-columns of the same field.  A lane's gains start from its theta(0), which
-holds any fixed pre-gain, as the law does not read theta.  The open loop is
-lane 0 of the closed-loop batch: kappa = gamma = 0 and theta(0) = 0 keep its
-theta, u_c and x_m at exactly 0.
+A lane is the row [x, x_m, vec theta] with the held coordinates (kappa,
+gamma): plant and reference model are one Plant from ``romgen.stack_plants``,
+and the control theta^T x, the adaptation law and the reference model's gust
+forcing kappa u_d are product columns of the same field.  A batch
+(``integrate_lanes``) takes the plant, the reference model, the weighting Q
+and its Lyapunov solution P once, and per lane its adaptation rate gamma >=
+0, its gust switch kappa, 0 or 1, and its initial gains theta(0), which hold
+any fixed pre-gain, as the law does not read theta.  An adaptive lane has
+kappa = 1 and gamma > 0; gamma = 0 keeps theta at theta(0) bit for bit.  The
+open loop is the lane kappa = gamma = 0 with theta(0) = 0, which keeps its
+theta, u_c and x_m at exactly 0; with theta(0) = K^T it is the fixed-gain
+loop u_c = K x.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -263,8 +267,7 @@ def _failed_control(theta, x):
     return np.clip(u_c, -big, big)
 
 
-def _lane_field(model, reference: ReferenceModel, config: SimulationConfig,
-                design: LyapunovDesign):
+def _lane_field(model, reference: ReferenceModel, config: SimulationConfig, Q, P):
     """The closed loop on rows [x, x_m, vec theta | kappa, gamma | u_d | 1]
     as one PolyField that every lane shares: the stacked plant and reference
     model give the linear block and the springs, and the product columns
@@ -274,7 +277,7 @@ def _lane_field(model, reference: ReferenceModel, config: SimulationConfig,
     x_m and theta start at 0 keeps them at exactly 0: the open loop."""
     n, m = model.B_c.shape
     N, nm, ij, p = 2 * n + n * m, n * m, np.arange(n * m), model.p
-    i, j, PB = ij // m, ij % m, design.P @ model.B_c
+    i, j, PB = ij // m, ij % m, P @ model.B_c
     # the reference model is a plant without control (B_c = 0); its gust reads kappa
     nl = model.nl if config.plant_nonlinear else None
     io = dict(B_g=model.B_g, C_out=model.C_out, output_labels=model.output_labels)
@@ -289,93 +292,83 @@ def _lane_field(model, reference: ReferenceModel, config: SimulationConfig,
     kappa, gamma, u_d = N, N + 1, N + 2 + np.arange(p)
     W, G = np.zeros((N + 3 * K, N + 2 + p + 1)), np.zeros((K, N))
     rows = W.T  # one row per coordinate of z
-    P = rows[:, N:].reshape(-1, 3, K)  # the columns of the three factors
+    F = rows[:, N:].reshape(-1, 3, K)  # the columns of the three factors
     rows[:2 * n, :2 * n], rows[u_d, :n] = plant.A.T, model.B_g.T  # x_m's gust reads kappa
-    P[:2 * n, :, :k], P[-1, 2, :k] = np.stack(springs, axis=1), c
-    P[i, 0, control] = P[2 * n + ij, 1, control] = P[-1, 2, control] = 1.0
-    P[:n, 0, adapt], P[gamma, 2, adapt] = -design.Q[i].T, 1.0
-    P[:2 * n, 1, adapt] = np.vstack([PB, -PB])[:, j]  # e^T P B_c, e = x - x_m
-    P[u_d, 0, gust] = P[kappa, 1, gust] = P[-1, 2, gust] = 1.0
+    F[:2 * n, :, :k], F[-1, 2, :k] = np.stack(springs, axis=1), c
+    F[i, 0, control] = F[2 * n + ij, 1, control] = F[-1, 2, control] = 1.0
+    F[:n, 0, adapt], F[gamma, 2, adapt] = -Q[i].T, 1.0
+    F[:2 * n, 1, adapt] = np.vstack([PB, -PB])[:, j]  # e^T P B_c, e = x - x_m
+    F[u_d, 0, gust] = F[kappa, 1, gust] = F[-1, 2, gust] = 1.0
     G[:k, :2 * n], G[control, :n], G[adapt, 2 * n + ij] = G_s, model.B_c.T[j], 1.0
     G[gust, n:2 * n] = model.B_g.T
     return PolyField(W, np.hstack([np.eye(N), G.T]))
 
 
-def _closed_loop(model, reference: ReferenceModel, designs, thetas, gust,
-                 config: SimulationConfig, open_loop: bool = False, take=None):
-    """One trace or SimulationError per (design, theta(0)) lane from zero
-    state; the lanes are the rows (B, N) of one batch and share the first
-    design's Q and P.  With open_loop the open loop runs as lane 0 and its
-    result comes first.  With take, only each lane's error returns; the
-    chunks of ``_rk4`` go to take(rows)."""
+def integrate_lanes(model, reference: ReferenceModel, Q, P, gammas, kappas, thetas, gust,
+                    config: SimulationConfig, take=None):
+    """Advance plant, reference model and adaptive gains as one RK4 system on
+    each lane of a batch, from zero state under one gust.
+
+    The lanes share the plant, the reference model and the weighting Q with
+    its Lyapunov solution P.  Lane b adapts at rate gammas[b] >= 0, its
+    reference model reads the gust times kappas[b], 0 or 1, and its gains
+    start from thetas[b] (n, m).  gamma = kappa = 0 with theta(0) = 0 is the
+    open loop (``open_loop_of``); gamma = 0 holds the gains at theta(0).
+    Returns one closed-loop trace per lane, or a SimulationError carrying the
+    partial trace of a lane that diverged: a lane fails alone.  With take,
+    only each lane's error, or None, returns; the chunks of ``_rk4`` go to
+    take(rows)."""
     n, m = model.B_c.shape
-    if not designs or len(designs) != len(thetas):
-        raise ValueError("a batch needs one theta(0) per design")
+    gammas, kappas, thetas = (np.asarray(a, dtype=float) for a in (gammas, kappas, thetas))
+    B = len(thetas)
     if reference.A_m.shape != (n, n):
         raise ValueError("reference model dimension does not match the plant")
-    if any(np.shape(theta) != (n, m) for theta in thetas):
-        raise ValueError(f"theta(0) must have shape {(n, m)}")
-    if any(not (np.array_equal(d.Q, designs[0].Q) and np.array_equal(d.P, designs[0].P))
-           for d in designs):
-        raise ValueError("the designs of a batch must share the first lane's Q and P")
-    off = 1 if open_loop else 0  # lanes before the first closed lane
+    if not B or thetas.shape != (B, n, m) or gammas.shape != (B,) or kappas.shape != (B,):
+        raise ValueError(f"a batch needs gamma (B,), kappa (B,) and theta(0) (B, {n}, {m})")
+    if not ((gammas >= 0).all() and np.isin(kappas, (0.0, 1.0)).all()):
+        raise ValueError("a lane needs gamma >= 0 and kappa 0 or 1")
+    _check_dt(config, model.A, reference.A_m)
     dt, u_d_grid = config.dt, _gust_grid(gust, config, model.B_g.shape[1])
-    held = np.array([(0.0, 0.0)] * off + [(1.0, d.gamma) for d in designs])  # kappa, gamma
-    y = np.zeros((off + len(designs), 2 * n + n * m))
-    y[off:, 2 * n:] = [np.ravel(theta) for theta in thetas]
-    run = (_lane_field(model, reference, config, designs[0]), held, u_d_grid)
+    y = np.hstack([np.zeros((B, 2 * n)), thetas.reshape(B, -1)])
+    run = (_lane_field(model, reference, config, Q, P), np.column_stack([kappas, gammas]),
+           u_d_grid)
     if take is not None:
         return _rk4(run, y, config, take)
 
     results = []
-    for b, (steps, ys, error) in enumerate(_rk4(run, y, config)):
-        # the open trace holds a copy of x, not the batch log
-        x, closed = ys[:, :n].copy() if b < off else ys[:, :n], {}
-        if b >= off:
-            xm, theta = ys[:, n:2 * n], ys[:, 2 * n:].reshape(-1, n, m)
-            u_c = (_control if error is None else _failed_control)(theta, x)
-            closed = dict(x_m=xm, e=x - xm, theta=theta, u_c=u_c)
-        trace = SimulationTrace(time=steps * dt, x=x, outputs=x @ model.C_out.T,
-                                u_d=u_d_grid[2 * steps], output_labels=model.output_labels,
-                                diverged=error is not None, **closed)
+    for steps, ys, error in _rk4(run, y, config):
+        x, xm, theta = ys[:, :n], ys[:, n:2 * n], ys[:, 2 * n:].reshape(-1, n, m)
+        trace = SimulationTrace(
+            time=steps * dt, x=x, outputs=x @ model.C_out.T, u_d=u_d_grid[2 * steps],
+            output_labels=model.output_labels, x_m=xm, e=x - xm, theta=theta,
+            u_c=(_control if error is None else _failed_control)(theta, x),
+            diverged=error is not None)
         results.append(trace if error is None else SimulationError(error, trace=trace))
     return results
 
 
-def integrate_closed_loop(
-    model,
-    reference: ReferenceModel,
-    design: LyapunovDesign,
-    theta0: np.ndarray,
-    gust,
-    config: SimulationConfig,
-) -> SimulationTrace:
-    """Advance plant, reference model and adaptive gains as one RK4 system.
+def open_loop_of(result):
+    """The open-loop trace, or SimulationError, of a lane with gamma = kappa
+    = 0 and theta(0) = 0: its plant state alone, as ``integrate_open_loop``
+    gives it."""
+    if isinstance(result, SimulationError):
+        return SimulationError(str(result), trace=open_loop_of(result.trace))
+    return replace(result, x_m=None, e=None, theta=None, u_c=None)
 
-    The measured gust drives both the plant and the reference model; the
-    nonlinear residual enters both (Eq. 4/5 structure) unless disabled via the
-    config flags.  Both start from zero and the gains from theta0 (n, m);
-    there is no reference command (gust-load-alleviation regulation)."""
-    _check_dt(config, model.A, reference.A_m)
-    (result,) = _closed_loop(model, reference, [design], [theta0], gust, config)
+
+def integrate_closed_loop(model, reference: ReferenceModel, design: LyapunovDesign,
+                          theta0: np.ndarray, gust, config: SimulationConfig) -> SimulationTrace:
+    """The one lane of ``integrate_lanes`` with the design's Q, P and rate
+    and kappa = 1: the measured gust drives both the plant and the reference
+    model; the nonlinear residual enters both (Eq. 4/5 structure) unless
+    disabled via the config flags.  Both start from zero and the gains from
+    theta0 (n, m); there is no reference command (gust-load-alleviation
+    regulation)."""
+    (result,) = integrate_lanes(model, reference, design.Q, design.P, [design.gamma], [1.0],
+                                [theta0], gust, config)
     if isinstance(result, SimulationError):
         raise result
     return result
-
-
-def integrate_open_and_closed(model, reference: ReferenceModel, designs,
-                              thetas, gust, config: SimulationConfig):
-    """The open loop and one closed loop per (design, theta(0)) pair under
-    one gust, run from zero state as the lanes of one batch, lane 0 the open.
-
-    Returns (open, closed): the open-loop trace, as ``integrate_open_loop``
-    gives it, and a list of closed-loop traces; a run that diverged is a
-    SimulationError carrying its partial trace instead.  A lane fails alone,
-    the open lane on its plant state x alone."""
-    _check_dt(config, model.A, reference.A_m)
-    opened, *closed = _closed_loop(model, reference, list(designs), list(thetas), gust,
-                                   config, open_loop=True)
-    return opened, closed
 
 
 def integrate_open_loop(model, gust, config: SimulationConfig,
@@ -456,14 +449,13 @@ def compute_metrics(open_trace: SimulationTrace, closed_trace: SimulationTrace,
                    _stats(closed_trace.outputs[:, idx, None], u_c, e_norm)[:, 0])
 
 
-def sweep_metrics(model, reference: ReferenceModel, designs, thetas, gust,
+def sweep_metrics(model, reference: ReferenceModel, Q, P, gammas, kappas, thetas, gust,
                   config: SimulationConfig, output: int = 0):
-    """``compute_metrics`` of model output index ``output`` for the lanes of
-    ``integrate_open_and_closed``, each chunk of logged rows reduced as it
-    fills, so that no trace is kept: one GlaMetrics or SimulationError
-    (without a trace) per closed loop.  If the open loop diverged, every
-    closed loop gets its error."""
-    _check_dt(config, model.A, reference.A_m)
+    """``compute_metrics`` of model output index ``output`` for each lane of
+    ``integrate_lanes`` against the open loop, which runs beside them as lane
+    0 of the batch, each chunk of logged rows reduced as it fills, so that no
+    trace is kept: one GlaMetrics or SimulationError (without a trace) per
+    lane.  If the open loop diverged, every lane gets its error."""
     n, m = model.B_c.shape
     C_T, sums = model.C_out.T, None
 
@@ -478,8 +470,10 @@ def sweep_metrics(model, reference: ReferenceModel, designs, thetas, gust,
         sums = chunk if sums is None else np.vstack(  # maxima, sums, the last ||e||
             [np.maximum(sums[:3], chunk[:3]), sums[3:5] + chunk[3:5], chunk[5:]])
 
-    opened, *closed = _closed_loop(model, reference, designs, thetas, gust, config,
-                                   open_loop=True, take=take)
+    opened, *closed = integrate_lanes(model, reference, Q, P, np.r_[0.0, gammas],
+                                      np.r_[0.0, kappas],
+                                      np.vstack([np.zeros((1, n, m)), thetas]), gust, config,
+                                      take)
     return [SimulationError(opened or error) if opened or error
             else _finish(model.output_labels[output], sums[:, 0], sums[:, b])
             for b, error in enumerate(closed, 1)]

@@ -26,10 +26,9 @@ from aeromrac.sim import (
     SimulationConfig,
     compute_metrics,
     integrate_closed_loop,
-    integrate_open_and_closed,
     integrate_open_loop,
 )
-from conftest import random_stable
+from conftest import open_and_closed, random_stable
 
 
 def _verdict(num, ok, detail):
@@ -78,9 +77,9 @@ def _canonical_controller(rom, gamma=0.5, q_scale=0.03):
 def _open_and_closed(rom, gust, cfg, gammas, q_scale=0.03):
     """The open loop and one canonical closed loop per gamma, run as one
     batch; a run that diverged raises its SimulationError."""
-    runs = [_canonical_controller(rom, gamma=g, q_scale=q_scale) for g in gammas]
-    tr_open, closed = integrate_open_and_closed(
-        rom, runs[0][0], [d for _, d, _ in runs], [s for _, _, s in runs], gust, cfg)
+    ref, design, theta0 = _canonical_controller(rom, q_scale=q_scale)
+    tr_open, closed = open_and_closed(rom, ref, design, gammas, [theta0] * len(gammas), gust,
+                                      cfg)
     for tr in (tr_open, *closed):
         if isinstance(tr, sim.SimulationError):
             raise tr

@@ -20,7 +20,6 @@ from hypothesis.extra.numpy import arrays
 from aeromrac.gusts import OneCosineGust
 from aeromrac import sim
 from aeromrac.mrac import (
-    LyapunovDesign,
     ReferenceModel,
     build_reference_model,
     make_design,
@@ -38,9 +37,9 @@ from aeromrac.sim import (
     SimulationConfig,
     SimulationError,
     integrate_closed_loop,
-    integrate_open_and_closed,
     integrate_open_loop,
 )
+from conftest import open_and_closed
 
 REL_TOL = 1e-12
 inputs = st.floats(-1.0, 1.0, allow_nan=False)
@@ -106,11 +105,14 @@ def _assert_close(got, want, fields=CLOSED_FIELDS):
         assert np.abs(a - b).max() <= REL_TOL * np.abs(b).max(), name
 
 
+def _batch(rom, ref, designs, thetas, config=BATCH_CONFIG):
+    # the designs share Q and P: a lane is its rate and theta(0)
+    return open_and_closed(rom, ref, designs[0], [d.gamma for d in designs], thetas,
+                           BATCH_GUST, config)
+
+
 def _run(rom, gammas):
-    ref, designs, thetas = _lanes(rom, gammas)
-    opened, closed = integrate_open_and_closed(rom, ref, designs, thetas, BATCH_GUST,
-                                               BATCH_CONFIG)
-    return opened, closed
+    return _batch(rom, *_lanes(rom, gammas))
 
 
 @settings(max_examples=10, deadline=None)
@@ -138,8 +140,7 @@ def test_diverged_lane_fails_alone(rom, gammas, data):
     ref, designs, thetas = _lanes(rom, gammas)
     # a gain far outside the stable range: the lane diverges within a few steps
     thetas[bad] = np.full_like(thetas[bad], 1e3)
-    opened, batch = integrate_open_and_closed(rom, ref, designs, thetas, BATCH_GUST,
-                                              BATCH_CONFIG)
+    opened, batch = _batch(rom, ref, designs, thetas)
     failed = batch[bad]
     assert isinstance(failed, SimulationError) and failed.trace.diverged
     assert failed.trace.time[-1] < BATCH_CONFIG.duration
@@ -162,12 +163,9 @@ def test_diverged_lane_in_a_later_tile_fails_alone_and_silently(rom):
     thetas[bad] = np.full_like(thetas[bad], 1e3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        opened, batch = integrate_open_and_closed(rom, ref, designs, thetas, BATCH_GUST,
-                                                  BATCH_CONFIG)
-        _, (alone,) = integrate_open_and_closed(rom, ref, designs[bad:], thetas[bad:],
-                                                BATCH_GUST, BATCH_CONFIG)
-        rest_open, rest = integrate_open_and_closed(rom, ref, designs[:bad], thetas[:bad],
-                                                    BATCH_GUST, BATCH_CONFIG)
+        opened, batch = _batch(rom, ref, designs, thetas)
+        _, (alone,) = _batch(rom, ref, designs[bad:], thetas[bad:])
+        rest_open, rest = _batch(rom, ref, designs[:bad], thetas[:bad])
     assert isinstance(alone, SimulationError)
     _same_trace(batch[bad], alone)
     for got, want in zip([opened, *batch[:bad]], [rest_open, *rest]):
@@ -198,12 +196,12 @@ def test_streamed_metrics_equal_serial_traces(rom, gammas, data):
 
     ref, designs, thetas = lanes()
     with mock.patch.object(sim, "CHUNK_ROWS", chunk):
-        got = sim.sweep_metrics(rom, ref, designs, thetas, BATCH_GUST, config, output)
+        got = sim.sweep_metrics(rom, ref, designs[0].Q, designs[0].P, gammas,
+                                [1.0] * len(gammas), thetas, BATCH_GUST, config, output)
     _, designs, thetas = lanes()
     assert len(got) == len(gammas)
     for metrics, design, theta in zip(got, designs, thetas):
-        opened, (closed,) = integrate_open_and_closed(rom, ref, [design], [theta],
-                                                      BATCH_GUST, config)
+        opened, (closed,) = _batch(rom, ref, [design], [theta], config)
         error = next((r for r in (opened, closed) if isinstance(r, SimulationError)), None)
         if error is not None:
             assert isinstance(metrics, SimulationError) and str(metrics) == str(error)
@@ -227,29 +225,37 @@ def _same_trace(got, want):
 
 
 @settings(max_examples=25, deadline=None)
-@given(gammas=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=2 * sim.TILE + 1),
+@given(gammas=st.lists(st.one_of(st.just(0.0), st.floats(0.01, 2.0)), min_size=1,
+                       max_size=2 * sim.TILE + 1),
+       kappas=st.lists(st.sampled_from([0.0, 1.0]), min_size=2 * sim.TILE + 1,
+                       max_size=2 * sim.TILE + 1),
        open_loop=st.booleans(), plant_nl=st.booleans(), ref_nl=st.booleans(),
        log_stride=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
-@example(gammas=np.linspace(0.01, 2.0, 2 * sim.TILE + 1).tolist(), open_loop=True,
-         plant_nl=True, ref_nl=True, log_stride=1, seed=0)
-def test_lane_trace_does_not_depend_on_its_batch(rom, gammas, open_loop, plant_nl, ref_nl,
-                                                 log_stride, seed):
+@example(gammas=np.linspace(0.01, 2.0, 2 * sim.TILE + 1).tolist(),
+         kappas=[1.0] * (2 * sim.TILE + 1), open_loop=True, plant_nl=True, ref_nl=True,
+         log_stride=1, seed=0)
+def test_lane_trace_does_not_depend_on_its_batch(rom, gammas, kappas, open_loop, plant_nl,
+                                                 ref_nl, log_stride, seed):
     # a lane's trace is the same, bit for bit, whatever the lane count and its
-    # position: each closed lane alone and in the batch reversed, the open
-    # lane beside the first closed lane alone and in the reversed batch.  Past
-    # one tile of sim.TILE lanes, reversing the batch moves lanes between
-    # tiles and between columns of a tile.
+    # position: each drawn lane alone and in the batch reversed, the open
+    # lane beside the first drawn lane alone and in the reversed batch.  A
+    # drawn lane has its own rate, 0 among them, and gust switch.  Past one
+    # tile of sim.TILE lanes, reversing the batch moves lanes between tiles
+    # and between columns of a tile.
     config = SimulationConfig(dt=0.02, duration=6.0, plant_nonlinear=plant_nl,
                               reference_nonlinear=ref_nl, log_stride=log_stride)
     rng = np.random.default_rng(seed)
     K0 = 0.01 * rng.normal(size=(len(gammas), rom.m, rom.n))
     theta = 0.01 * rng.normal(size=(len(gammas), rom.n, rom.m))
+    ref, (design,), (zero,) = _lanes(rom, [1.0])
 
     def run(lanes, open_lane=False):
-        ref, designs, _ = _lanes(rom, [gammas[b] for b in lanes])
-        # a pre-gain K0 enters as theta(0) = theta + K0^T
-        thetas = [theta[b] + K0[b].T for b in lanes]
-        return sim._closed_loop(rom, ref, designs, thetas, BATCH_GUST, config, open_lane)
+        # the open lane is gamma = kappa = 0 with theta(0) = 0; a pre-gain K0
+        # enters as theta(0) = theta + K0^T
+        spec = [(0.0, 0.0, zero)] * open_lane + [(gammas[b], kappas[b], theta[b] + K0[b].T)
+                                                 for b in lanes]
+        return sim.integrate_lanes(rom, ref, design.Q, design.P, *zip(*spec), BATCH_GUST,
+                                   config)
 
     lanes = list(range(len(gammas)))
     off = int(open_loop)
@@ -258,8 +264,8 @@ def test_lane_trace_does_not_depend_on_its_batch(rom, gammas, open_loop, plant_n
         batch = run(lanes, open_loop)
     backwards = run(lanes[::-1], open_loop)
     if open_loop:
-        # the open lane's x_m, theta and u_c, which its trace leaves out, stay
-        # exactly 0, in a batch of one tile or of several
+        # the open lane's x_m, theta and u_c stay exactly 0, in a batch of one
+        # tile or of several
         (_, ys, error), n = runs[0][0], rom.n
         assert error is None and np.all(ys[:, n:] == 0.0)
         assert np.all(sim._control(ys[:, 2 * n:].reshape(-1, n, rom.m), ys[:, :n]) == 0.0)
@@ -332,13 +338,13 @@ def test_lane_field_is_plant_rhs_beside_the_law(n, k, m, p, lanes, open_loop, pl
     config = SimulationConfig(dt=0.01, duration=1.0, plant_nonlinear=plant_nl,
                               reference_nonlinear=ref_nl)
     R = rng.normal(size=(n, n))
-    design = LyapunovDesign(Q=R @ R.T + np.eye(n), P=rng.normal(size=(n, n)), gamma=1.0)
+    Q, P = R @ R.T + np.eye(n), rng.normal(size=(n, n))
     kappa, gamma = np.ones(lanes), rng.uniform(0.01, 2.0, size=lanes)
     y = rng.normal(size=(lanes, 2 * n + n * m))
     if open_loop:
         kappa[0] = gamma[0] = y[0, n:] = 0.0
     u_d = rng.normal(size=p)
-    field = sim._lane_field(model, reference, config, design)
+    field = sim._lane_field(model, reference, config, Q, P)
     assert field.W.ndim == 2
     got = field(np.hstack([y, kappa[:, None], gamma[:, None], np.tile(u_d, (lanes, 1)),
                            np.ones((lanes, 1))]))
@@ -349,9 +355,9 @@ def test_lane_field_is_plant_rhs_beside_the_law(n, k, m, p, lanes, open_loop, pl
                          Plant(A=reference.A_m, B_c=np.zeros((n, m)),
                                nl=nl if ref_nl else None, **io))
     x, xm, theta = y[:, :n], y[:, n:2 * n], y[:, 2 * n:].reshape(lanes, n, m)
-    Gamma = gamma[:, None, None] * design.Q
+    Gamma = gamma[:, None, None] * Q
     want = np.hstack([stack.rhs(y[:, :2 * n], sim._control(theta, x), u_d),
-                      theta_rate(x - xm, x, Gamma, design.P @ model.B_c).reshape(lanes, -1)])
+                      theta_rate(x - xm, x, Gamma, P @ model.B_c).reshape(lanes, -1)])
     assert got.shape == want.shape
     if open_loop:  # its reference model and gains stay exactly at rest
         assert np.all(got[0, n:] == 0.0)

@@ -18,9 +18,10 @@ from aeromrac.sim import (
     SimulationTrace,
     compute_metrics,
     integrate_closed_loop,
-    integrate_open_and_closed,
+    integrate_lanes,
     integrate_open_loop,
 )
+from conftest import open_and_closed
 
 
 def tiny_plant(A, quad=0.0):
@@ -65,7 +66,8 @@ class TestConfig:
         with pytest.warns(UserWarning, match="stability heuristic"):
             integrate_closed_loop(rom, ref, design, theta0, ZeroGust(), cfg)
         with pytest.warns(UserWarning, match="stability heuristic"):
-            integrate_open_and_closed(rom, ref, [design], [theta0], ZeroGust(), cfg)
+            integrate_lanes(rom, ref, design.Q, design.P, [design.gamma], [1.0], [theta0],
+                            ZeroGust(), cfg)
 
 
 class TestOpenLoop:
@@ -139,9 +141,8 @@ class TestOpenLoop:
         gust, cfg = OneCosineGust(0.5, 2.0, 1.0), SimulationConfig(dt=0.02, duration=6.0)
         assert np.all(integrate_open_loop(plant, gust, cfg).x == 0.0)
         ref = ReferenceModel(A_m=-2.0 * np.eye(2))
-        opened, (closed,) = integrate_open_and_closed(
-            plant, ref, [make_design(ref.A_m, np.eye(2), gamma=0.5, m=1)], [np.zeros((2, 1))],
-            gust, cfg)
+        opened, (closed,) = open_and_closed(plant, ref, make_design(ref.A_m, np.eye(2), 0.5, m=1),
+                                            [0.5], [np.zeros((2, 1))], gust, cfg)
         assert np.all(opened.x == 0.0) and np.all(closed.x == 0.0)
         assert np.all(closed.theta == 0.0) and np.all(closed.u_c == 0.0)
 
@@ -160,18 +161,6 @@ class TestClosedLoop:
         cfg = SimulationConfig(dt=0.01, duration=1.0)
         with pytest.raises(ValueError, match="dimension"):
             integrate_closed_loop(plant, ref, design, theta0, ZeroGust(), cfg)
-
-    def test_batch_refuses_designs_that_differ_in_q_or_p(self, rom):
-        ref, design, theta0 = _controller(rom)
-        thetas = [theta0, theta0.copy()]
-        cfg = SimulationConfig(dt=0.01, duration=1.0)
-        for other in (LyapunovDesign(2.0 * design.Q, design.P, design.gamma),
-                      LyapunovDesign(design.Q, 2.0 * design.P, design.gamma)):
-            with pytest.raises(ValueError, match="Q and P"):
-                integrate_open_and_closed(rom, ref, [design, other], thetas, ZeroGust(), cfg)
-        # a lane of its own rate shares the batch
-        other = LyapunovDesign(design.Q.copy(), design.P.copy(), 2.0)
-        integrate_open_and_closed(rom, ref, [design, other], thetas, ZeroGust(), cfg)
 
     def test_deterministic(self, rom):
         cfg = SimulationConfig(dt=0.02, duration=10.0)
@@ -192,7 +181,7 @@ class TestClosedLoop:
         theta0 = 0.01 * np.random.default_rng(23).normal(size=(rom.n, 1))
         given = theta0.copy()
         gust, cfg = OneCosineGust(0.14, 2.0, 1.0), SimulationConfig(dt=0.02, duration=10.0)
-        _, (batched,) = integrate_open_and_closed(rom, ref, [design], [theta0], gust, cfg)
+        _, (batched,) = open_and_closed(rom, ref, design, [design.gamma], [theta0], gust, cfg)
         for trace in (integrate_closed_loop(rom, ref, design, theta0, gust, cfg), batched):
             assert np.array_equal(trace.theta[0], given)
             assert not np.array_equal(trace.theta[-1], given)
@@ -251,12 +240,11 @@ class TestOpenLane:
         # A_m = -1e-3 I barely damps: x_m integrates the gust to 7.9 while the
         # plant peaks at 3.7, and the small gains keep the closed x below 5
         ref = ReferenceModel(A_m=-1e-3 * np.eye(rom.n))
-        designs = [make_design(ref.A_m, 0.03 * np.eye(rom.n), gamma=g, m=1)
-                   for g in (1e-6, 1e-4)]
-        thetas = [np.zeros((rom.n, 1)) for _ in designs]
+        design = make_design(ref.A_m, 0.03 * np.eye(rom.n), gamma=1e-6, m=1)
+        thetas = [np.zeros((rom.n, 1))] * 2
         gust = OneCosineGust(0.14, 50.0, 1.0)
         cfg = SimulationConfig(dt=0.1, duration=110.0, divergence_threshold=5.0)
-        opened, closed = integrate_open_and_closed(rom, ref, designs, thetas, gust, cfg)
+        opened, closed = open_and_closed(rom, ref, design, [1e-6, 1e-4], thetas, gust, cfg)
         assert isinstance(opened, SimulationTrace) and not opened.diverged
         want = integrate_open_loop(rom, gust, cfg)
         assert np.abs(opened.x - want.x).max() <= 1e-12 * np.abs(want.x).max()
@@ -270,7 +258,7 @@ class TestOpenLane:
         design = make_design(ref.A_m, np.eye(2), gamma=0.5, m=1)
         gust = OneCosineGust(3.0, 2.0, 1.0)
         cfg = SimulationConfig(dt=0.01, duration=20.0, divergence_threshold=1e6)
-        opened, _ = integrate_open_and_closed(plant, ref, [design], [np.zeros((2, 1))], gust, cfg)
+        opened, _ = open_and_closed(plant, ref, design, [0.5], [np.zeros((2, 1))], gust, cfg)
         with pytest.raises(SimulationError) as alone:
             integrate_open_loop(plant, gust, cfg)
         assert isinstance(opened, SimulationError) and str(opened) == str(alone.value)
@@ -284,9 +272,9 @@ class TestOpenLane:
         # 8e-14 measured; an operator with the identity folded in drifts to 2e-12)
         ref, design, theta0 = _controller(rom)
         gust, cfg = OneCosineGust(0.14, 55.0, 1.0), SimulationConfig(dt=0.01, duration=30.0)
-        opened, (closed,) = integrate_open_and_closed(rom, ref, [design], [theta0], gust, cfg)
+        opened, (closed,) = open_and_closed(rom, ref, design, [design.gamma], [theta0], gust, cfg)
         ld, n, h = np.longdouble, rom.n, np.longdouble(cfg.dt)
-        field = sim._lane_field(rom, ref, cfg, design)
+        field = sim._lane_field(rom, ref, cfg, design.Q, design.P)
         W, back = field.W.astype(ld), field.back.astype(ld)
         N, K = back.shape[0], back.shape[1] - back.shape[0]
         u_d = sim._gust_grid(gust, cfg, rom.p).astype(ld)
@@ -315,6 +303,50 @@ class TestOpenLane:
             scale = np.abs(want).max(axis=0)
             assert (scale > 0.0).all()
             assert (np.abs(got - want).max(axis=0) <= 3e-13 * scale).all()
+
+
+class TestLaneSpec:
+    """A lane of ``integrate_lanes`` is its rate gamma >= 0, its gust switch
+    kappa, 0 or 1, and its theta(0), beside the batch's one Q and P."""
+
+    def test_refuses_a_bad_lane(self, rom):
+        ref, design, theta0 = _controller(rom)
+        cfg = SimulationConfig(dt=0.01, duration=0.1)
+        for gammas, kappas, thetas in (([-0.5], [1.0], [theta0]), ([np.nan], [1.0], [theta0]),
+                                       ([0.5], [0.5], [theta0]), ([0.5] * 2, [1.0], [theta0] * 2),
+                                       ([0.5], [1.0], [theta0.T]), ([], [], [])):
+            with pytest.raises(ValueError, match="lane|batch"):
+                integrate_lanes(rom, ref, design.Q, design.P, gammas, kappas, thetas,
+                                ZeroGust(), cfg)
+
+    def test_fixed_gain_lane_is_the_open_loop_of_the_gained_plant(self, rom):
+        # gamma = kappa = 0 with theta(0) = K^T: theta stays K^T and x_m at 0,
+        # x is the open loop of A + B_c K, and the lane's control is u_c = K x
+        ref, design, _ = _controller(rom)
+        K = 0.01 * np.random.default_rng(24).normal(size=(rom.m, rom.n))
+        gust, cfg = OneCosineGust(0.14, 2.0, 1.0), SimulationConfig(dt=0.02, duration=20.0)
+        (lane,) = integrate_lanes(rom, ref, design.Q, design.P, [0.0], [0.0], [K.T], gust, cfg)
+        plant = Plant(A=rom.A + rom.B_c @ K, B_c=rom.B_c, B_g=rom.B_g, C_out=rom.C_out,
+                      output_labels=rom.output_labels, nl=rom.nl)
+        want = integrate_open_loop(plant, gust, cfg)
+        for got, expected in ((lane.x, want.x), (lane.outputs, want.outputs),
+                              (lane.u_c, lane.x @ K.T)):
+            scale = np.abs(expected).max(axis=0)
+            assert (scale > 0.0).all()
+            assert (np.abs(got - expected).max(axis=0) <= 1e-12 * scale).all()
+        assert np.array_equal(lane.time, want.time) and np.array_equal(lane.u_d, want.u_d)
+        assert np.all(lane.x_m == 0.0) and np.all(lane.theta == K.T)
+
+    def test_lane_without_adaptation_holds_its_gains(self, rom):
+        # gamma = 0, kappa = 1: the reference model runs under the gust while
+        # theta stays at theta(0) bit for bit
+        ref, design, _ = _controller(rom)
+        theta0 = 0.01 * np.random.default_rng(25).normal(size=(rom.n, rom.m))
+        gust, cfg = OneCosineGust(0.14, 2.0, 1.0), SimulationConfig(dt=0.02, duration=20.0)
+        (lane,) = integrate_lanes(rom, ref, design.Q, design.P, [0.0], [1.0], [theta0], gust,
+                                  cfg)
+        assert np.abs(lane.e).max() > 0.0
+        assert (lane.theta.view(np.uint64) == theta0.view(np.uint64)).all()
 
 
 def _written_out_run(rom, ref, design, theta0, gust, cfg):
@@ -372,8 +404,9 @@ class TestStackedPlant:
         ref, lanes = self._lanes(rom, count)
         wants = [_written_out_run(rom, ref, d, s, self.GUST, cfg)
                  for d, s in lanes]
-        _, traces = integrate_open_and_closed(rom, ref, [d for d, _ in lanes],
-                                              [s for _, s in lanes], self.GUST, cfg)
+        # the lanes' designs share Q and P: a lane is its rate and theta(0)
+        _, traces = open_and_closed(rom, ref, lanes[0][0], [d.gamma for d, _ in lanes],
+                                    [s for _, s in lanes], self.GUST, cfg)
         for trace, want in zip(traces, wants):
             for got, expected in zip((trace.x, trace.x_m, trace.theta, trace.u_c), want):
                 assert got.shape == expected.shape
