@@ -511,10 +511,9 @@ def _gamma_points(cfg, rom, grid, idx):
     results = [(None, "gamma must be positive")] * len(grid)
     points = [k for k, gamma in enumerate(grid) if gamma > 0]
     if points:
-        lanes = len(points)
         metrics = sim.sweep_metrics(rom, reference, design.Q, design.P,
-                                    [grid[k] for k in points], [1.0] * lanes,
-                                    np.zeros((lanes, rom.n, rom.m)), gust, config, idx)
+                                    [grid[k] for k in points],
+                                    np.zeros((len(points), rom.n, rom.m)), gust, config, idx)
         for k, m in zip(points, metrics):
             results[k] = (None, str(m)) if isinstance(m, sim.SimulationError) else (m, None)
     return results

@@ -305,7 +305,7 @@ def _lane_field(model, reference: ReferenceModel, config: SimulationConfig, Q, P
 
 
 def integrate_lanes(model, reference: ReferenceModel, Q, P, gammas, kappas, thetas, gust,
-                    config: SimulationConfig, take=None):
+                    config: SimulationConfig):
     """Advance plant, reference model and adaptive gains as one RK4 system on
     each lane of a batch, from zero state under one gust.
 
@@ -315,9 +315,15 @@ def integrate_lanes(model, reference: ReferenceModel, Q, P, gammas, kappas, thet
     start from thetas[b] (n, m).  gamma = kappa = 0 with theta(0) = 0 is the
     open loop (``open_loop_of``); gamma = 0 holds the gains at theta(0).
     Returns one closed-loop trace per lane, or a SimulationError carrying the
-    partial trace of a lane that diverged: a lane fails alone.  With take,
-    only each lane's error, or None, returns; the chunks of ``_rk4`` go to
-    take(rows)."""
+    partial trace of a lane that diverged: a lane fails alone."""
+    _check_dt(config, model.A, reference.A_m)
+    return _lanes(model, reference, Q, P, gammas, kappas, thetas, gust, config)
+
+
+def _lanes(model, reference: ReferenceModel, Q, P, gammas, kappas, thetas, gust,
+           config: SimulationConfig, take=None):
+    """``integrate_lanes`` after its dt check; with take, only each lane's
+    error, or None, returns and the chunks of ``_rk4`` go to take(rows)."""
     n, m = model.B_c.shape
     gammas, kappas, thetas = (np.asarray(a, dtype=float) for a in (gammas, kappas, thetas))
     B = len(thetas)
@@ -327,7 +333,6 @@ def integrate_lanes(model, reference: ReferenceModel, Q, P, gammas, kappas, thet
         raise ValueError(f"a batch needs gamma (B,), kappa (B,) and theta(0) (B, {n}, {m})")
     if not ((gammas >= 0).all() and np.isin(kappas, (0.0, 1.0)).all()):
         raise ValueError("a lane needs gamma >= 0 and kappa 0 or 1")
-    _check_dt(config, model.A, reference.A_m)
     dt, u_d_grid = config.dt, _gust_grid(gust, config, model.B_g.shape[1])
     y = np.hstack([np.zeros((B, 2 * n)), thetas.reshape(B, -1)])
     run = (_lane_field(model, reference, config, Q, P), np.column_stack([kappas, gammas]),
@@ -358,14 +363,14 @@ def open_loop_of(result):
 
 def integrate_closed_loop(model, reference: ReferenceModel, design: LyapunovDesign,
                           theta0: np.ndarray, gust, config: SimulationConfig) -> SimulationTrace:
-    """The one lane of ``integrate_lanes`` with the design's Q, P and rate
-    and kappa = 1: the measured gust drives both the plant and the reference
-    model; the nonlinear residual enters both (Eq. 4/5 structure) unless
-    disabled via the config flags.  Both start from zero and the gains from
-    theta0 (n, m); there is no reference command (gust-load-alleviation
-    regulation)."""
-    (result,) = integrate_lanes(model, reference, design.Q, design.P, [design.gamma], [1.0],
-                                [theta0], gust, config)
+    """The one lane of ``integrate_lanes`` with the design's Q, P and rate and
+    kappa = 1: the measured gust drives plant and reference model, the
+    nonlinear residual enters both (Eq. 4/5 structure) unless the config
+    disables it, both start from zero and the gains from theta0 (n, m); there
+    is no reference command (gust-load-alleviation regulation)."""
+    _check_dt(config, model.A, reference.A_m)
+    (result,) = _lanes(model, reference, design.Q, design.P, [design.gamma], [1.0], [theta0],
+                       gust, config)
     if isinstance(result, SimulationError):
         raise result
     return result
@@ -449,13 +454,14 @@ def compute_metrics(open_trace: SimulationTrace, closed_trace: SimulationTrace,
                    _stats(closed_trace.outputs[:, idx, None], u_c, e_norm)[:, 0])
 
 
-def sweep_metrics(model, reference: ReferenceModel, Q, P, gammas, kappas, thetas, gust,
+def sweep_metrics(model, reference: ReferenceModel, Q, P, gammas, thetas, gust,
                   config: SimulationConfig, output: int = 0):
-    """``compute_metrics`` of model output index ``output`` for each lane of
-    ``integrate_lanes`` against the open loop, which runs beside them as lane
-    0 of the batch, each chunk of logged rows reduced as it fills, so that no
+    """``compute_metrics`` of output index ``output`` for the lanes (gammas[b],
+    kappa = 1, thetas[b]) of ``integrate_lanes`` against the open loop, lane 0
+    of their batch, each chunk of logged rows reduced as it fills, so that no
     trace is kept: one GlaMetrics or SimulationError (without a trace) per
-    lane.  If the open loop diverged, every lane gets its error."""
+    lane; if the open loop diverged, every lane gets its error."""
+    _check_dt(config, model.A, reference.A_m)
     n, m = model.B_c.shape
     C_T, sums = model.C_out.T, None
 
@@ -470,10 +476,9 @@ def sweep_metrics(model, reference: ReferenceModel, Q, P, gammas, kappas, thetas
         sums = chunk if sums is None else np.vstack(  # maxima, sums, the last ||e||
             [np.maximum(sums[:3], chunk[:3]), sums[3:5] + chunk[3:5], chunk[5:]])
 
-    opened, *closed = integrate_lanes(model, reference, Q, P, np.r_[0.0, gammas],
-                                      np.r_[0.0, kappas],
-                                      np.vstack([np.zeros((1, n, m)), thetas]), gust, config,
-                                      take)
+    opened, *closed = _lanes(model, reference, Q, P, np.r_[0.0, gammas],
+                             np.r_[0.0, np.ones(len(gammas))],
+                             np.vstack([np.zeros((1, n, m)), thetas]), gust, config, take)
     return [SimulationError(opened or error) if opened or error
             else _finish(model.output_labels[output], sums[:, 0], sums[:, b])
             for b, error in enumerate(closed, 1)]

@@ -196,8 +196,8 @@ def test_streamed_metrics_equal_serial_traces(rom, gammas, data):
 
     ref, designs, thetas = lanes()
     with mock.patch.object(sim, "CHUNK_ROWS", chunk):
-        got = sim.sweep_metrics(rom, ref, designs[0].Q, designs[0].P, gammas,
-                                [1.0] * len(gammas), thetas, BATCH_GUST, config, output)
+        got = sim.sweep_metrics(rom, ref, designs[0].Q, designs[0].P, gammas, thetas,
+                                BATCH_GUST, config, output)
     _, designs, thetas = lanes()
     assert len(got) == len(gammas)
     for metrics, design, theta in zip(got, designs, thetas):

@@ -63,11 +63,15 @@ class TestConfig:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             integrate_open_loop(rom, ZeroGust(), cfg)
-        with pytest.warns(UserWarning, match="stability heuristic"):
-            integrate_closed_loop(rom, ref, design, theta0, ZeroGust(), cfg)
-        with pytest.warns(UserWarning, match="stability heuristic"):
-            integrate_lanes(rom, ref, design.Q, design.P, [design.gamma], [1.0], [theta0],
-                            ZeroGust(), cfg)
+        # each entry warns at its caller's line, here
+        for run in (lambda: integrate_closed_loop(rom, ref, design, theta0, ZeroGust(), cfg),
+                    lambda: integrate_lanes(rom, ref, design.Q, design.P, [design.gamma], [1.0],
+                                            [theta0], ZeroGust(), cfg),
+                    lambda: sim.sweep_metrics(rom, ref, design.Q, design.P, [design.gamma],
+                                              [theta0], ZeroGust(), cfg)):
+            with pytest.warns(UserWarning, match="stability heuristic") as record:
+                run()
+            assert [w.filename for w in record] == [__file__]
 
 
 class TestOpenLoop:
