@@ -300,6 +300,14 @@ def write_csv(path, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _step_line(trace: sim.SimulationTrace, dt: float) -> str:
+    """The RK4 step a run took, for its report."""
+    k = trace.step_multiple
+    if k == 1:
+        return f"RK4 step {dt:g} = dt; rows at its nodes"
+    return f"RK4 step {k * dt:g} = {k} dt; rows on the dt grid by cubic Hermite dense output"
+
+
 def write_resolved_config(cfg, outdir: Path) -> None:
     (outdir / "resolved_config.yaml").write_text(
         yaml.safe_dump(cfg, sort_keys=True, default_flow_style=False)
@@ -391,7 +399,7 @@ def cmd_rom_build(cfg, outdir: Path, args) -> int:
     write_plot_script(outdir / "plot_validation.py", "validation.csv",
                       "full vs reduced gust response", header[1:])
 
-    lines = [f"reduced model: n = {rom.n} of N = {full.n}"]
+    lines = [f"reduced model: n = {rom.n} of N = {full.n}", _step_line(trace, cfg["sim"]["dt"])]
     tol_peak, tol_rms = cfg["rom"]["peak_tol_percent"], cfg["rom"]["rms_tol_percent"]
     ok = True
     for label, yf, yr in zip(rom.output_labels, y_full.T, y_rom.T):
@@ -487,6 +495,7 @@ def cmd_simulate(cfg, outdir: Path, args) -> int:
         f"output {m.output}: peak open {m.peak_open:.6e}, peak closed "
         f"{m.peak_closed:.6e}, reduction {m.reduction_percent:.2f}%",
         f"max flap command {np.degrees(m.max_flap_cmd):.3f} deg",
+        _step_line(tr_closed, config.dt),
     ]
     lines += cert_lines
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n")

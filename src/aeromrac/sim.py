@@ -20,6 +20,16 @@ kappa = 1 and gamma > 0; gamma = 0 keeps theta at theta(0) bit for bit.  The
 open loop is the lane kappa = gamma = 0 with theta(0) = 0, which keeps its
 theta, u_c and x_m at exactly 0; with theta(0) = K^T it is the fixed-gain
 loop u_c = K x.
+
+``SimulationConfig.dt`` is the output grid, not always the step.  Under a
+smooth gust (one-cosine or zero) RK4 steps at h = k dt, k the largest integer
+up to MAX_STEP_MULTIPLE that divides the step count and keeps h within the
+0.1/max|lambda| heuristic of the dt warning; under any other gust, such as a
+Von Karman realisation held on the dt grid, it steps at dt.  The dt-grid rows
+between RK4 nodes are cubic Hermite dense output (``_dense``), within 1e-9
+of stepping at dt on the packaged one-cosine runs.  A run that diverges
+fails at a node: its partial trace holds the dense rows up to its last node
+within the bound, then the diverged node at the time its message names.
 """
 
 from __future__ import annotations
@@ -29,15 +39,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .gusts import OneCosineGust, ZeroGust
 from .mrac import LyapunovDesign, ReferenceModel
 from .romgen import Plant, PolyField, stack_plants
 
 DIVERGENCE_DEFAULT = 1e8
 # Logged rows a sweep's batch holds at a time; they are reduced to metrics.
+# At a step of k dt the batch holds this many RK4 nodes and reduces their
+# dense rows CHUNK_ROWS // k at a time.
 CHUNK_ROWS = 4096
 # Lanes per tile of ``_rk4``: each of its products is one gemm of this many
 # columns per tile, whatever the batch.
 TILE = 8
+# Largest k of the RK4 step h = k dt under a smooth gust (``_step_multiple``).
+MAX_STEP_MULTIPLE = 5
 # A lane is settled when its final error norm is at most this fraction of its peak.
 _SETTLE_TOL = 1e-4
 
@@ -86,21 +101,56 @@ class SimulationTrace:
     theta: np.ndarray | None = None  # (T, n, m)
     u_c: np.ndarray | None = None  # (T, m)
     diverged: bool = False
+    step_multiple: int = 1  # RK4 stepped at k dt; rows between its nodes are dense output
 
     @property
     def closed_loop(self) -> bool:
         return self.x_m is not None
 
 
+def _dt_limit(*matrices: np.ndarray) -> float:
+    """The stability heuristic 0.1/max|lambda| of the given A (and A_m);
+    inf for a zero spectrum."""
+    lam = max(np.abs(np.linalg.eigvals(A)).max() for A in matrices)
+    return 0.1 / lam if lam > 0 else np.inf
+
+
 def _check_dt(config: SimulationConfig, *matrices: np.ndarray):
     """Warn when dt exceeds 0.1/max|lambda| of the given A (and A_m)."""
-    lam = max(np.abs(np.linalg.eigvals(A)).max() for A in matrices)
-    if lam > 0 and config.dt > 0.1 / lam:
+    limit = _dt_limit(*matrices)
+    if config.dt > limit:
         warnings.warn(
-            f"dt = {config.dt} exceeds stability heuristic 0.1/max|lambda| = "
-            f"{0.1 / lam:.3e}",
+            f"dt = {config.dt} exceeds stability heuristic 0.1/max|lambda| = {limit:.3e}",
             stacklevel=3,
         )
+
+
+def _step_multiple(gust, config: SimulationConfig, *matrices: np.ndarray) -> int:
+    """k of the RK4 step h = k dt.  Under a smooth gust (one-cosine or zero)
+    it is the largest k <= MAX_STEP_MULTIPLE that divides the step count and
+    keeps h within the dt heuristic of the given A (and A_m); under any other
+    gust, such as a Von Karman realisation held on the dt grid, it is 1."""
+    if not isinstance(gust, (OneCosineGust, ZeroGust)):
+        return 1
+    limit = _dt_limit(*matrices)
+    return max((k for k in range(2, MAX_STEP_MULTIPLE + 1)
+                if config.n_steps % k == 0 and k * config.dt <= limit), default=1)
+
+
+def _node_config(config: SimulationConfig, k: int) -> SimulationConfig:
+    """The config that ``_rk4`` runs at h = k dt: every node logged."""
+    if k == 1:
+        return config
+    h = k * config.dt
+    return replace(config, dt=h, duration=config.n_steps // k * h, log_stride=1)
+
+
+def _logged(config: SimulationConfig) -> np.ndarray:
+    """The logged step numbers: every log_stride-th and the last.  Any stride
+    past the last step logs the two ends; np.arange takes none past int64."""
+    steps = config.n_steps
+    logged = np.arange(0, steps + 1, min(config.log_stride, steps))
+    return logged if logged[-1] == steps else np.append(logged, steps)
 
 
 def _gust_grid(gust, config: SimulationConfig, p: int) -> np.ndarray:
@@ -173,12 +223,9 @@ def _rk4(f, y, config: SimulationConfig, take=None):
     its column in it.  The last tile's spare columns copy lane 0, fail with
     it and are dropped."""
     (field, held, u_d), (B, N) = f, y.shape
-    # any stride past the last step logs the two ends; np.arange takes none past int64
     dt, steps, stride = config.dt, config.n_steps, min(config.log_stride, config.n_steps)
     threshold = config.divergence_threshold
-    logged = np.arange(0, steps + 1, stride)
-    if logged[-1] != steps:
-        logged = np.append(logged, steps)
+    logged = _logged(config)
     size = logged.shape[0] if take is None else min(CHUNK_ROWS, logged.shape[0])
     log, alive = np.empty((size, B, N)), np.ones(B, dtype=bool)
     failed = {}  # lane -> message, or (steps, states, message) without take
@@ -246,6 +293,95 @@ def _rk4(f, y, config: SimulationConfig, take=None):
         take(log[:row])
         return [failed.get(b) for b in range(B)]
     return [failed.get(b, (logged, log[:, b], None)) for b in range(B)]
+
+
+def _fill(f, weights, ys, first: int, grid: np.ndarray) -> np.ndarray:
+    """The rows (len(grid), B, N) at the dt-grid steps grid, from the node
+    rows ys (T, B, N) of RK4 at h = k dt, node ``first`` first, that hold
+    every node the rows lie on or between.  A row on a node is that node's
+    row; a row between nodes j and j + 1 is the cubic Hermite interpolant of
+    y and of the field f = (field, held, u_d) at both (Hairer, Norsett &
+    Wanner, Solving ODEs I, II.6), with the weights (3, k) of its increment
+    y_j+1 - y_j and of h f_j and h f_j+1, so that a coordinate at rest stays
+    at rest bit for bit.  The field is evaluated on each node row alone and
+    the weights act elementwise, so no row depends on the batch or the chunk
+    that holds it."""
+    (field, held, u_d), (B, N), k = f, ys.shape[1:], weights.shape[1]
+    node, s = np.divmod(grid, k)
+    node -= first
+    rows = ys[node]
+    between = np.flatnonzero(s)
+    if between.size:
+        need = np.zeros(ys.shape[0], dtype=bool)  # the nodes on either side of a row
+        need[node[between]] = need[node[between] + 1] = True
+        at = np.flatnonzero(need)
+        H, Z = held.shape[1], field.W.shape[1]
+        z = np.empty((at.size, B, Z))  # [y | held | u_d | 1] at each node
+        z[..., :N], z[..., N:N + H], z[..., -1] = ys[at], held, 1.0
+        z[..., N + H:-1] = u_d[2 * (first + at), None, :Z - N - H - 1]
+        slopes = np.empty_like(ys)
+        slopes[at] = field(z)
+        for i in range(1, k):  # y_j + a (y_j+1 - y_j) + b h f_j + c h f_j+1 at s = i
+            row = between[s[between] == i]
+            j = node[row]
+            a, b, c = weights[:, i]
+            rows[row] += a * (ys[j + 1] - ys[j]) + (b * slopes[j] + c * slopes[j + 1])
+    return rows
+
+
+def _dense(f, k: int, config: SimulationConfig, take):
+    """The dense output stage between ``_rk4`` at h = k dt (f its run, every
+    node logged) and take: it takes the chunks of node rows (r, B, N) in
+    order and hands take the logged rows of the dt grid (``_fill``) from the
+    first node to the last, at most CHUNK_ROWS // k at a time."""
+    logged, size = _logged(config), max(CHUNK_ROWS // k, 1)
+    ld = np.longdouble
+    t, h = np.arange(k, dtype=ld) / k, ld(k) * ld(config.dt)
+    weights = np.stack([t * t * (3 - 2 * t), h * t * (1 - t) ** 2, h * t * t * (t - 1)])
+    weights = weights.astype(float)  # at t = s / k
+    done, last = 0, None  # rows handed on; the chunk before's last node (index, row)
+
+    def chunk(rows):
+        nonlocal done, last
+        start = 0 if last is None else last[0] + 1  # the node of rows[0]
+
+        def nodes(a, b):  # node rows a .. b
+            if a >= start:
+                return rows[a - start:b + 1 - start]
+            return np.concatenate([last[1][None], rows[:b + 1 - start]])
+
+        end = start + rows.shape[0] - 1
+        stop = np.searchsorted(logged, end * k, side="right")
+        for lo in range(done, stop, size):
+            grid = logged[lo:min(lo + size, stop)]
+            a, b = grid[0] // k, -(-grid[-1] // k)
+            take(_fill(f, weights, nodes(a, b), a, grid))
+        done, last = stop, (end, rows[-1].copy())
+
+    return chunk
+
+
+def _lane_rows(f, k: int, config: SimulationConfig, result, b: int):
+    """The logged dt-grid steps (T,), times (T,) and rows (T, N) of lane b's
+    result (steps, states, error) of ``_rk4`` at h = k dt.  A failed lane
+    keeps the dense rows up to its last node within the bound, then its
+    diverged node, when finite, at the time its message names."""
+    steps, ys, error = result
+    if k == 1:
+        return steps, steps * config.dt, ys
+    good = ys.shape[0]
+    if error is not None and good > 1 and not np.abs(ys[-1]).max() <= config.divergence_threshold:
+        good -= 1  # the diverged node, logged after its last node within the bound
+    field, held, u_d = f
+    out = []
+    _dense((field, held[b:b + 1], u_d), k, config, out.append)(ys[:good, None])
+    rows = np.concatenate(out)[:, 0]
+    grid = _logged(config)[:rows.shape[0]]
+    time = grid * config.dt
+    if good < ys.shape[0]:
+        grid, rows = np.append(grid, steps[-1] * k), np.vstack([rows, ys[-1:]])
+        time = np.append(time, steps[-1] * (k * config.dt))  # as _rk4 at h = k dt names it
+    return grid, time, rows
 
 
 def _control(theta, x):
@@ -333,21 +469,24 @@ def _lanes(model, reference: ReferenceModel, Q, P, gammas, kappas, thetas, gust,
         raise ValueError(f"a batch needs gamma (B,), kappa (B,) and theta(0) (B, {n}, {m})")
     if not ((gammas >= 0).all() and np.isin(kappas, (0.0, 1.0)).all()):
         raise ValueError("a lane needs gamma >= 0 and kappa 0 or 1")
-    dt, u_d_grid = config.dt, _gust_grid(gust, config, model.B_g.shape[1])
+    k = _step_multiple(gust, config, model.A, reference.A_m)
+    u_d_grid = _gust_grid(gust, config, model.B_g.shape[1])
     y = np.hstack([np.zeros((B, 2 * n)), thetas.reshape(B, -1)])
     run = (_lane_field(model, reference, config, Q, P), np.column_stack([kappas, gammas]),
-           u_d_grid)
+           u_d_grid[::k])
+    nodes = _node_config(config, k)
     if take is not None:
-        return _rk4(run, y, config, take)
+        return _rk4(run, y, nodes, take if k == 1 else _dense(run, k, config, take))
 
     results = []
-    for steps, ys, error in _rk4(run, y, config):
-        x, xm, theta = ys[:, :n], ys[:, n:2 * n], ys[:, 2 * n:].reshape(-1, n, m)
+    for b, result in enumerate(_rk4(run, y, nodes)):
+        steps, time, ys = _lane_rows(run, k, config, result, b)
+        x, xm, theta, error = ys[:, :n], ys[:, n:2 * n], ys[:, 2 * n:].reshape(-1, n, m), result[2]
         trace = SimulationTrace(
-            time=steps * dt, x=x, outputs=x @ model.C_out.T, u_d=u_d_grid[2 * steps],
+            time=time, x=x, outputs=x @ model.C_out.T, u_d=u_d_grid[2 * steps],
             output_labels=model.output_labels, x_m=xm, e=x - xm, theta=theta,
             u_c=(_control if error is None else _failed_control)(theta, x),
-            diverged=error is not None)
+            diverged=error is not None, step_multiple=k)
         results.append(trace if error is None else SimulationError(error, trace=trace))
     return results
 
@@ -380,13 +519,15 @@ def integrate_open_loop(model, gust, config: SimulationConfig,
                         x0: np.ndarray | None = None) -> SimulationTrace:
     """Uncontrolled gust response under the same RK4 scheme."""
     _check_dt(config, model.A)
-    u_d = _gust_grid(gust, config, model.p)
+    k, u_d = _step_multiple(gust, config, model.A), _gust_grid(gust, config, model.p)
     x = np.zeros((1, model.n)) if x0 is None else np.array(x0, dtype=float)[None]
-    run = (model.field(config.plant_nonlinear), np.zeros((1, model.m)), u_d)  # u_c = 0
-    ((steps, xs, error),) = _rk4(run, x, config)
+    run = (model.field(config.plant_nonlinear), np.zeros((1, model.m)), u_d[::k])  # u_c = 0
+    (result,) = _rk4(run, x, _node_config(config, k))
+    steps, time, xs = _lane_rows(run, k, config, result, 0)
+    error = result[2]
     trace = SimulationTrace(
-        time=steps * config.dt, x=xs, outputs=xs @ model.C_out.T, u_d=u_d[2 * steps],
-        output_labels=model.output_labels, diverged=error is not None,
+        time=time, x=xs, outputs=xs @ model.C_out.T, u_d=u_d[2 * steps],
+        output_labels=model.output_labels, diverged=error is not None, step_multiple=k,
     )
     if error is not None:
         raise SimulationError(error, trace=trace)

@@ -321,17 +321,22 @@ def test_criterion_10_stochastic_gust(rom):
 
 
 def test_criterion_11_rk4_convergence_order(rom):
+    # under the one-cosine gust RK4 steps at h = 5 dt: the three runs take
+    # steps 0.1, 0.05 and 0.025, in ratio 2, and end on a node
     gust = OneCosineGust(0.14, 55.0)
-    finals = []
-    for dt in (0.1, 0.05, 0.025):
+    finals, steps = [], []
+    for dt in (0.02, 0.01, 0.005):
         ref, design, theta0 = _canonical_controller(rom)
         cfg = SimulationConfig(dt=dt, duration=220.0, plant_nonlinear=False,
                                log_stride=10**9)
         tr = integrate_closed_loop(rom, ref, design, theta0, gust, cfg)
         finals.append(np.concatenate([tr.x[-1], tr.x_m[-1], tr.theta[-1].ravel()]))
+        steps.append(tr.step_multiple * dt)
     ratio = np.linalg.norm(finals[0] - finals[1]) / np.linalg.norm(finals[1] - finals[2])
-    ok = 10.0 <= ratio <= 24.0
-    _verdict(11, ok, f"Richardson error ratio {ratio:.2f} (expect ~16 for RK4)")
+    halved = np.allclose(steps, [0.1, 0.05, 0.025], rtol=1e-12, atol=0.0)
+    ok = halved and 10.0 <= ratio <= 24.0
+    _verdict(11, ok, f"RK4 steps {steps}, Richardson error ratio {ratio:.2f} "
+                     "(expect ~16 for RK4)")
 
 
 def test_criterion_12_cli_determinism(tmp_path):

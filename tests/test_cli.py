@@ -655,6 +655,30 @@ class TestSimulate:
             assert cli.main(["simulate", "--config", str(cfg),
                              "--out", str(tmp_path / "o")]) == cli.EXIT_OK
 
+    def test_stiff_reference_model_steps_at_dt(self, tmp_path, capsys):
+        # damping 1e300 puts the step heuristic far below dt, so the one-cosine
+        # run steps at dt and diverges at its first step, t = 0.02
+        cfg = write_config(tmp_path / "run.yaml", controller={"damping": 1e300})
+        with pytest.warns(UserWarning, match="stability heuristic"):
+            code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_DIVERGED
+        assert "error: state diverged at t = 0.02 (norm nan > 1.0e+08)\n" in capsys.readouterr().err
+
+    def test_reports_name_the_step(self, tmp_path, capsys):
+        # one-cosine at dt 0.02: RK4 steps at 5 dt; Von Karman turbulence at dt
+        lines = []
+        for gust in ({}, {"kind": "von-karman"}):
+            cfg = write_config(tmp_path / "run.yaml", gust=gust)
+            for command, report in (("simulate", "summary.txt"),
+                                    ("rom-build", "validation_report.txt")):
+                out = tmp_path / f"{command}{len(lines)}"
+                cli.main([command, "--config", str(cfg), "--out", str(out)])
+                lines += [line for line in (out / report).read_text().splitlines()
+                          if line.startswith("RK4 step")]
+        dense = "RK4 step 0.1 = 5 dt; rows on the dt grid by cubic Hermite dense output"
+        assert lines == [dense, dense, "RK4 step 0.02 = dt; rows at its nodes",
+                         "RK4 step 0.02 = dt; rows at its nodes"]
+
     def test_linear_plant_does_not_warn(self, tmp_path, caplog):
         cfg = write_config(tmp_path / "run.yaml", gust=self.LIPSCHITZ_GUST,
                            sim={"plant_nonlinear": False})
@@ -736,8 +760,9 @@ class TestSweep:
     @pytest.mark.parametrize("points", [5, 3, 1])
     def test_grid_runs_as_one_batch(self, tmp_path, monkeypatch, points):
         # any grid is one RK4 run of its points and the open loop as lanes,
-        # whose 501 logged rows here take eight chunks; every row reads the
-        # one open loop
+        # whose 101 nodes here (h = 5 dt) take two chunks and whose 501
+        # logged rows are reduced 12 at a time; every row reads the one open
+        # loop
         cfg = write_config(tmp_path / "run.yaml",
                            sweep={"axis": "gamma", "grid": [0.01, 0.1, 0.3, 1.0, 2.0][:points]},
                            sim={"dt": 0.02, "duration": 10.0})

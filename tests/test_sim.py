@@ -1,9 +1,10 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from aeromrac.gusts import OneCosineGust, ZeroGust
+from aeromrac.gusts import OneCosineGust, VonKarmanGust, ZeroGust
 from aeromrac.mrac import (
     LyapunovDesign,
     ReferenceModel,
@@ -126,15 +127,26 @@ class TestOpenLoop:
 
     def test_divergence_logs_the_diverged_state(self):
         # as in the closed loop, the last row is the finite state that left
-        # the bound, at the time the message names
-        plant = tiny_plant([[-0.5, 1.0], [-1.0, -0.5]], quad=4.0)
+        # the bound, at the time the message names.  RK4 steps at h = 5 dt
+        # here, so that state is a node: the rows before it are the dt grid up
+        # to the last node within the bound, bit for bit the run that ends
+        # there, and the diverged node follows one step later
+        plant, gust = tiny_plant([[-0.5, 1.0], [-1.0, -0.5]], quad=4.0), OneCosineGust(3.0, 2.0, 1.0)
         cfg = SimulationConfig(dt=0.01, duration=20.0, divergence_threshold=1e6)
         with pytest.raises(SimulationError) as exc:
-            integrate_open_loop(plant, OneCosineGust(3.0, 2.0, 1.0), cfg)
+            integrate_open_loop(plant, gust, cfg)
         trace = exc.value.trace
         last = np.abs(trace.x[-1]).max()
-        assert np.isfinite(last) and last > 1e6
+        assert np.isfinite(last) and last > 1e6 >= np.abs(trace.x[:-1]).max()
         assert f"t = {trace.time[-1]:.6g} " in str(exc.value)
+        rows, k = trace.time.shape[0] - 1, trace.step_multiple
+        assert k == 5 and (rows - 1) % k == 0
+        assert trace.time[-1] == pytest.approx(trace.time[-2] + k * cfg.dt, rel=1e-12)
+        cut = replace(cfg, duration=trace.time[-2])
+        assert cut.n_steps == rows - 1
+        short = integrate_open_loop(plant, gust, cut)
+        for name in ("time", "x", "outputs", "u_d"):
+            assert np.array_equal(getattr(trace, name)[:-1], getattr(short, name)), name
 
 
     def test_plant_without_gust_input_is_not_driven(self):
@@ -270,43 +282,90 @@ class TestOpenLane:
         assert np.array_equal(opened.trace.time, alone.value.trace.time)
 
     def test_batch_is_the_extended_precision_rk4_of_its_field(self, rom):
-        # the composed stage operators are RK4 on the lane field itself: every
-        # output and u_c stays within 3e-13 of its largest magnitude of an
-        # np.longdouble RK4 of the same field on the same gust grid (2e-14 and
-        # 8e-14 measured; an operator with the identity folded in drifts to 2e-12)
+        # the composed stage operators are RK4 on the lane field itself, at
+        # h = 5 dt under the one-cosine gust and at dt under Von Karman
+        # turbulence: every output and u_c stays within 3e-13 of its largest
+        # magnitude of an np.longdouble RK4 of the same field on the same gust
+        # samples, its nodes filled to the dt grid by cubic Hermite dense
+        # output in np.longdouble (2e-14 and 8e-14 measured at dt; an operator
+        # with the identity folded in drifts to 2e-12)
         ref, design, theta0 = _controller(rom)
-        gust, cfg = OneCosineGust(0.14, 55.0, 1.0), SimulationConfig(dt=0.01, duration=30.0)
-        opened, (closed,) = open_and_closed(rom, ref, design, [design.gamma], [theta0], gust, cfg)
-        ld, n, h = np.longdouble, rom.n, np.longdouble(cfg.dt)
-        field = sim._lane_field(rom, ref, cfg, design.Q, design.P)
-        W, back = field.W.astype(ld), field.back.astype(ld)
-        N, K = back.shape[0], back.shape[1] - back.shape[0]
-        u_d = sim._gust_grid(gust, cfg, rom.p).astype(ld)
-        fixed = np.array([[0.0, 0.0], [1.0, design.gamma]], dtype=ld)  # the open, the closed lane
+        cfg = SimulationConfig(dt=0.01, duration=30.0)
+        for gust, k in ((OneCosineGust(0.14, 55.0, 1.0), 5),
+                        (VonKarmanGust(0.05, 12.0, 1.0, cfg.dt, cfg.duration, seed=3), 1)):
+            opened, (closed,) = open_and_closed(rom, ref, design, [design.gamma], [theta0],
+                                                gust, cfg)
+            assert opened.step_multiple == closed.step_multiple == k
+            want = _extended_precision_lanes(rom, ref, design, theta0, gust, cfg, k)
+            x, theta = want[:, 1, :rom.n], want[:, 1, 2 * rom.n:].reshape(-1, rom.n, rom.m)
+            for got, expected in ((opened.outputs, want[:, 0, :rom.n] @ rom.C_out.T),
+                                  (closed.outputs, x @ rom.C_out.T),
+                                  (closed.u_c, np.einsum("ti,tij->tj", x, theta))):
+                scale = np.abs(expected).max(axis=0)
+                assert (scale > 0.0).all()
+                assert (np.abs(got - expected).max(axis=0) <= 3e-13 * scale).all()
 
-        def f(y, j):
-            Y = np.hstack([y, fixed, np.repeat(u_d[j:j + 1], 2, axis=0), np.ones((2, 1), ld)]) @ W.T
-            F = Y[:, N:N + K] * Y[:, N + K:N + 2 * K] * Y[:, N + 2 * K:]
-            return np.hstack([Y[:, :N], F]) @ back.T
 
-        y = np.zeros((2, N), ld)
-        y[1, 2 * n:] = theta0.ravel()
-        ys = [y]
-        for j in range(0, 2 * cfg.n_steps, 2):
-            k1 = f(y, j)
-            k2 = f(y + h / 2 * k1, j + 1)
-            k3 = f(y + h / 2 * k2, j + 1)
-            k4 = f(y + h * k3, j + 2)
-            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            ys.append(y)
-        ys = np.array(ys)
-        x, theta = ys[:, 1, :n], ys[:, 1, 2 * n:].reshape(-1, n, rom.m)
-        for got, want in ((opened.outputs, ys[:, 0, :n] @ rom.C_out.T),
-                          (closed.outputs, x @ rom.C_out.T),
-                          (closed.u_c, np.einsum("ti,tij->tj", x, theta))):
-            scale = np.abs(want).max(axis=0)
-            assert (scale > 0.0).all()
-            assert (np.abs(got - want).max(axis=0) <= 3e-13 * scale).all()
+class TestDenseOutput:
+    """Under a smooth gust RK4 steps at h = k dt and the rows between its
+    nodes are cubic Hermite dense output on the dt grid."""
+
+    GUST = OneCosineGust(0.14, 2.0, 1.0)
+
+    def test_node_rows_are_the_run_logged_at_its_step(self, rom):
+        # logged every 5 dt, every row is a node: no row is interpolated, and
+        # each equals, bit for bit, the node row of the run logged every dt
+        ref, design, _ = _controller(rom)
+        thetas = [0.01 * np.random.default_rng(26).normal(size=(rom.n, rom.m))]
+        runs = [open_and_closed(rom, ref, design, [design.gamma], thetas, self.GUST,
+                                SimulationConfig(dt=0.02, duration=6.0, log_stride=stride))
+                for stride in (1, 5)]
+        (every_open, (every,)), (node_open, (node,)) = runs
+        assert every.step_multiple == node.step_multiple == 5
+        for got, want, fields in ((node_open, every_open, ("time", "x", "outputs", "u_d")),
+                                  (node, every, ("time", "x", "outputs", "u_d", "x_m", "e",
+                                                 "theta", "u_c"))):
+            for name in fields:
+                assert np.array_equal(getattr(got, name), getattr(want, name)[::5]), name
+
+
+def _extended_precision_lanes(rom, ref, design, theta0, gust, cfg, k):
+    """The open lane and the closed lane (design's rate, theta0) as rows (T,
+    2, N) on the dt grid: an np.longdouble RK4 of ``sim._lane_field`` at h =
+    k dt on the gust's dt half-step samples, its nodes filled by cubic
+    Hermite dense output in np.longdouble."""
+    ld, n, h = np.longdouble, rom.n, k * np.longdouble(cfg.dt)
+    field = sim._lane_field(rom, ref, cfg, design.Q, design.P)
+    W, back = field.W.astype(ld), field.back.astype(ld)
+    N, K = back.shape[0], back.shape[1] - back.shape[0]
+    u_d = sim._gust_grid(gust, cfg, rom.p).astype(ld)
+    fixed = np.array([[0.0, 0.0], [1.0, design.gamma]], dtype=ld)  # the open, the closed lane
+
+    def f(y, j):
+        Y = np.hstack([y, fixed, np.repeat(u_d[j:j + 1], 2, axis=0), np.ones((2, 1), ld)]) @ W.T
+        F = Y[:, N:N + K] * Y[:, N + K:N + 2 * K] * Y[:, N + 2 * K:]
+        return np.hstack([Y[:, :N], F]) @ back.T
+
+    y = np.zeros((2, N), ld)
+    y[1, 2 * n:] = theta0.ravel()
+    nodes = [y]
+    for j in range(0, 2 * cfg.n_steps, 2 * k):
+        k1 = f(y, j)
+        k2 = f(y + h / 2 * k1, j + k)
+        k3 = f(y + h / 2 * k2, j + k)
+        k4 = f(y + h * k3, j + 2 * k)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        nodes.append(y)
+    ys = []
+    for i in range(cfg.n_steps + 1):
+        j, t = i // k, ld(i % k) / k
+        if t == 0:
+            ys.append(nodes[j])
+            continue
+        f0, f1 = f(nodes[j], 2 * k * j), f(nodes[j + 1], 2 * k * (j + 1))
+        ys.append((2 * t**3 - 3 * t**2 + 1) * nodes[j] + (t**3 - 2 * t**2 + t) * h * f0
+                  + (3 * t**2 - 2 * t**3) * nodes[j + 1] + (t**3 - t**2) * h * f1)
+    return np.array(ys)
 
 
 class TestLaneSpec:
@@ -353,11 +412,13 @@ class TestLaneSpec:
         assert (lane.theta.view(np.uint64) == theta0.view(np.uint64)).all()
 
 
-def _written_out_run(rom, ref, design, theta0, gust, cfg):
-    """x, x_m, theta and u_c from a serial RK4 of the written-out law:
-    x' = A x + B_c u + B_g u_d + F(x), x_m' = A_m x_m + B_g u_d + [F(x_m)],
-    theta' = -gamma Q x e^T P B_c, u = x^T theta, theta (n, m) from theta0."""
-    n, m, h = rom.n, rom.m, cfg.dt
+def _written_out_run(rom, ref, design, theta0, gust, cfg, k):
+    """x, x_m, theta and u_c from a serial RK4 of the written-out law at the
+    step h = k dt, its nodes filled to the dt grid by cubic Hermite dense
+    output: x' = A x + B_c u + B_g u_d + F(x), x_m' = A_m x_m + B_g u_d +
+    [F(x_m)], theta' = -gamma Q x e^T P B_c, u = x^T theta, theta (n, m) from
+    theta0."""
+    n, m, h = rom.n, rom.m, k * cfg.dt
     b_g, PB = rom.B_g[:, 0], design.P @ rom.B_c
     f_plant = cfg.plant_nonlinear
     f_ref = cfg.plant_nonlinear and cfg.reference_nonlinear
@@ -372,15 +433,24 @@ def _written_out_run(rom, ref, design, theta0, gust, cfg):
         return np.concatenate([dx, dxm, dtheta.ravel()])
 
     y = np.concatenate([np.zeros(2 * n), theta0.ravel()])
-    ys = [y]
-    for k in range(cfg.n_steps):
-        t0, t1, t2 = 0.5 * h * (2 * k), 0.5 * h * (2 * k + 1), 0.5 * h * (2 * k + 2)
+    nodes = [y]
+    for j in range(cfg.n_steps // k):
+        t0, t1, t2 = 0.5 * h * (2 * j), 0.5 * h * (2 * j + 1), 0.5 * h * (2 * j + 2)
         k1 = f(t0, y)
         k2 = f(t1, y + 0.5 * h * k1)
         k3 = f(t1, y + 0.5 * h * k2)
         k4 = f(t2, y + h * k3)
         y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        ys.append(y)
+        nodes.append(y)
+    ys = []
+    for i in range(cfg.n_steps + 1):
+        j, t = i // k, (i % k) / k
+        if t == 0.0:
+            ys.append(nodes[j])
+            continue
+        f0, f1 = f(j * h, nodes[j]), f((j + 1) * h, nodes[j + 1])
+        ys.append((2 * t**3 - 3 * t**2 + 1) * nodes[j] + (t**3 - 2 * t**2 + t) * h * f0
+                  + (3 * t**2 - 2 * t**3) * nodes[j + 1] + (t**3 - t**2) * h * f1)
     ys = np.array(ys)
     x, theta = ys[:, :n], ys[:, 2 * n:].reshape(-1, n, m)
     u_c = np.einsum("ti,tij->tj", x, theta)
@@ -405,13 +475,15 @@ class TestStackedPlant:
         return ref, lanes
 
     def _assert_batch_matches(self, rom, count, cfg):
+        # the one-cosine gust steps these runs at h = 5 dt
         ref, lanes = self._lanes(rom, count)
-        wants = [_written_out_run(rom, ref, d, s, self.GUST, cfg)
+        wants = [_written_out_run(rom, ref, d, s, self.GUST, cfg, 5)
                  for d, s in lanes]
         # the lanes' designs share Q and P: a lane is its rate and theta(0)
         _, traces = open_and_closed(rom, ref, lanes[0][0], [d.gamma for d, _ in lanes],
                                     [s for _, s in lanes], self.GUST, cfg)
         for trace, want in zip(traces, wants):
+            assert trace.step_multiple == 5
             for got, expected in zip((trace.x, trace.x_m, trace.theta, trace.u_c), want):
                 assert got.shape == expected.shape
                 scale = np.abs(expected).max()
@@ -442,7 +514,7 @@ class TestStackedPlant:
         ref, [(design, theta0)] = self._lanes(rom, 1)
         runs = [_written_out_run(rom, ref, design, theta0, self.GUST,
                                  SimulationConfig(dt=0.02, duration=6.0,
-                                                  reference_nonlinear=flag))[1]
+                                                  reference_nonlinear=flag), 5)[1]
                 for flag in (True, False)]
         assert np.abs(runs[0] - runs[1]).max() > 1e-9 * np.abs(runs[0]).max()
 
