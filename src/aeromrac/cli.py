@@ -16,8 +16,16 @@ import argparse
 import functools
 import logging
 import math
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread unless the user set OPENBLAS_NUM_THREADS: no product in a
+# run gains from a second, and OpenBLAS's worker spins after each one it
+# shares.  The monitor's (33 002, 8) @ (8, 3) took 16 ms over two threads
+# against 0.3 ms on one (2-core host).  It must precede NumPy's import; a
+# program that imports NumPy before this module keeps NumPy's default.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import yaml

@@ -126,7 +126,8 @@ def _first_order_scan(c: float, d: np.ndarray) -> np.ndarray:
 
     The rows go in as a stack of (K, K) blocks: one product of many rows is
     split over BLAS threads, whose start-up made it 20 times slower on a
-    2-core host (8 ms against 0.3 ms for 110 001 samples)."""
+    2-core host (8 ms against 0.3 ms for 110 001 samples).  The CLI runs
+    BLAS on one thread, so this reason holds for library use only."""
     n = d.shape[0]
     K = _SCAN_BLOCK
     rows = -(-n // K)

@@ -31,18 +31,25 @@ def write_config(path, **sections):
     return path
 
 
-def _loaded_scipy_modules(code: str) -> str:
-    """The scipy modules loaded after running code in a fresh interpreter."""
+def _python(*args, blas_threads=None) -> str:
+    """The last line a fresh interpreter prints, run with args on this
+    source tree and OPENBLAS_NUM_THREADS set to blas_threads, or unset."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = ("import sys; " + code +
-            "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code],
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
+
+
+def _loaded_scipy_modules(code: str) -> str:
+    """The scipy modules loaded after running code in a fresh interpreter."""
+    return _python("-c", "import sys; " + code +
+                   "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
 
 
 def test_import_leaves_scipy_signal_unloaded():
@@ -65,6 +72,38 @@ def test_von_karman_runs_load_no_scipy(tmp_path):
         f"assert cli.main([{command!r}, '--config', {str(cfg)!r}, "
         f"'--out', {str(tmp_path / str(k))!r}]) == 0" for k, (command, cfg) in enumerate(runs))
     assert _loaded_scipy_modules(code) == "[]"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("blas_threads", [None, "2"])
+def test_cli_runs_blas_on_one_thread_unless_told(tmp_path, blas_threads):
+    # the command leaves no OpenBLAS worker beside the main thread; a value
+    # the user set is kept (its thread count follows the host's cores)
+    cfg = write_config(tmp_path / "run.yaml")
+    code = ("import os; from aeromrac import cli; "
+            f"assert cli.main(['simulate', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'o')!r}]) == 0; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
+    value, tasks = _python("-c", code, blas_threads=blas_threads).split()
+    assert value == (blas_threads or "1")
+    if blas_threads is None:
+        assert tasks == "1"
+
+
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # at duration 165 the monitor's product has 33 002 rows, past OpenBLAS's
+    # threshold for splitting it over threads
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({"sim": {"duration": 165.0}}))
+    outs = [tmp_path / "one", tmp_path / "two"]
+    for out, blas_threads in zip(outs, (None, "2")):
+        _python("-m", "aeromrac.cli", "simulate", "--config", str(cfg), "--out", str(out),
+                blas_threads=blas_threads)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert "trace_closed.csv" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_float_array_csv_matches_value_by_value_format(tmp_path):
