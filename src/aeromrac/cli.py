@@ -6,8 +6,8 @@ Every run writes CSV artifacts, a plain-text report, a renderer-agnostic
 plot script and a resolved copy of its configuration, so each output
 directory is reproducible from its own contents.
 
-Exit codes: 0 success, 2 validation failure, 3 configuration error,
-4 simulation divergence.
+Exit codes: 0 success, 2 validation failure, 3 configuration error (an
+artifact that cannot be written among them), 4 simulation divergence.
 """
 
 from __future__ import annotations
@@ -615,6 +615,10 @@ def main(argv=None) -> int:
     except sim.SimulationError as exc:
         print(f"simulation diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except OSError as exc:  # an artifact that cannot be written; each read wraps its own
+        print(f"configuration error: cannot write {exc.filename or outdir}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

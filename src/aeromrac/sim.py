@@ -27,9 +27,12 @@ up to MAX_STEP_MULTIPLE that divides the step count and keeps h within the
 0.1/max|lambda| heuristic of the dt warning; under any other gust, such as a
 Von Karman realisation held on the dt grid, it steps at dt.  The dt-grid rows
 between RK4 nodes are cubic Hermite dense output (``_dense``), within 1e-9
-of stepping at dt on the packaged one-cosine runs.  A run that diverges
-fails at a node: its partial trace holds the dense rows up to its last node
-within the bound, then the diverged node at the time its message names.
+of stepping at dt on the packaged one-cosine runs.  The kernel streams its
+logged nodes, CHUNK_ROWS at a time, through that stage to every consumer: a
+sweep reduces the stream to metrics, a kept trace is the stream collected,
+every lane in one pass (``_collect``).  A run that diverges fails at a node:
+its partial trace holds the dense rows up to its last node within the
+bound, then the diverged node at the time its message names.
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ from .mrac import LyapunovDesign, ReferenceModel
 from .romgen import Plant, PolyField, stack_plants
 
 DIVERGENCE_DEFAULT = 1e8
-# Logged rows a sweep's batch holds at a time; they are reduced to metrics.
-# At a step of k dt the batch holds this many RK4 nodes and reduces their
-# dense rows CHUNK_ROWS // k at a time.
+# Logged RK4 nodes the kernel holds and hands on at a time, to a sweep's
+# reduction or to a trace's collector; at a step of k dt the dense stage
+# hands on their dt-grid rows CHUNK_ROWS // k at a time.
 CHUNK_ROWS = 4096
 # Lanes per tile of ``_rk4``: each of its products is one gemm of this many
 # columns per tile, whatever the batch.
@@ -204,18 +207,16 @@ def _stage_operators(field: PolyField, H: int, dt: float):
     return [np.clip(M, -big, big).astype(float) for M in stages + [M_y]]
 
 
-def _rk4(f, y, config: SimulationConfig, take=None):
+def _rk4(f, y, config: SimulationConfig, take):
     """Classical RK4 of y' = field(y, held, u_d) on lanes y (B, N), with f =
     (field, held, u_d): a ``romgen.PolyField`` on the rows [y | held | u_d | 1],
     each lane's held coordinates (B, H) and the gust on the half-step grid,
-    whose first p columns are the field's p gust coordinates.  A lane that
-    leaves the divergence bound fails alone.
-    Returns one (steps, states, error) per lane: the logged step numbers
-    (T,), the logged states (T, N) and None; or, for a failed lane, its log
-    up to that step, the diverged state included when finite, and the
-    message.  With take, the logged states go instead to take(rows)
-    CHUNK_ROWS rows at a time, (r, B, N) in a buffer that the next chunk
-    overwrites, and each lane's error alone returns.
+    whose first p columns are the field's p gust coordinates.  The logged
+    states go to take(rows) CHUNK_ROWS rows at a time, (r, B, N) in a buffer
+    that the next chunk overwrites.  A lane that leaves the divergence bound
+    fails alone; per lane returns None, or its failure (message, steps,
+    state): the step count at which it left the bound and its state there if
+    finite, else None.  Its rows from that step on are not its own.
 
     A step is the five products of ``_stage_operators`` on the lanes'
     columns w, TILE to a tile: each is one gemm per tile, of one shape
@@ -225,10 +226,8 @@ def _rk4(f, y, config: SimulationConfig, take=None):
     (field, held, u_d), (B, N) = f, y.shape
     dt, steps, stride = config.dt, config.n_steps, min(config.log_stride, config.n_steps)
     threshold = config.divergence_threshold
-    logged = _logged(config)
-    size = logged.shape[0] if take is None else min(CHUNK_ROWS, logged.shape[0])
-    log, alive = np.empty((size, B, N)), np.ones(B, dtype=bool)
-    failed = {}  # lane -> message, or (steps, states, message) without take
+    log, alive = np.empty((min(CHUNK_ROWS, _logged(config).shape[0]), B, N)), np.ones(B, bool)
+    failed = {}  # lane -> (message, steps, state)
     log[0] = y
     row = 1  # rows in the chunk
     (C, Z), H = field.W.shape, held.shape[1]
@@ -270,29 +269,22 @@ def _rk4(f, y, config: SimulationConfig, take=None):
                 lane_norm = np.abs(x).max(axis=0)
                 for b in np.flatnonzero(alive & ~(lane_norm[:B] <= threshold)):
                     failed[b] = (f"state diverged at t = {(step + 1) * dt:.6g} "
-                                 f"(norm {lane_norm[b]:.3e} > {threshold:.1e})")
-                    if take is None:  # the one chunk holds the whole log so far
-                        states, done = log[:row, b], logged[:row]
-                        if np.isfinite(lane_norm[b]):
-                            states, done = np.vstack([states, x[:, b]]), np.append(done, step + 1)
-                        failed[b] = (done, states, failed[b])
+                                 f"(norm {lane_norm[b]:.3e} > {threshold:.1e})", step + 1,
+                                 x[:, b].copy() if np.isfinite(lane_norm[b]) else None)
                     alive[b] = False
                 if not alive.any():
                     break
                 # a failed lane, and a spare column with lane 0, restarts from
-                # zero so that its arithmetic stays finite; its log ends where
-                # it failed
+                # zero so that its arithmetic stays finite
                 ys[:, :, ~alive[lane]] = 0.0
             if (step + 1) % stride == 0 or step + 1 == steps:
-                if row == size:  # a full chunk; the one chunk of a trace never is
+                if row == log.shape[0]:
                     take(log)
                     row = 0
                 log[row] = x[:, :B].T
                 row += 1
-    if take is not None:
-        take(log[:row])
-        return [failed.get(b) for b in range(B)]
-    return [failed.get(b, (logged, log[:, b], None)) for b in range(B)]
+    take(log[:row])
+    return [failed.get(b) for b in range(B)]
 
 
 def _fill(f, weights, ys, first: int, grid: np.ndarray) -> np.ndarray:
@@ -333,7 +325,10 @@ def _dense(f, k: int, config: SimulationConfig, take):
     """The dense output stage between ``_rk4`` at h = k dt (f its run, every
     node logged) and take: it takes the chunks of node rows (r, B, N) in
     order and hands take the logged rows of the dt grid (``_fill``) from the
-    first node to the last, at most CHUNK_ROWS // k at a time."""
+    first node to the last, at most CHUNK_ROWS // k at a time.  At k = 1 the
+    nodes are the dt grid, and take itself is the stage."""
+    if k == 1:
+        return take
     logged, size = _logged(config), max(CHUNK_ROWS // k, 1)
     ld = np.longdouble
     t, h = np.arange(k, dtype=ld) / k, ld(k) * ld(config.dt)
@@ -361,27 +356,32 @@ def _dense(f, k: int, config: SimulationConfig, take):
     return chunk
 
 
-def _lane_rows(f, k: int, config: SimulationConfig, result, b: int):
-    """The logged dt-grid steps (T,), times (T,) and rows (T, N) of lane b's
-    result (steps, states, error) of ``_rk4`` at h = k dt.  A failed lane
-    keeps the dense rows up to its last node within the bound, then its
-    diverged node, when finite, at the time its message names."""
-    steps, ys, error = result
-    if k == 1:
-        return steps, steps * config.dt, ys
-    good = ys.shape[0]
-    if error is not None and good > 1 and not np.abs(ys[-1]).max() <= config.divergence_threshold:
-        good -= 1  # the diverged node, logged after its last node within the bound
-    field, held, u_d = f
-    out = []
-    _dense((field, held[b:b + 1], u_d), k, config, out.append)(ys[:good, None])
-    rows = np.concatenate(out)[:, 0]
-    grid = _logged(config)[:rows.shape[0]]
-    time = grid * config.dt
-    if good < ys.shape[0]:
-        grid, rows = np.append(grid, steps[-1] * k), np.vstack([rows, ys[-1:]])
-        time = np.append(time, steps[-1] * (k * config.dt))  # as _rk4 at h = k dt names it
-    return grid, time, rows
+def _collect(f, y, k: int, config: SimulationConfig):
+    """The stream of ``_rk4`` at h = k dt on the lanes y, through ``_dense``,
+    kept: its chunks written into one (T, B, N) array, whose lane column b
+    gives lane b's logged dt-grid steps (T,), times (T,), rows (T, N) and
+    failure message or None.  A failed lane keeps the rows up to its last
+    node within the bound, then its diverged node, when finite, at the time
+    its message names."""
+    logged, B, N = _logged(config), *y.shape
+    out, done = np.empty((B, logged.shape[0], N)).transpose(1, 0, 2), 0  # lanes contiguous
+
+    def take(rows):
+        nonlocal done
+        out[done:done + rows.shape[0]] = rows
+        done += rows.shape[0]
+
+    failures, lanes = _rk4(f, y, _node_config(config, k), _dense(f, k, config, take)), []
+    for b, failure in enumerate(failures):
+        # a lane that did not fail keeps every row, as if it failed past its last node
+        message, steps, state = failure or (None, config.n_steps // k + 1, None)
+        grid = logged[:np.searchsorted(logged, (steps - 1) * k, side="right")]
+        time, rows = grid * config.dt, out[:grid.shape[0], b]
+        if state is not None:
+            grid, rows = np.append(grid, steps * k), np.vstack([rows, state])
+            time = np.append(time, steps * (k * config.dt))  # as _rk4 at h = k dt names it
+        lanes.append((grid, time, rows, message))
+    return lanes
 
 
 def _control(theta, x):
@@ -458,8 +458,9 @@ def integrate_lanes(model, reference: ReferenceModel, Q, P, gammas, kappas, thet
 
 def _lanes(model, reference: ReferenceModel, Q, P, gammas, kappas, thetas, gust,
            config: SimulationConfig, take=None):
-    """``integrate_lanes`` after its dt check; with take, only each lane's
-    error, or None, returns and the chunks of ``_rk4`` go to take(rows)."""
+    """``integrate_lanes`` after its dt check; with take, the logged dt-grid
+    rows go to take(rows) as ``_dense`` hands them on and only the failure
+    records of ``_rk4`` return."""
     n, m = model.B_c.shape
     gammas, kappas, thetas = (np.asarray(a, dtype=float) for a in (gammas, kappas, thetas))
     B = len(thetas)
@@ -474,14 +475,12 @@ def _lanes(model, reference: ReferenceModel, Q, P, gammas, kappas, thetas, gust,
     y = np.hstack([np.zeros((B, 2 * n)), thetas.reshape(B, -1)])
     run = (_lane_field(model, reference, config, Q, P), np.column_stack([kappas, gammas]),
            u_d_grid[::k])
-    nodes = _node_config(config, k)
     if take is not None:
-        return _rk4(run, y, nodes, take if k == 1 else _dense(run, k, config, take))
+        return _rk4(run, y, _node_config(config, k), _dense(run, k, config, take))
 
     results = []
-    for b, result in enumerate(_rk4(run, y, nodes)):
-        steps, time, ys = _lane_rows(run, k, config, result, b)
-        x, xm, theta, error = ys[:, :n], ys[:, n:2 * n], ys[:, 2 * n:].reshape(-1, n, m), result[2]
+    for steps, time, ys, error in _collect(run, y, k, config):
+        x, xm, theta = ys[:, :n], ys[:, n:2 * n], ys[:, 2 * n:].reshape(-1, n, m)
         trace = SimulationTrace(
             time=time, x=x, outputs=x @ model.C_out.T, u_d=u_d_grid[2 * steps],
             output_labels=model.output_labels, x_m=xm, e=x - xm, theta=theta,
@@ -522,13 +521,10 @@ def integrate_open_loop(model, gust, config: SimulationConfig,
     k, u_d = _step_multiple(gust, config, model.A), _gust_grid(gust, config, model.p)
     x = np.zeros((1, model.n)) if x0 is None else np.array(x0, dtype=float)[None]
     run = (model.field(config.plant_nonlinear), np.zeros((1, model.m)), u_d[::k])  # u_c = 0
-    (result,) = _rk4(run, x, _node_config(config, k))
-    steps, time, xs = _lane_rows(run, k, config, result, 0)
-    error = result[2]
+    ((steps, time, xs, error),) = _collect(run, x, k, config)
     trace = SimulationTrace(
         time=time, x=xs, outputs=xs @ model.C_out.T, u_d=u_d[2 * steps],
-        output_labels=model.output_labels, diverged=error is not None, step_multiple=k,
-    )
+        output_labels=model.output_labels, diverged=error is not None, step_multiple=k)
     if error is not None:
         raise SimulationError(error, trace=trace)
     return trace
@@ -617,9 +613,9 @@ def sweep_metrics(model, reference: ReferenceModel, Q, P, gammas, thetas, gust,
         sums = chunk if sums is None else np.vstack(  # maxima, sums, the last ||e||
             [np.maximum(sums[:3], chunk[:3]), sums[3:5] + chunk[3:5], chunk[5:]])
 
-    opened, *closed = _lanes(model, reference, Q, P, np.r_[0.0, gammas],
-                             np.r_[0.0, np.ones(len(gammas))],
-                             np.vstack([np.zeros((1, n, m)), thetas]), gust, config, take)
+    opened, *closed = (failure and failure[0] for failure in _lanes(
+        model, reference, Q, P, np.r_[0.0, gammas], np.r_[0.0, np.ones(len(gammas))],
+        np.vstack([np.zeros((1, n, m)), thetas]), gust, config, take))
     return [SimulationError(opened or error) if opened or error
             else _finish(model.output_labels[output], sums[:, 0], sums[:, b])
             for b, error in enumerate(closed, 1)]

@@ -216,6 +216,18 @@ def test_unusable_path_is_a_config_error(tmp_path, capsys, case, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, artifact", [("simulate", "trace_open.csv"),
+                                               ("rom-build", "rom.npz")])
+def test_unwritable_artifact_is_a_config_error(tmp_path, capsys, command, artifact):
+    # a directory where an artifact goes: exit 3 with its path, as for an
+    # output directory that cannot be made, not a traceback
+    out = tmp_path / "o"
+    (out / artifact).mkdir(parents=True)
+    cfg = write_config(tmp_path / "run.yaml")
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"configuration error: cannot write {out / artifact}: " in capsys.readouterr().err
+
+
 def _npy_bytes():
     buf = io.BytesIO()
     np.save(buf, np.zeros(1))

@@ -156,20 +156,35 @@ def test_diverged_lane_in_a_later_tile_fails_alone_and_silently(rom):
     # a batch of sim.TILE + 2 lanes whose one diverging lane sits in the second
     # tile fails that lane at the step and with the message it fails with
     # alone, warns of nothing, and leaves every other lane, bit for bit, as
-    # in the batch without it
+    # in the batch without it, in chunks of sim.CHUNK_ROWS nodes and of 2.
+    # The lane fails at node 3 of h = 5 dt, so in chunks of 2 its last node
+    # within the bound and its failure both come after the first chunk
     gammas = np.linspace(0.05, 2.0, sim.TILE + 1).tolist()
     bad = len(gammas) - 1  # column sim.TILE + 1, after the open lane
     ref, designs, thetas = _lanes(rom, gammas)
     thetas[bad] = np.full_like(thetas[bad], 1e3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        opened, batch = _batch(rom, ref, designs, thetas)
         _, (alone,) = _batch(rom, ref, designs[bad:], thetas[bad:])
         rest_open, rest = _batch(rom, ref, designs[:bad], thetas[:bad])
+        for chunk in (sim.CHUNK_ROWS, 2):
+            with mock.patch.object(sim, "CHUNK_ROWS", chunk):
+                opened, batch = _batch(rom, ref, designs, thetas)
+            _same_trace(batch[bad], alone)
+            for got, want in zip([opened, *batch[:bad]], [rest_open, *rest]):
+                _same_trace(got, want)
+    # the cut, against the lane run on past the bound: the dt-grid rows 0 ..
+    # 10 of nodes 0 .. 2, then node 3 at the time RK4 at 5 dt names, u_c
+    # saturated at the largest float
     assert isinstance(alone, SimulationError)
-    _same_trace(batch[bad], alone)
-    for got, want in zip([opened, *batch[:bad]], [rest_open, *rest]):
-        _same_trace(got, want)
+    assert str(alone).startswith("state diverged at t = 0.3 ")
+    past = SimulationConfig(dt=0.02, duration=0.3, divergence_threshold=np.inf)
+    with np.errstate(all="ignore"):
+        _, (whole,) = _batch(rom, ref, designs[bad:], thetas[bad:], past)
+    for name in CLOSED_FIELDS:
+        got, want = getattr(alone.trace, name), getattr(whole, name)[np.r_[:11, 15]]
+        last = -1 if name in ("time", "u_c") else None
+        assert np.array_equal(got[:last], want[:last]), name
 
 
 @settings(max_examples=40, deadline=None)
@@ -259,16 +274,15 @@ def test_lane_trace_does_not_depend_on_its_batch(rom, gammas, kappas, open_loop,
 
     lanes = list(range(len(gammas)))
     off = int(open_loop)
-    rk4, runs = sim._rk4, []
-    with mock.patch.object(sim, "_rk4", lambda *args: runs.append(rk4(*args)) or runs[-1]):
-        batch = run(lanes, open_loop)
+    batch = run(lanes, open_loop)
     backwards = run(lanes[::-1], open_loop)
     if open_loop:
         # the open lane's x_m, theta and u_c stay exactly 0, in a batch of one
         # tile or of several
-        (_, ys, error), n = runs[0][0], rom.n
-        assert error is None and np.all(ys[:, n:] == 0.0)
-        assert np.all(sim._control(ys[:, 2 * n:].reshape(-1, n, rom.m), ys[:, :n]) == 0.0)
+        opened = batch[0]
+        assert not isinstance(opened, SimulationError)
+        assert np.all(opened.x_m == 0.0) and np.all(opened.theta == 0.0)
+        assert np.all(opened.u_c == 0.0)
     for b in lanes:
         _same_trace(batch[off + b], run([b])[0])
         _same_trace(batch[off + b], backwards[off + len(lanes) - 1 - b])
