@@ -568,7 +568,7 @@ class TestGustGen:
         assert not (out / "gust.csv").exists()
 
 
-# finite Von Karman numbers whose variance or filter overflows
+# finite Von Karman numbers whose variance overflows or whose band is empty
 _OVERFLOWING_GUSTS = [{"sigma": 1e308}, {"L": 1e308}, {"U_inf": 1e-308}]
 
 

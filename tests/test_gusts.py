@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.signal
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from aeromrac import gusts
 from aeromrac.gusts import (
@@ -81,8 +79,10 @@ class TestVonKarmanRealization:
         assert not np.array_equal(a.samples, c.samples)
 
     def test_zero_mean_and_zero_intensity(self):
+        # zero-mean over one period T; the last sample, at T, repeats the first
         g = VonKarmanGust(1.0, 50.0, 25.0, 0.05, 200.0, seed=1)
-        assert abs(g.samples.mean()) < 1e-12
+        assert g.samples[-1] == g.samples[0]
+        assert abs(g.samples[:-1].mean()) < 1e-12
         z = VonKarmanGust(0.0, 50.0, 25.0, 0.05, 10.0, seed=1)
         assert np.all(z.samples == 0.0)
 
@@ -97,9 +97,13 @@ class TestVonKarmanRealization:
         (0.05, 1e308, 1.0), (0.05, 12.0, 1e-308)],
         ids=["sigma", "sigma-squared", "numpy-sigma", "L", "U_inf"])
     def test_overflowing_parameters(self, sigma_g, L_g, U_inf):
-        # finite, but the variance or the filter's section count overflows
+        # finite, but the variance overflows or the cutoff lies below 2 pi / T
         with pytest.raises(GustError, match="out of range"):
             VonKarmanGust(sigma_g, L_g, U_inf, dt=0.02, duration=4.0, seed=0)
+
+    def test_run_shorter_than_a_step_is_out_of_range(self):
+        with pytest.raises(GustError, match="out of range"):
+            VonKarmanGust(1.0, 50.0, 25.0, dt=0.05, duration=0.02, seed=0)
 
     def test_variance_single_seed(self):
         g = VonKarmanGust(1.0, 200.0, 59.0, 0.02, 2000.0, seed=0)
@@ -113,104 +117,43 @@ class TestVonKarmanRealization:
         assert g(1e9) == g.samples[-1]
 
     @pytest.mark.parametrize("dt", [0.01, 0.02, 0.05, 0.1])
-    def test_half_steps_read_the_later_sample(self, dt):
-        # the RK4 stage times of sim._gust_grid; t/dt + 0.5 lands on either
-        # side of k + 1 at (k + 1/2) dt, so a plain round-half-up is not enough
+    def test_half_steps_read_the_half_step_grid(self, dt):
+        # the RK4 stage times of sim._gust_grid read the spectral sum there
         g = VonKarmanGust(1.0, 12.0, 1.0, dt, 25.0, seed=0)
         n = g.samples.shape[0] - 1
-        w = g(0.5 * dt * np.arange(2 * n + 1))
+        t = 0.5 * dt * np.arange(2 * n + 1)
+        w = g(t)
         assert np.array_equal(w[0::2], g.samples)
-        assert np.array_equal(w[1::2], g.samples[1:])
+        assert np.max(np.abs(w - _direct_sum(g, t))) <= 1e-12 * np.max(np.abs(w))
+
+    # the second grid carries only the lower part of its band
+    @pytest.mark.parametrize("sigma_g, L_g, U_inf, dt", [
+        (0.05, 12.0, 1.0, 0.01), (1.0, 50.0, 25.0, 0.05)])
+    def test_fft_matches_the_direct_cosine_sum(self, sigma_g, L_g, U_inf, dt):
+        g = VonKarmanGust(sigma_g, L_g, U_inf, dt, 10.0, seed=3)
+        w = _direct_sum(g, g.dt * np.arange(g.samples.shape[0]))
+        assert np.max(np.abs(g.samples - w)) <= 1e-12 * np.max(np.abs(w))
+
+    def test_one_seed_is_one_realisation_at_every_dt(self):
+        # the band sits below every grid's Nyquist rate, so each draws the same
+        # phases: a shorter draw of the generator is a prefix of a longer one
+        rng = np.random.default_rng
+        assert np.array_equal(rng(7).uniform(0.0, 2.0 * np.pi, 10),
+                              rng(7).uniform(0.0, 2.0 * np.pi, 1000)[:10])
+        fine = VonKarmanGust(0.05, 12.0, 1.0, 0.005, 300.0, seed=0)
+        for dt, stride in ((0.02, 4), (0.01, 2)):
+            g = VonKarmanGust(0.05, 12.0, 1.0, dt, 300.0, seed=0)
+            assert np.max(np.abs(g.samples - fine.samples[::stride])) <= 1e-12
 
 
-# Reference: the shaping filter as realised with scipy.signal (cont2discrete,
-# freqz, lfilter), against which the NumPy-only filter is checked.
-def _scipy_sections(L_g, U_inf, dt):
-    tau = 1.339 * L_g / U_inf
-    sections = [(np.array([np.sqrt(8.0 / 3.0) * tau, 1.0]), np.array([tau, 1.0]))]
-    r = 10.0**gusts._LADDER_RATIO_EXP
-    n_sections = int(np.ceil(np.log(tau * (np.pi / dt) * 10.0) / np.log(r)))
-    pole = r**gusts._LADDER_START
-    for _ in range(n_sections):
-        zero = pole * r**gusts._LADDER_SLOPE
-        sections.append((np.array([tau / zero, 1.0]), np.array([tau / pole, 1.0])))
-        pole *= r
-    discrete = []
-    for num, den in sections:
-        bz, az, _ = scipy.signal.cont2discrete((num, den), dt, method="bilinear")
-        discrete.append((bz[0], az))
-    f = np.linspace(0.0, 0.5 / dt, 20001)
-    h2 = np.ones_like(f)
-    for bz, az in discrete:
-        _, h = scipy.signal.freqz(bz, az, worN=2.0 * np.pi * f * dt)
-        h2 = h2 * np.abs(h) ** 2
-    var = np.trapezoid(2.0 * np.pi * np.sqrt(L_g / (np.pi * U_inf)) ** 2 * h2, f)
-    gain = np.sqrt(L_g / (np.pi * U_inf)) / np.sqrt(var)
-    discrete[0] = (gain * discrete[0][0], discrete[0][1])
-    return discrete
-
-
-def _scipy_samples(sigma_g, L_g, U_inf, dt, duration, seed):
-    n = int(round(duration / dt)) + 1
-    w = np.random.default_rng(seed).standard_normal(n) * np.sqrt(sigma_g**2 * np.pi / dt)
-    for bz, az in _scipy_sections(L_g, U_inf, dt):
-        w = scipy.signal.lfilter(bz, az, w)
-    return w - w.mean()
-
-
-_FILTERS = [(12.0, 1.0, 0.01), (2.5, 1.0, 0.02), (50.0, 25.0, 0.05)]
-
-
-class TestNumpyFilterAgainstScipy:
-    @pytest.mark.parametrize("L_g, U_inf, dt", _FILTERS)
-    def test_sections_match_cont2discrete(self, L_g, U_inf, dt):
-        ours = gusts._vk_filter_sections(L_g, U_inf, dt)
-        ref = _scipy_sections(L_g, U_inf, dt)
-        assert len(ours) == len(ref)
-        for k, ((b, a), (b_ref, a_ref)) in enumerate(zip(ours, ref)):
-            assert a.shape == a_ref.shape == (2,) and a[0] == 1.0
-            assert np.allclose(a, a_ref, rtol=0.0, atol=1e-15)
-            if k > 0:  # the first section carries the normalising gain
-                assert np.allclose(b, b_ref, rtol=0.0, atol=1e-15)
-
-    @pytest.mark.parametrize("L_g, U_inf, dt", _FILTERS)
-    def test_normalised_gain_matches_freqz(self, L_g, U_inf, dt):
-        b, _ = gusts._vk_filter_sections(L_g, U_inf, dt)[0]
-        b_ref, _ = _scipy_sections(L_g, U_inf, dt)[0]
-        assert np.allclose(b, b_ref, rtol=1e-12, atol=0.0)
-
-    @pytest.mark.parametrize("sigma_g, L_g, U_inf, dt, duration", [
-        (0.05, 12.0, 1.0, 0.01, 25.0),
-        (0.05, 12.0, 1.0, 0.01, 1100.0),
-        (1.0, 2.5, 1.0, 0.02, 4000.0),
-        (1.0, 50.0, 25.0, 0.05, 0.02),  # 1 sample
-        (1.0, 50.0, 25.0, 0.05, 63 * 0.05),  # 64 samples
-    ])
-    def test_samples_match_lfilter(self, sigma_g, L_g, U_inf, dt, duration):
-        for seed in (0, 5):
-            g = VonKarmanGust(sigma_g, L_g, U_inf, dt, duration, seed=seed)
-            ref = _scipy_samples(sigma_g, L_g, U_inf, dt, duration, seed)
-            assert g.samples.shape == ref.shape
-            assert np.max(np.abs(g.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-_K = gusts._SCAN_BLOCK
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.floats(-0.999, 0.999),
-    arrays(np.float64, st.integers(1, 3 * _K * _K + 1),
-           elements=st.floats(-1e6, 1e6, allow_subnormal=False)),
-)
-@example(0.999, np.ones(3 * _K * _K + 1))  # three rows of K x K blocks: two carry levels
-@example(-0.999, np.r_[1.0, np.zeros(_K * _K)])
-def test_blocked_scan_matches_recurrence(c, d):
-    y_ref = np.empty_like(d)
-    acc = 0.0
-    for i, v in enumerate(d.tolist()):
-        acc = c * acc + v
-        y_ref[i] = acc
-    y = gusts._first_order_scan(c, d)
-    assert y.shape == d.shape
-    assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
+def _direct_sum(g, t):
+    """The spectral sum of g written out: one cosine per frequency below the
+    cutoff and the half-step grid's Nyquist rate, its phase drawn in frequency
+    order."""
+    n = g.samples.shape[0] - 1
+    d_omega = 2.0 * np.pi / (n * g.dt)
+    top = min(n - 1, int(gusts._X_CUTOFF * g.U_inf / (1.339 * g.L_g) / d_omega))
+    omega = d_omega * np.arange(1, top + 1)
+    amp = np.sqrt(2.0 * von_karman_psd(omega, g.sigma_g, g.L_g, g.U_inf) * d_omega)
+    phase = np.random.default_rng(g.seed).uniform(0.0, 2.0 * np.pi, top)
+    return np.cos(np.outer(t, omega) + phase) @ amp
