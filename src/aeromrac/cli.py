@@ -223,13 +223,16 @@ def build_plant(cfg):
 
 
 def build_gust(cfg):
+    """The gust block's gust.  A Von Karman realisation spans the run, whose
+    checks of dt and duration come first, as for every other gust."""
     g = cfg["gust"]
     if g["kind"] == "zero":
         return ZeroGust()
     if g["kind"] == "one-cosine":
         return OneCosineGust(w_gmax=g["w_gmax"], H_g=g["H_g"], U_inf=g["U_inf"])
+    config = sim_config(cfg)
     return VonKarmanGust(sigma_g=g["sigma"], L_g=g["L"], U_inf=g["U_inf"],
-                         dt=cfg["sim"]["dt"], duration=_sim_duration(cfg), seed=cfg["seed"])
+                         dt=config.dt, duration=config.duration, seed=cfg["seed"])
 
 
 def build_weighting(cfg, n: int) -> np.ndarray:
@@ -382,8 +385,8 @@ def cmd_validate(cfg, outdir: Path, args) -> int:
 
 
 def cmd_gust_gen(cfg, outdir: Path, args) -> int:
-    config = sim_config(cfg)  # a run's checks of dt and duration
     gust = build_gust(cfg)
+    config = sim_config(cfg)  # a run's checks of dt and duration
     t = np.arange(config.n_steps + 1) * config.dt
     w = np.asarray(gust(t), dtype=float)
     write_csv(outdir / "gust.csv", ["t", "w_g"], np.column_stack([t, w]))

@@ -27,10 +27,11 @@ up to MAX_STEP_MULTIPLE that divides the step count and keeps h within the
 0.1/max|lambda| heuristic of the dt warning; under any other gust, such as a
 Von Karman realisation, it steps at dt.  The dt-grid rows
 between RK4 nodes are cubic Hermite dense output (``_dense``), within 1e-9
-of stepping at dt on the packaged one-cosine runs.  The kernel streams its
-logged nodes, CHUNK_ROWS at a time, through that stage to every consumer: a
-sweep reduces the stream to metrics, a kept trace is the stream collected,
-every lane in one pass (``_collect``).  A run that diverges fails at a node:
+of stepping at dt on the packaged one-cosine runs.  The kernel hands on
+every node, CHUNK_ROWS at a time, and that stage alone picks the logged
+rows, at every k, for every consumer: a sweep reduces the stream to
+metrics, a kept trace is the stream collected, every lane in one pass
+(``_collect``).  A run that diverges fails at a node:
 its partial trace holds the dense rows up to its last node within the
 bound, then the diverged node at the time its message names.
 """
@@ -47,9 +48,9 @@ from .mrac import LyapunovDesign, ReferenceModel
 from .romgen import Plant, PolyField, stack_plants
 
 DIVERGENCE_DEFAULT = 1e8
-# Logged RK4 nodes the kernel holds and hands on at a time, to a sweep's
-# reduction or to a trace's collector; at a step of k dt the dense stage
-# hands on their dt-grid rows CHUNK_ROWS // k at a time.
+# New RK4 nodes the kernel hands on at a time to the dense stage, which
+# hands on their logged dt-grid rows, to a sweep's reduction or to a trace's
+# collector, CHUNK_ROWS // k at a time at a step of k dt.
 CHUNK_ROWS = 4096
 # Lanes per tile of ``_rk4``: each of its products is one gemm of this many
 # columns per tile, whatever the batch.
@@ -143,14 +144,6 @@ def _step_multiple(gust, config: SimulationConfig, *matrices: np.ndarray) -> int
                 if config.n_steps % k == 0 and k * config.dt <= limit), default=1)
 
 
-def _node_config(config: SimulationConfig, k: int) -> SimulationConfig:
-    """The config that ``_rk4`` runs at h = k dt: every node logged."""
-    if k == 1:
-        return config
-    h = k * config.dt
-    return replace(config, dt=h, duration=config.n_steps // k * h, log_stride=1)
-
-
 def _logged(config: SimulationConfig) -> np.ndarray:
     """The logged step numbers: every log_stride-th and the last.  Any stride
     past the last step logs the two ends; np.arange takes none past int64."""
@@ -210,16 +203,18 @@ def _stage_operators(field: PolyField, H: int, dt: float):
     return [np.clip(M, -big, big).astype(float) for M in stages + [M_y]]
 
 
-def _rk4(f, y, config: SimulationConfig, take):
-    """Classical RK4 of y' = field(y, held, u_d) on lanes y (B, N), with f =
-    (field, held, u_d): a ``romgen.PolyField`` on the rows [y | held | u_d | 1],
-    each lane's held coordinates (B, H) and the gust on the half-step grid,
-    whose first p columns are the field's p gust coordinates.  The logged
-    states go to take(rows) CHUNK_ROWS rows at a time, (r, B, N) in a buffer
-    that the next chunk overwrites.  A lane that leaves the divergence bound
-    fails alone; per lane returns None, or its failure (message, steps,
-    state): the step count at which it left the bound and its state there if
-    finite, else None.  Its rows from that step on are not its own.
+def _rk4(f, y, k: int, config: SimulationConfig, take):
+    """Classical RK4 of y' = field(y, held, u_d) on lanes y (B, N) at h = k
+    dt over n_steps // k steps, with f = (field, held, u_d): a
+    ``romgen.PolyField`` on the rows [y | held | u_d | 1], each lane's held
+    coordinates (B, H) and the gust on the half-step grid of h, whose first
+    p columns are the field's p gust coordinates.  Every node goes to
+    take(rows), (r, B, N) in a buffer that the next chunk overwrites,
+    CHUNK_ROWS new nodes at a time; each chunk after the first starts with
+    the last node of the chunk before.  A lane that leaves the divergence
+    bound fails alone; per lane returns None, or its failure (message,
+    steps, state): the step count at which it left the bound and its state
+    there if finite, else None.  Its rows from that step on are not its own.
 
     A step is the five products of ``_stage_operators`` on the lanes'
     columns w, TILE to a tile: each is one gemm per tile, of one shape
@@ -227,16 +222,15 @@ def _rk4(f, y, config: SimulationConfig, take):
     its column in it.  The last tile's spare columns copy lane 0, fail with
     it and are dropped."""
     (field, held, u_d), (B, N) = f, y.shape
-    dt, steps, stride = config.dt, config.n_steps, min(config.log_stride, config.n_steps)
-    threshold = config.divergence_threshold
-    log, alive = np.empty((min(CHUNK_ROWS, _logged(config).shape[0]), B, N)), np.ones(B, bool)
+    h, steps, threshold = k * config.dt, config.n_steps // k, config.divergence_threshold
+    log, alive = np.empty((min(CHUNK_ROWS, steps + 1) + 1, B, N)), np.ones(B, bool)
     failed = {}  # lane -> (message, steps, state)
-    log[0] = y
-    row = 1  # rows in the chunk
+    # the first chunk is log[1:], a later one log[0:] with the carried node in log[0]
+    log[1], row, start = y, 2, 1
     (C, Z), H = field.W.shape, held.shape[1]
     K, p = (C - N) // 3, Z - N - H - 1  # p = 0 for a plant without gust input
     V, tiles = Z + 2 * p, -(-B // TILE)
-    *stages, M_y = _stage_operators(field, H, dt)
+    *stages, M_y = _stage_operators(field, H, h)
 
     def tiled(a):  # rows (r, lanes) as the stack (tiles, r, TILE) of their tiles
         return a.reshape(a.shape[0], tiles, TILE).transpose(1, 0, 2)
@@ -271,7 +265,7 @@ def _rk4(f, y, config: SimulationConfig, take):
             if not np.dot(flat, flat) <= bound:
                 lane_norm = np.abs(x).max(axis=0)
                 for b in np.flatnonzero(alive & ~(lane_norm[:B] <= threshold)):
-                    failed[b] = (f"state diverged at t = {(step + 1) * dt:.6g} "
+                    failed[b] = (f"state diverged at t = {(step + 1) * h:.6g} "
                                  f"(norm {lane_norm[b]:.3e} > {threshold:.1e})", step + 1,
                                  x[:, b].copy() if np.isfinite(lane_norm[b]) else None)
                     alive[b] = False
@@ -280,13 +274,12 @@ def _rk4(f, y, config: SimulationConfig, take):
                 # a failed lane, and a spare column with lane 0, restarts from
                 # zero so that its arithmetic stays finite
                 ys[:, :, ~alive[lane]] = 0.0
-            if (step + 1) % stride == 0 or step + 1 == steps:
-                if row == log.shape[0]:
-                    take(log)
-                    row = 0
-                log[row] = x[:, :B].T
-                row += 1
-    take(log[:row])
+            if row == log.shape[0]:
+                take(log[start:])
+                log[0], row, start = log[-1], 1, 0
+            log[row] = x[:, :B].T
+            row += 1
+    take(log[start:row])
     return [failed.get(b) for b in range(B)]
 
 
@@ -325,36 +318,28 @@ def _fill(f, weights, ys, first: int, grid: np.ndarray) -> np.ndarray:
 
 
 def _dense(f, k: int, config: SimulationConfig, take):
-    """The dense output stage between ``_rk4`` at h = k dt (f its run, every
-    node logged) and take: it takes the chunks of node rows (r, B, N) in
-    order and hands take the logged rows of the dt grid (``_fill``) from the
-    first node to the last, at most CHUNK_ROWS // k at a time.  At k = 1 the
-    nodes are the dt grid, and take itself is the stage."""
-    if k == 1:
-        return take
+    """The dense output stage between ``_rk4`` at h = k dt (f its run) and
+    take: it takes the chunks of node rows (r, B, N) in order, each after
+    the first starting with the last node of the chunk before, and hands
+    take the logged rows of the dt grid (``_fill``) from the first node to
+    the last, at most CHUNK_ROWS // k at a time.  At k = 1 a logged row is a
+    copy of its node row."""
     logged, size = _logged(config), max(CHUNK_ROWS // k, 1)
     ld = np.longdouble
     t, h = np.arange(k, dtype=ld) / k, ld(k) * ld(config.dt)
     weights = np.stack([t * t * (3 - 2 * t), h * t * (1 - t) ** 2, h * t * t * (t - 1)])
     weights = weights.astype(float)  # at t = s / k
-    done, last = 0, None  # rows handed on; the chunk before's last node (index, row)
+    done, start = 0, 0  # rows handed on; the node of the next chunk's first row
 
     def chunk(rows):
-        nonlocal done, last
-        start = 0 if last is None else last[0] + 1  # the node of rows[0]
-
-        def nodes(a, b):  # node rows a .. b
-            if a >= start:
-                return rows[a - start:b + 1 - start]
-            return np.concatenate([last[1][None], rows[:b + 1 - start]])
-
+        nonlocal done, start
         end = start + rows.shape[0] - 1
         stop = np.searchsorted(logged, end * k, side="right")
         for lo in range(done, stop, size):
             grid = logged[lo:min(lo + size, stop)]
             a, b = grid[0] // k, -(-grid[-1] // k)
-            take(_fill(f, weights, nodes(a, b), a, grid))
-        done, last = stop, (end, rows[-1].copy())
+            take(_fill(f, weights, rows[a - start:b + 1 - start], a, grid))
+        done, start = stop, end
 
     return chunk
 
@@ -374,7 +359,7 @@ def _collect(f, y, k: int, config: SimulationConfig):
         out[done:done + rows.shape[0]] = rows
         done += rows.shape[0]
 
-    failures, lanes = _rk4(f, y, _node_config(config, k), _dense(f, k, config, take)), []
+    failures, lanes = _rk4(f, y, k, config, _dense(f, k, config, take)), []
     for b, failure in enumerate(failures):
         # a lane that did not fail keeps every row, as if it failed past its last node
         message, steps, state = failure or (None, config.n_steps // k + 1, None)
@@ -479,7 +464,7 @@ def _lanes(model, reference: ReferenceModel, Q, P, gammas, kappas, thetas, gust,
     run = (_lane_field(model, reference, config, Q, P), np.column_stack([kappas, gammas]),
            u_d_grid[::k])
     if take is not None:
-        return _rk4(run, y, _node_config(config, k), _dense(run, k, config, take))
+        return _rk4(run, y, k, config, _dense(run, k, config, take))
 
     results = []
     for steps, time, ys, error in _collect(run, y, k, config):

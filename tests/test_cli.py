@@ -600,6 +600,31 @@ def test_overflowing_von_karman_gust_fails_each_sweep_point(tmp_path, capsys, ax
         assert row[header.index("status")].startswith("error: Von Karman parameters out of range")
 
 
+# a run shorter than one step is a config error under every gust, and a
+# one-cosine gust without a gradient a validation error, in every command
+_CHECK_ORDER = [
+    ({"gust": {"kind": "von-karman"}, "sim": {"duration": 0.004}},
+     cli.EXIT_CONFIG, "duration must be at least one step"),
+    ({"gust": {"H_g": 0.0}, "sim": {"duration": None}},
+     cli.EXIT_VALIDATION, "H_g and U_inf must be positive"),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "rom-build", "gust-gen", "sweep"])
+@pytest.mark.parametrize("sections, code, message", _CHECK_ORDER, ids=["short-vk", "flat-1cos"])
+def test_every_command_checks_gust_and_run_in_one_order(tmp_path, capsys, command, sections,
+                                                        code, message):
+    cfg = write_config(tmp_path / "run.yaml", sweep={"axis": "gamma", "grid": [0.5]}, **sections)
+    out = tmp_path / "o"
+    if command == "sweep":  # each point fails with the error
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        header, (row,) = read_csv(out / "sweep.csv")
+        assert row[header.index("status")] == f"error: {message}"
+        return
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+
+
 def _diverging_config(tmp_path):
     """A stable 2-state bundle whose quadratic residual a strong gust drives
     past the divergence bound, with a configuration that runs it."""
@@ -819,7 +844,7 @@ class TestSweep:
                            sim={"dt": 0.02, "duration": 10.0})
         rk4, sizes = cli.sim._rk4, []
         monkeypatch.setattr(cli.sim, "_rk4",
-                            lambda f, y, c, take=None: sizes.append(len(y)) or rk4(f, y, c, take))
+                            lambda f, y, *rest: sizes.append(len(y)) or rk4(f, y, *rest))
         monkeypatch.setattr(cli.sim, "CHUNK_ROWS", 64)
         out = tmp_path / "sw"
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aeromrac.gusts import OneCosineGust
+from aeromrac.gusts import OneCosineGust, VonKarmanGust
 from aeromrac import sim
 from aeromrac.mrac import (
     ReferenceModel,
@@ -87,6 +87,8 @@ def test_batched_nonlinearity_equals_rows(rom, X):
 
 BATCH_GUST = OneCosineGust(0.14, 2.0, 1.0)
 BATCH_CONFIG = SimulationConfig(dt=0.02, duration=6.0)
+# RK4 steps at 5 dt under BATCH_GUST and at dt under this turbulence
+BATCH_TURBULENCE = VonKarmanGust(0.05, 12.0, 1.0, 0.02, 6.0, seed=5)
 OPEN_FIELDS = ("time", "x", "outputs", "u_d")
 CLOSED_FIELDS = OPEN_FIELDS + ("x_m", "e", "theta", "u_c")
 gamma_lists = st.lists(st.floats(0.01, 2.0), min_size=1, max_size=5)
@@ -105,10 +107,10 @@ def _assert_close(got, want, fields=CLOSED_FIELDS):
         assert np.abs(a - b).max() <= REL_TOL * np.abs(b).max(), name
 
 
-def _batch(rom, ref, designs, thetas, config=BATCH_CONFIG):
+def _batch(rom, ref, designs, thetas, config=BATCH_CONFIG, gust=BATCH_GUST):
     # the designs share Q and P: a lane is its rate and theta(0)
     return open_and_closed(rom, ref, designs[0], [d.gamma for d in designs], thetas,
-                           BATCH_GUST, config)
+                           gust, config)
 
 
 def _run(rom, gammas):
@@ -191,7 +193,9 @@ def test_diverged_lane_in_a_later_tile_fails_alone_and_silently(rom):
 @given(gammas=gamma_lists, data=st.data())
 def test_streamed_metrics_equal_serial_traces(rom, gammas, data):
     # the one batch of a sweep, reduced a chunk at a time, against each
-    # lane's own open/closed pair traced in full and compute_metrics
+    # lane's own open/closed pair traced in full and compute_metrics, with
+    # RK4 at 5 dt and at dt
+    gust = data.draw(st.sampled_from([BATCH_GUST, BATCH_TURBULENCE]), label="gust")
     diverging = data.draw(st.lists(st.booleans(), min_size=len(gammas),
                                    max_size=len(gammas)), label="diverging lanes")
     config = SimulationConfig(dt=0.02, duration=6.0,
@@ -212,11 +216,11 @@ def test_streamed_metrics_equal_serial_traces(rom, gammas, data):
     ref, designs, thetas = lanes()
     with mock.patch.object(sim, "CHUNK_ROWS", chunk):
         got = sim.sweep_metrics(rom, ref, designs[0].Q, designs[0].P, gammas, thetas,
-                                BATCH_GUST, config, output)
+                                gust, config, output)
     _, designs, thetas = lanes()
     assert len(got) == len(gammas)
     for metrics, design, theta in zip(got, designs, thetas):
-        opened, (closed,) = _batch(rom, ref, [design], [theta], config)
+        opened, (closed,) = _batch(rom, ref, [design], [theta], config, gust)
         error = next((r for r in (opened, closed) if isinstance(r, SimulationError)), None)
         if error is not None:
             assert isinstance(metrics, SimulationError) and str(metrics) == str(error)
