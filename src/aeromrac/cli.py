@@ -13,6 +13,8 @@ artifact that cannot be written among them), 4 simulation divergence.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import functools
 import logging
 import math
@@ -212,14 +214,21 @@ def _read_plant_file(cfg):
 
 
 def build_plant(cfg):
-    """(full model, rom, params_path or None) from the plant and rom blocks."""
+    """(full model, rom) from the plant and rom blocks."""
     full, params_path = _read_plant_file(cfg)
     if params_path:
         full = assemble_fom(full)
     source_hash = plantio.file_sha256(params_path) if params_path else ""
     rom = default_rom(full, n=cfg["rom"]["n"], n_real=cfg["rom"]["n_real"],
                       source_hash=source_hash)
-    return full, rom, params_path
+    return full, rom
+
+
+def _springs(cfg, key: str, model):
+    """model with its springs if sim.<key> is true, else linear (nl = None).
+    The CLI resolves sim.plant_nonlinear and sim.reference_nonlinear into the
+    models it builds; the library reads only each model's own nl."""
+    return model if cfg["sim"][key] else dataclasses.replace(model, nl=None)
 
 
 def build_gust(cfg):
@@ -262,12 +271,14 @@ def _require_gust_input(model):
 
 
 def build_controller(cfg, rom):
-    """(reference, design); every lane starts from zero gains."""
+    """(reference, design); every lane starts from zero gains.  The reference
+    model carries rom's springs unless sim.reference_nonlinear is false."""
     if rom.m == 0:
         raise mrac.MracError("the plant has no control input: B_c has no columns")
     _require_gust_input(rom)
     ctl = cfg["controller"]
-    reference = mrac.build_reference_model(rom, ctl["damping"])
+    reference = _springs(cfg, "reference_nonlinear",
+                         mrac.build_reference_model(rom, ctl["damping"]))
     Q = build_weighting(cfg, rom.n)
     design = mrac.make_design(reference.A_m, Q, ctl["gamma"], m=rom.m)
     return reference, design
@@ -276,10 +287,8 @@ def build_controller(cfg, rom):
 def sim_config(cfg) -> sim.SimulationConfig:
     s = cfg["sim"]
     try:
-        return sim.SimulationConfig(
-            dt=s["dt"], duration=_sim_duration(cfg), plant_nonlinear=s["plant_nonlinear"],
-            reference_nonlinear=s["reference_nonlinear"], log_stride=s["log_stride"],
-        )
+        return sim.SimulationConfig(dt=s["dt"], duration=_sim_duration(cfg),
+                                    log_stride=s["log_stride"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -297,18 +306,19 @@ def _fmt(val) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Header, then one line per row; a float array is formatted _CSV_BLOCK
-    rows at a time."""
+    """Header, then one line per row, a field that holds a comma, a quote or
+    a line break quoted; a float array, whose fields hold none, is formatted
+    _CSV_BLOCK rows at a time."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
         if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
             line = ",".join([_FLOAT_FMT] * rows.shape[1]) + "\n"
             for start in range(0, rows.shape[0], _CSV_BLOCK):
                 block = rows[start:start + _CSV_BLOCK]
                 fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
             return
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _step_line(trace: sim.SimulationTrace, dt: float) -> str:
@@ -397,12 +407,13 @@ def cmd_gust_gen(cfg, outdir: Path, args) -> int:
 
 
 def cmd_rom_build(cfg, outdir: Path, args) -> int:
-    full, rom, _ = build_plant(cfg)
+    full, rom = build_plant(cfg)
     _require_gust_input(rom)  # the validation compares gust responses
     plantio.save_rom(rom, outdir / "rom.npz")
 
     gust = build_gust(cfg)
-    trace = sim.integrate_open_loop(stack_plants(full, rom), gust, sim_config(cfg))
+    trace = sim.integrate_open_loop(_springs(cfg, "plant_nonlinear", stack_plants(full, rom)),
+                                    gust, sim_config(cfg))
     y_full, y_rom = np.hsplit(trace.outputs, [full.C_out.shape[0]])
     header = ["t"] + [f"{s}_{label}" for label in rom.output_labels for s in ("full", "rom")]
     pairs = np.dstack([y_full, y_rom]).reshape(len(trace.time), -1)  # full_j, rom_j
@@ -446,7 +457,7 @@ def _metrics_row(metrics: sim.GlaMetrics):
 
 
 def cmd_simulate(cfg, outdir: Path, args) -> int:
-    full, rom, _ = build_plant(cfg)
+    rom = _springs(cfg, "plant_nonlinear", build_plant(cfg)[1])
     idx = _output_index(cfg, rom)
     gust = build_gust(cfg)
     config = sim_config(cfg)
@@ -540,7 +551,7 @@ def _gamma_points(cfg, rom, grid, idx):
 
 
 def cmd_sweep(cfg, outdir: Path, args) -> int:
-    full, rom, _ = build_plant(cfg)
+    rom = _springs(cfg, "plant_nonlinear", build_plant(cfg)[1])
     idx = _output_index(cfg, rom)  # a bad selector ends the sweep, not each point
     axis = cfg["sweep"]["axis"]
     grid = cfg["sweep"]["grid"]

@@ -5,6 +5,8 @@ the Lipschitz stability monitor and the minimum-phase pre-correction.
 Gust-load alleviation is regulation: there is no reference command, and the
 reference model is driven by the measured gust.  So the controller is
 state-feedback MRAC (Lavretsky & Wise, Robust and Adaptive Control, 2013).
+The reference model (A_m, nl) carries its own springs, the plant's from
+``build_reference_model``; a linear reference model has nl = None.
 Gain-storage convention (fixed once to prevent transpose bugs): the adaptive
 gain matrix is theta = Kx^T in R^{n x m} acting on the regression vector
 phi = x, so u_c = theta^T x.  ``theta_rate`` below is the adaptation law,
@@ -27,6 +29,7 @@ from .numerics import (
     solve_lyapunov,
     transmission_zeros,
 )
+from .romgen import PolyNonlinearity
 
 _REAL_TOL = 1e-9
 _SKIP_TOL = 1e-12  # ||x - x_m|| below which the Lipschitz ratio is undefined
@@ -43,9 +46,12 @@ class MracError(ValueError):
 
 @dataclass(frozen=True)
 class ReferenceModel:
-    """Damping-augmented Hurwitz reference dynamics in real block-modal form."""
+    """Damping-augmented Hurwitz reference dynamics x_m' = A_m x_m + B_g u_d
+    + F(x_m) in real block-modal form, with its own polynomial springs F
+    (``nl``), or none when ``nl`` is None."""
 
     A_m: np.ndarray  # (n, n)
+    nl: PolyNonlinearity | None
 
 
 def _modal_blocks(A: np.ndarray):
@@ -64,19 +70,16 @@ def _modal_blocks(A: np.ndarray):
     return blocks
 
 
-def build_reference_model(
-    rom,
-    damping_spec=None,
-    allow_destabilizing: bool = False,
-) -> ReferenceModel:
+def build_reference_model(rom, damping_spec=None) -> ReferenceModel:
     """Reference model with selectively increased modal damping.
 
     ``damping_spec`` is a scalar factor applied to every oscillatory mode, or
     a mapping from oscillatory-mode ordinal (0-based, in block order) to
-    either a factor >= 1 or an explicit (sigma_m, omega_dm) pair.  Real
-    (gust-coupling) modes keep their open-loop eigenvalues.  The damped
-    frequency is kept at its open-loop value unless explicitly overridden.
-    The measured gust drives the reference model through the plant's B_g.
+    either a factor >= 1 or an explicit (sigma_m, omega_dm) pair, which may
+    set any decay rate.  Real (gust-coupling) modes keep their open-loop
+    eigenvalues.  The damped frequency is kept at its open-loop value unless
+    explicitly overridden.  The measured gust drives the reference model
+    through the plant's B_g, and it carries the plant's springs, rom.nl.
     """
     A = np.asarray(rom.A, dtype=float)
     blocks = _modal_blocks(A)
@@ -101,11 +104,8 @@ def build_reference_model(
             sigma_m, omega_m = sigma, omega
         elif np.isscalar(entry):
             factor = float(entry)
-            if factor < 1.0 and not allow_destabilizing:
-                raise MracError(
-                    f"damping factor {factor} < 1 for mode {ordinal} reduces damping; "
-                    "pass allow_destabilizing=True to override"
-                )
+            if factor < 1.0:
+                raise MracError(f"damping factor {factor} < 1 for mode {ordinal} reduces damping")
             sigma_m, omega_m = factor * sigma, omega
         else:
             sigma_m, omega_m = float(entry[0]), float(entry[1])
@@ -118,7 +118,7 @@ def build_reference_model(
         worst = eigs[np.argmax(eigs.real)]
         raise MracError(f"reference model is not Hurwitz: eigenvalue {worst}")
 
-    return ReferenceModel(A_m=A_m)
+    return ReferenceModel(A_m=A_m, nl=rom.nl)
 
 
 # ---------------------------------------------------------------------------

@@ -137,32 +137,31 @@ class Plant:
             return np.zeros(np.shape(x))
         return self.nl(x)
 
-    def springs(self, nonlinear=True):
+    def springs(self):
         """F(x) as ``PolyField``'s triple product: ((H^T, H^T, H^T
         diag(cubic)), quad, G^T); no product columns without F."""
-        if self.nl is None or not nonlinear:
+        if self.nl is None:
             return (np.zeros((self.n, 0)),) * 3, np.zeros(0), np.zeros((0, self.n))
         H_T = self.nl.H.T
         return (H_T, H_T, H_T * self.nl.cubic), self.nl.quad, self.nl.G.T
 
-    def field(self, nonlinear=True) -> PolyField:
+    def field(self) -> PolyField:
         """The derivative as a PolyField on rows [x | u_c | u_d | 1]: L = A^T,
         U = [B_c^T; B_g^T] and the springs as the triple product."""
-        P, c, G = self.springs(nonlinear)
+        P, c, G = self.springs()
         n, K = self.n, c.shape[0]
         W = np.zeros((n + self.m + self.p + 1, n + 3 * K))  # one row per coordinate of z
         W[:n, :n], W[n:-1, :n], W[:n, n:], W[-1, n + 2 * K:] = \
             self.A.T, np.vstack([self.B_c.T, self.B_g.T]), np.hstack(P), c
         return PolyField(W.T.copy(), np.hstack([np.eye(n), G.T]))
 
-    def rhs(self, x, u_c, u_d, nonlinear=True):
+    def rhs(self, x, u_c, u_d):
         """Time derivative of one state or a (B, n) batch of rows, whose
-        inputs are (B, m) and (B, p) rows or shared by every row;
-        ``nonlinear=False`` leaves out F(x)."""
+        inputs are (B, m) and (B, p) rows or shared by every row."""
         x, n, p = np.asarray(x, dtype=float), self.n, self.p
         z = np.ones(x.shape[:-1] + (n + self.m + p + 1,))
         z[..., :n], z[..., n:-1 - p], z[..., -1 - p:-1] = x, u_c, u_d
-        return self.field(nonlinear)(z)
+        return self.field()(z)
 
 
 def _block_diag(blocks) -> np.ndarray:

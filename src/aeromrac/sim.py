@@ -10,12 +10,13 @@ batch, and a lane runs the same bit for bit in any batch.
 
 A lane is the row [x, x_m, vec theta] with the held coordinates (kappa,
 gamma): plant and reference model are one Plant from ``romgen.stack_plants``,
-and the control theta^T x, the adaptation law and the reference model's gust
-forcing kappa u_d are product columns of the same field.  A batch
-(``integrate_lanes``) takes the plant, the reference model, the weighting Q
-and its Lyapunov solution P once, and per lane its adaptation rate gamma >=
-0, its gust switch kappa, 0 or 1, and its initial gains theta(0), which hold
-any fixed pre-gain, as the law does not read theta.  An adaptive lane has
+each with its own springs F (a linear one has ``nl`` None), and the control
+theta^T x, the adaptation law and the reference model's gust forcing kappa
+u_d are product columns of the same field.  A batch (``integrate_lanes``)
+takes the plant, the reference model, the weighting Q and its Lyapunov
+solution P once, and per lane its adaptation rate gamma >= 0, its gust
+switch kappa, 0 or 1, and its initial gains theta(0), which hold any fixed
+pre-gain, as the law does not read theta.  An adaptive lane has
 kappa = 1 and gamma > 0; gamma = 0 keeps theta at theta(0) bit for bit.  The
 open loop is the lane kappa = gamma = 0 with theta(0) = 0, which keeps its
 theta, u_c and x_m at exactly 0; with theta(0) = K^T it is the fixed-gain
@@ -73,8 +74,6 @@ class SimulationError(RuntimeError):
 class SimulationConfig:
     dt: float
     duration: float
-    plant_nonlinear: bool = True
-    reference_nonlinear: bool = True
     log_stride: int = 1
     divergence_threshold: float = DIVERGENCE_DEFAULT
 
@@ -106,10 +105,6 @@ class SimulationTrace:
     u_c: np.ndarray | None = None  # (T, m)
     diverged: bool = False
     step_multiple: int = 1  # RK4 stepped at k dt; rows between its nodes are dense output
-
-    @property
-    def closed_loop(self) -> bool:
-        return self.x_m is not None
 
 
 def _dt_limit(*matrices: np.ndarray) -> float:
@@ -391,23 +386,22 @@ def _failed_control(theta, x):
     return np.clip(u_c, -big, big)
 
 
-def _lane_field(model, reference: ReferenceModel, config: SimulationConfig, Q, P):
+def _lane_field(model, reference: ReferenceModel, Q, P):
     """The closed loop on rows [x, x_m, vec theta | kappa, gamma | u_d | 1]
     as one PolyField that every lane shares: the stacked plant and reference
-    model give the linear block and the springs, and the product columns
-    x_i theta_ij map through B_c (u_c = theta^T x), (-Q x)_i (e^T P B_c)_j
-    gamma onto theta_ij (``mrac.theta_rate`` with Gamma = gamma Q) and
-    u_d kappa 1 through B_g onto x_m.  A lane with kappa = gamma = 0 whose
-    x_m and theta start at 0 keeps them at exactly 0: the open loop."""
+    model give the linear block and the springs, each its own, and the
+    product columns x_i theta_ij map through B_c (u_c = theta^T x), (-Q x)_i
+    (e^T P B_c)_j gamma onto theta_ij (``mrac.theta_rate`` with Gamma =
+    gamma Q) and u_d kappa 1 through B_g onto x_m.  A lane with kappa =
+    gamma = 0 whose x_m and theta start at 0 keeps them at exactly 0: the
+    open loop."""
     n, m = model.B_c.shape
     N, nm, ij, p = 2 * n + n * m, n * m, np.arange(n * m), model.p
     i, j, PB = ij // m, ij % m, P @ model.B_c
     # the reference model is a plant without control (B_c = 0); its gust reads kappa
-    nl = model.nl if config.plant_nonlinear else None
-    io = dict(B_g=model.B_g, C_out=model.C_out, output_labels=model.output_labels)
-    plant = stack_plants(Plant(A=model.A, B_c=model.B_c, nl=nl, **io),
-                         Plant(A=reference.A_m, B_c=np.zeros_like(model.B_c),
-                               nl=nl if config.reference_nonlinear else None, **io))
+    plant = stack_plants(model, Plant(A=reference.A_m, B_c=np.zeros_like(model.B_c),
+                                      B_g=model.B_g, C_out=model.C_out,
+                                      output_labels=model.output_labels, nl=reference.nl))
     springs, c, G_s = plant.springs()
     k = c.shape[0]
     K = k + 2 * nm + p
@@ -461,7 +455,7 @@ def _lanes(model, reference: ReferenceModel, Q, P, gammas, kappas, thetas, gust,
     k = _step_multiple(gust, config, model.A, reference.A_m)
     u_d_grid = _gust_grid(gust, config, model.B_g.shape[1])
     y = np.hstack([np.zeros((B, 2 * n)), thetas.reshape(B, -1)])
-    run = (_lane_field(model, reference, config, Q, P), np.column_stack([kappas, gammas]),
+    run = (_lane_field(model, reference, Q, P), np.column_stack([kappas, gammas]),
            u_d_grid[::k])
     if take is not None:
         return _rk4(run, y, k, config, _dense(run, k, config, take))
@@ -490,10 +484,10 @@ def open_loop_of(result):
 def integrate_closed_loop(model, reference: ReferenceModel, design: LyapunovDesign,
                           theta0: np.ndarray, gust, config: SimulationConfig) -> SimulationTrace:
     """The one lane of ``integrate_lanes`` with the design's Q, P and rate and
-    kappa = 1: the measured gust drives plant and reference model, the
-    nonlinear residual enters both (Eq. 4/5 structure) unless the config
-    disables it, both start from zero and the gains from theta0 (n, m); there
-    is no reference command (gust-load-alleviation regulation)."""
+    kappa = 1: the measured gust drives plant and reference model, each
+    with its own nonlinear residual (Eq. 4/5 structure) where its ``nl`` is
+    set, both start from zero and the gains from theta0 (n, m); there is no
+    reference command (gust-load-alleviation regulation)."""
     _check_dt(config, model.A, reference.A_m)
     (result,) = _lanes(model, reference, design.Q, design.P, [design.gamma], [1.0], [theta0],
                        gust, config)
@@ -508,7 +502,7 @@ def integrate_open_loop(model, gust, config: SimulationConfig,
     _check_dt(config, model.A)
     k, u_d = _step_multiple(gust, config, model.A), _gust_grid(gust, config, model.p)
     x = np.zeros((1, model.n)) if x0 is None else np.array(x0, dtype=float)[None]
-    run = (model.field(config.plant_nonlinear), np.zeros((1, model.m)), u_d[::k])  # u_c = 0
+    run = (model.field(), np.zeros((1, model.m)), u_d[::k])  # u_c = 0
     ((steps, time, xs, error),) = _collect(run, x, k, config)
     trace = SimulationTrace(
         time=time, x=xs, outputs=xs @ model.C_out.T, u_d=u_d[2 * steps],

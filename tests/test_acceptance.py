@@ -111,10 +111,10 @@ def test_criterion_02_random_config_stability():
         A, B, B_g, Q, gamma, A_m = _random_adaptive_config(rng)
         n = A.shape[0]
         plant = linear_plant(A, B, B_g)
-        ref = mrac.ReferenceModel(A_m=A_m)
+        ref = mrac.ReferenceModel(A_m=A_m, nl=None)
         design = mrac.make_design(A_m, Q, gamma, m=1)
         gust = OneCosineGust(w_gmax=1.0, H_g=10.0)
-        cfg = SimulationConfig(dt=0.02, duration=5 * gust.duration, plant_nonlinear=False)
+        cfg = SimulationConfig(dt=0.02, duration=5 * gust.duration)
         trace = integrate_closed_loop(plant, ref, design, np.zeros((n, 1)), gust, cfg)
         theta_star = mrac.ideal_gains(A, B, A_m).theta_star
         cert = mrac.lyapunov_certificate(trace.time, trace.e, design, trace.theta, theta_star)
@@ -129,7 +129,7 @@ def test_criterion_02_random_config_stability():
 def test_criterion_03_ideal_gain_tracking(rom):
     kx = np.array([[-0.02, 0.01, 0.03, -0.01, 0.02, 0.0, 0.01, -0.02]])
     A_m = rom.A + np.atleast_2d(rom.B_c) @ kx
-    ref = mrac.ReferenceModel(A_m=A_m)
+    rom, ref = dataclasses.replace(rom, nl=None), mrac.ReferenceModel(A_m=A_m, nl=None)
     design = mrac.make_design(A_m, 0.03 * np.eye(8), 0.5, m=1)
     theta_star = mrac.ideal_gains(rom.A, rom.B_c, A_m).theta_star
     worst = 0.0
@@ -138,7 +138,7 @@ def test_criterion_03_ideal_gain_tracking(rom):
         VonKarmanGust(0.05, 12.0, 1.0, 0.02, 200.0, seed=3),
         ZeroGust(),
     ):
-        cfg = SimulationConfig(dt=0.02, duration=200.0, plant_nonlinear=False)
+        cfg = SimulationConfig(dt=0.02, duration=200.0)
         trace = integrate_closed_loop(rom, ref, design, theta_star.copy(), gust, cfg)
         worst = max(worst, float(np.abs(trace.e).max()))
     ok = worst <= 1e-9
@@ -208,10 +208,10 @@ def test_criterion_07_zero_relocation_and_adaptive_run():
 
     A_m = np.array([[0.0, 1.0], [-3.0, -4.0]])  # A + b k, k = [-1, -1]
     plant = linear_plant(A, b, np.array([1.0, 0.0]))
-    ref = mrac.ReferenceModel(A_m=A_m)
+    ref = mrac.ReferenceModel(A_m=A_m, nl=None)
     design = mrac.make_design(A_m, np.eye(2), 0.5, m=1)
     gust = OneCosineGust(1.0, 10.0)
-    cfg = SimulationConfig(dt=0.01, duration=5 * gust.duration, plant_nonlinear=False)
+    cfg = SimulationConfig(dt=0.01, duration=5 * gust.duration)
     # the pre-gain starts the gains, theta(0) = K0^T, so theta is the total gain
     trace = integrate_closed_loop(plant, ref, design, K0.T, gust, cfg)
     # and is matched on the raw plant: A + b Kx* = A_m
@@ -239,7 +239,8 @@ def test_criterion_08_lipschitz_monitor_consistency(rom):
     rom_lin = dataclasses.replace(rom, nl=None)
     gust = OneCosineGust(0.14, 55.0)
     cfg = SimulationConfig(dt=0.02, duration=2 * gust.duration, log_stride=5)
-    tr_lin = integrate_closed_loop(rom_lin, ref, design, theta0, gust, cfg)
+    tr_lin = integrate_closed_loop(rom_lin, dataclasses.replace(ref, nl=None), design, theta0,
+                                   gust, cfg)
     mon_lin = mrac.lipschitz_margin(design, rom_lin, tr_lin.time, tr_lin.x, tr_lin.x_m)
 
     # (c) five-fold gust amplitude: online flag matches offline recomputation
@@ -323,12 +324,11 @@ def test_criterion_10_stochastic_gust(rom):
 def test_criterion_11_rk4_convergence_order(rom):
     # under the one-cosine gust RK4 steps at h = 5 dt: the three runs take
     # steps 0.1, 0.05 and 0.025, in ratio 2, and end on a node
-    gust = OneCosineGust(0.14, 55.0)
+    gust, rom = OneCosineGust(0.14, 55.0), dataclasses.replace(rom, nl=None)
     finals, steps = [], []
     for dt in (0.02, 0.01, 0.005):
         ref, design, theta0 = _canonical_controller(rom)
-        cfg = SimulationConfig(dt=dt, duration=220.0, plant_nonlinear=False,
-                               log_stride=10**9)
+        cfg = SimulationConfig(dt=dt, duration=220.0, log_stride=10**9)
         tr = integrate_closed_loop(rom, ref, design, theta0, gust, cfg)
         finals.append(np.concatenate([tr.x[-1], tr.x_m[-1], tr.theta[-1].ravel()]))
         steps.append(tr.step_multiple * dt)

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -130,10 +131,21 @@ def test_float_array_csv_matches_row_by_row_format(tmp_path, n_rows):
     cli.write_csv(tmp_path / "a.csv", ["x", "y", "z"], rows)
     assert (tmp_path / "a.csv").read_bytes() == want.encode()
 
+
+def test_csv_field_that_holds_a_comma_or_a_quote_is_quoted(tmp_path):
+    # output labels are user strings: a header or a generic row reads back
+    # field by field, on the float-block path and the generic one
+    header = ["t", "y_a,b", 'y_"c"']
+    for name, rows, want in (("floats.csv", np.array([[0.5, 1.0, -2.0]]), ["0.5", "1", "-2"]),
+                             ("rows.csv", [[0.5, "a, b", True]], ["0.5", "a, b", "True"])):
+        cli.write_csv(tmp_path / name, header, rows)
+        with open(tmp_path / name, newline="") as fh:
+            assert list(csv.reader(fh)) == [header, want]
+
 def read_csv(path):
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:]]
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
 
 
 class TestValidate:
@@ -625,6 +637,23 @@ def test_every_command_checks_gust_and_run_in_one_order(tmp_path, capsys, comman
     assert message in capsys.readouterr().err
 
 
+def test_sweep_csv_status_with_commas_stays_one_field(tmp_path):
+    # each point fails on an out-of-range Von Karman gust, a message whose
+    # commas, unquoted, would split it over four more columns than the header
+    cfg = write_config(tmp_path / "run.yaml", gust={"kind": "von-karman", "L": 1.0e+300},
+                       sweep={"axis": "gamma", "grid": [0.5, 1.0]})
+    out = tmp_path / "sw"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    header, rows = read_csv(out / "sweep.csv")
+    assert len(rows) == 2
+    for row in rows:
+        assert len(row) == len(header)
+        assert row[header.index("status")] == (
+            "error: Von Karman parameters out of range: sigma = 0.05, L = 1e+300, "
+            "U_inf = 1, dt = 0.02, duration = 20")
+        assert row[header.index("worst_case")] == "False"
+
+
 def _diverging_config(tmp_path):
     """A stable 2-state bundle whose quadratic residual a strong gust drives
     past the divergence bound, with a configuration that runs it."""
@@ -709,6 +738,34 @@ class TestSimulate:
         # the open loop diverges: the partial trace is the open loop's, no control
         header, rows = read_csv(out / "trace_partial.csv")
         assert rows and {r[header.index("u_c")] for r in rows} == {"0"}
+
+    def test_nonlinearity_flags_resolve_into_the_models(self, tmp_path):
+        # plant_nonlinear: false drops the plant's springs and with them the
+        # reference model's, which it builds from the plant;
+        # reference_nonlinear: false drops the reference model's alone
+        def run(plant, reference):
+            name = f"{plant}-{reference}"
+            cfg = write_config(tmp_path / f"{name}.yaml",
+                               sim={"plant_nonlinear": plant, "reference_nonlinear": reference})
+            assert cli.main(["simulate", "--config", str(cfg),
+                             "--out", str(tmp_path / name)]) == cli.EXIT_OK
+            return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()
+                    if p.name != "resolved_config.yaml"}
+
+        assert run(False, True) == run(False, False)
+        assert run(True, False)["trace_closed.csv"] != run(True, True)["trace_closed.csv"]
+
+    def test_weakened_damping_factor_is_refused_and_a_pair_is_not(self, tmp_path, capsys):
+        # a factor below 1 is refused; a [sigma_m, omega_dm] pair sets the
+        # decay rate outright, below the plant's too
+        cfg = write_config(tmp_path / "factor.yaml", controller={"damping": 0.9})
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "f")]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            "validation error: damping factor 0.9 < 1 for mode 0 reduces damping\n"
+        cfg = write_config(tmp_path / "pair.yaml", controller={"damping": {0: [0.001, 0.1]}})
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "p")]) == cli.EXIT_OK
 
     # a gust large enough to drive the plant's cubic stiffness past the bound
     LIPSCHITZ_GUST = {"kind": "one-cosine", "w_gmax": 1.0, "H_g": 10.0, "U_inf": 1.0}
@@ -860,7 +917,7 @@ class TestSweep:
         # per lane, so no forcing grows with the run)
         chunk = 600
         monkeypatch.setattr(cli.sim, "CHUNK_ROWS", chunk)
-        monkeypatch.setattr(cli, "build_plant", lambda cfg: (fom, rom, None))
+        monkeypatch.setattr(cli, "build_plant", lambda cfg: (fom, rom))
         grid = [0.01, 0.1, 0.3, 1.0, 2.0, 5.0]
         peaks = []
         for chunks in (1, 2, 4):
@@ -885,7 +942,7 @@ class TestSweep:
         # steps.
         chunk = 16
         monkeypatch.setattr(cli.sim, "CHUNK_ROWS", chunk)
-        monkeypatch.setattr(cli, "build_plant", lambda cfg: (fom, rom, None))
+        monkeypatch.setattr(cli, "build_plant", lambda cfg: (fom, rom))
         peaks = {}
         for lanes in (7, 64):
             cfg = write_config(tmp_path / f"{lanes}.yaml",

@@ -56,17 +56,13 @@ class TestReferenceModel:
         with pytest.raises(MracError, match="reduces damping"):
             build_reference_model(rom, damping_spec=0.5)
 
-    def test_destabilizing_override(self, rom):
-        ref = build_reference_model(rom, damping_spec=0.9, allow_destabilizing=True)
-        assert np.linalg.eigvals(ref.A_m).real.max() < 0.0
-
     def test_unknown_mode_ordinal_rejected(self, rom):
         with pytest.raises(MracError, match="unknown oscillatory"):
             build_reference_model(rom, damping_spec={99: 2.0})
 
     def test_hurwitz_enforced(self, rom):
         with pytest.raises(MracError, match="Hurwitz"):
-            build_reference_model(rom, damping_spec={0: (-0.1, 1.0)}, allow_destabilizing=True)
+            build_reference_model(rom, damping_spec={0: (-0.1, 1.0)})
 
 
 class TestIdealGains:

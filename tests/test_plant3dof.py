@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import yaml
@@ -104,20 +106,19 @@ class TestFullOrderModel:
 
     def test_linear_rhs_is_jacobian_at_origin(self, fom):
         # finite-difference oracle for A_f
-        eps = 1e-7
+        eps, linear = 1e-7, replace(fom, nl=None)
         J = np.zeros((14, 14))
         for j in range(14):
             w = np.zeros(14)
             w[j] = eps
-            J[:, j] = (fom.rhs(w, 0.0, 0.0, nonlinear=False)
-                       - fom.rhs(-w, 0.0, 0.0, nonlinear=False)) / (2.0 * eps)
+            J[:, j] = (linear.rhs(w, 0.0, 0.0) - linear.rhs(-w, 0.0, 0.0)) / (2.0 * eps)
         assert np.allclose(J, fom.A_f, atol=1e-6)
 
     def test_nonlinear_residual_is_cubic(self, fom):
         rng = np.random.default_rng(5)
-        w = rng.normal(scale=0.1, size=14)
-        r1 = fom.rhs(w, 0.0, 0.0) - fom.rhs(w, 0.0, 0.0, nonlinear=False)
-        r2 = fom.rhs(2.0 * w, 0.0, 0.0) - fom.rhs(2.0 * w, 0.0, 0.0, nonlinear=False)
+        w, linear = rng.normal(scale=0.1, size=14), replace(fom, nl=None)
+        r1 = fom.rhs(w, 0.0, 0.0) - linear.rhs(w, 0.0, 0.0)
+        r2 = fom.rhs(2.0 * w, 0.0, 0.0) - linear.rhs(2.0 * w, 0.0, 0.0)
         assert np.allclose(r2, 8.0 * r1, rtol=1e-12)
         # residual acts only on the structural momentum rows
         assert np.allclose(np.delete(r1, [3, 4, 5]), 0.0)

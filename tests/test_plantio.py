@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ class TestBundleValidation:
         b = _bundle()
         x = np.array([2.0, -1.0])
         lin = b.A @ x + b.B_c @ [0.5] + b.B_g @ [0.1]
-        assert np.allclose(b.rhs(x, [0.5], [0.1], nonlinear=False), lin)
+        assert np.allclose(replace(b, quad=None, cubic=None).rhs(x, [0.5], [0.1]), lin)
         assert np.allclose(
             b.rhs(x, [0.5], [0.1]) - lin, [0.2 * 4.0, 0.1 * 1.0 + 0.3 * -1.0]
         )

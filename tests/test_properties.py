@@ -9,6 +9,7 @@ evaluates like its rhs, and a reduction keeps the states it is asked for or
 refuses."""
 
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -122,7 +123,7 @@ def _run(rom, gammas):
 def test_batched_lanes_equal_serial_runs(rom, gammas):
     # the lane count is the length of the drawn gamma list
     opened, closed = _run(rom, gammas)
-    assert not opened.closed_loop and opened.theta is None and opened.u_c is None
+    assert opened.x_m is None and opened.theta is None and opened.u_c is None
     _assert_close(opened, integrate_open_loop(rom, BATCH_GUST, BATCH_CONFIG), OPEN_FIELDS)
     assert len(closed) == len(gammas)
     for gamma, got in zip(gammas, closed):
@@ -131,7 +132,7 @@ def test_batched_lanes_equal_serial_runs(rom, gammas):
         _assert_close(got, want)
     again_open, again_closed = _run(rom, gammas)
     for got, want in zip([opened, *closed], [again_open, *again_closed]):
-        for name in CLOSED_FIELDS if got.closed_loop else OPEN_FIELDS:
+        for name in CLOSED_FIELDS if got.x_m is not None else OPEN_FIELDS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
@@ -239,7 +240,7 @@ def _same_trace(got, want):
     if isinstance(want, SimulationError):
         assert str(got) == str(want)
         got, want = got.trace, want.trace
-    for name in CLOSED_FIELDS if want.closed_loop else OPEN_FIELDS:
+    for name in CLOSED_FIELDS if want.x_m is not None else OPEN_FIELDS:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
@@ -261,19 +262,21 @@ def test_lane_trace_does_not_depend_on_its_batch(rom, gammas, kappas, open_loop,
     # drawn lane has its own rate, 0 among them, and gust switch.  Past one
     # tile of sim.TILE lanes, reversing the batch moves lanes between tiles
     # and between columns of a tile.
-    config = SimulationConfig(dt=0.02, duration=6.0, plant_nonlinear=plant_nl,
-                              reference_nonlinear=ref_nl, log_stride=log_stride)
+    config = SimulationConfig(dt=0.02, duration=6.0, log_stride=log_stride)
     rng = np.random.default_rng(seed)
     K0 = 0.01 * rng.normal(size=(len(gammas), rom.m, rom.n))
     theta = 0.01 * rng.normal(size=(len(gammas), rom.n, rom.m))
     ref, (design,), (zero,) = _lanes(rom, [1.0])
+    # the plant and the reference model each keep rom's springs or drop them
+    plant = rom if plant_nl else replace(rom, nl=None)
+    ref = ref if ref_nl else replace(ref, nl=None)
 
     def run(lanes, open_lane=False):
         # the open lane is gamma = kappa = 0 with theta(0) = 0; a pre-gain K0
         # enters as theta(0) = theta + K0^T
         spec = [(0.0, 0.0, zero)] * open_lane + [(gammas[b], kappas[b], theta[b] + K0[b].T)
                                                  for b in lanes]
-        return sim.integrate_lanes(rom, ref, design.Q, design.P, *zip(*spec), BATCH_GUST,
+        return sim.integrate_lanes(plant, ref, design.Q, design.P, *zip(*spec), BATCH_GUST,
                                    config)
 
     lanes = list(range(len(gammas)))
@@ -316,30 +319,31 @@ def _random_plant(rng, n, k, m, p):
 def test_stack_rhs_is_its_parts_rhs(parts, m, p, rows, seed, nonlinear):
     rng = np.random.default_rng(seed)
     plants = [_random_plant(rng, n, k, m, p) for n, k in parts]
+    if not nonlinear:  # every part without its springs
+        plants = [replace(part, nl=None) for part in plants]
     stack = stack_plants(*plants)
     lead = () if rows is None else (rows,)
     x = rng.normal(size=lead + (stack.n,))
     u_c, u_d = rng.normal(size=lead + (m,)), rng.normal(size=lead + (p,))
     xs = np.split(x, np.cumsum([part.n for part in plants])[:-1], axis=-1)
-    want = np.concatenate([part.rhs(xi, u_c, u_d, nonlinear=nonlinear)
-                           for part, xi in zip(plants, xs)], axis=-1)
-    got = stack.rhs(x, u_c, u_d, nonlinear=nonlinear)
+    want = np.concatenate([part.rhs(xi, u_c, u_d) for part, xi in zip(plants, xs)], axis=-1)
+    got = stack.rhs(x, u_c, u_d)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= REL_TOL * np.abs(want).max()
     outputs = np.concatenate([xi @ part.C_out.T for part, xi in zip(plants, xs)], axis=-1)
     assert np.abs(x @ stack.C_out.T - outputs).max() <= REL_TOL * np.abs(outputs).max()
-    assert (stack.nl is None) == all(k == 0 for _, k in parts)
+    assert (stack.nl is None) == (not nonlinear or all(k == 0 for _, k in parts))
     # the operator on the rows [x | u_c | u_d | 1] of a whole gust grid at
     # once is rhs at grid row j, bit for bit, with the control or without it
     grid = rng.normal(size=(int(rng.integers(1, 40)), p))
     j = int(rng.integers(grid.shape[0]))
-    field, X = stack.field(nonlinear), np.atleast_2d(x)
+    field, X = stack.field(), np.atleast_2d(x)
     for control in (u_c, np.zeros_like(u_c)):
         z = np.ones((grid.shape[0], X.shape[0], stack.n + m + p + 1))
         z[..., :stack.n], z[..., stack.n:-1 - p], z[..., -1 - p:-1] = \
             X, np.atleast_2d(control), grid[:, None]
         assert np.array_equal(field(z)[j].reshape(x.shape),
-                              stack.rhs(x, control, grid[j], nonlinear))
+                              stack.rhs(x, control, grid[j]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -351,10 +355,10 @@ def test_lane_field_is_plant_rhs_beside_the_law(n, k, m, p, lanes, open_loop, pl
     # every lane reads the one operator with its own gamma and theta; with
     # open_loop, lane 0 is the open lane: kappa = gamma = 0, x_m = theta = 0
     rng = np.random.default_rng(seed)
+    # the plant and the reference model each keep the drawn springs or drop them
     model = _random_plant(rng, n, k, m, p)
-    reference = ReferenceModel(A_m=rng.normal(size=(n, n)))
-    config = SimulationConfig(dt=0.01, duration=1.0, plant_nonlinear=plant_nl,
-                              reference_nonlinear=ref_nl)
+    reference = ReferenceModel(A_m=rng.normal(size=(n, n)), nl=model.nl if ref_nl else None)
+    model = model if plant_nl else replace(model, nl=None)
     R = rng.normal(size=(n, n))
     Q, P = R @ R.T + np.eye(n), rng.normal(size=(n, n))
     kappa, gamma = np.ones(lanes), rng.uniform(0.01, 2.0, size=lanes)
@@ -362,16 +366,14 @@ def test_lane_field_is_plant_rhs_beside_the_law(n, k, m, p, lanes, open_loop, pl
     if open_loop:
         kappa[0] = gamma[0] = y[0, n:] = 0.0
     u_d = rng.normal(size=p)
-    field = sim._lane_field(model, reference, config, Q, P)
+    field = sim._lane_field(model, reference, Q, P)
     assert field.W.ndim == 2
     got = field(np.hstack([y, kappa[:, None], gamma[:, None], np.tile(u_d, (lanes, 1)),
                            np.ones((lanes, 1))]))
 
-    nl = model.nl if plant_nl else None
     io = dict(B_g=model.B_g, C_out=model.C_out, output_labels=model.output_labels)
-    stack = stack_plants(Plant(A=model.A, B_c=model.B_c, nl=nl, **io),
-                         Plant(A=reference.A_m, B_c=np.zeros((n, m)),
-                               nl=nl if ref_nl else None, **io))
+    stack = stack_plants(Plant(A=model.A, B_c=model.B_c, nl=model.nl, **io),
+                         Plant(A=reference.A_m, B_c=np.zeros((n, m)), nl=reference.nl, **io))
     x, xm, theta = y[:, :n], y[:, n:2 * n], y[:, 2 * n:].reshape(lanes, n, m)
     Gamma = gamma[:, None, None] * Q
     want = np.hstack([stack.rhs(y[:, :2 * n], sim._control(theta, x), u_d),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -84,8 +86,8 @@ class TestReducedModel:
         rng = np.random.default_rng(9)
         x = rng.normal(size=rom.n)
         lin = rom.A @ x + rom.B_c @ [0.3] + rom.B_g @ [0.1]
-        assert np.allclose(rom.rhs(x, [0.3], [0.1], nonlinear=False), lin)
-        assert not np.allclose(rom.rhs(x, [0.3], [0.1], nonlinear=True), lin)
+        assert np.allclose(replace(rom, nl=None).rhs(x, [0.3], [0.1]), lin)
+        assert not np.allclose(rom.rhs(x, [0.3], [0.1]), lin)
 
     def test_full_dimension_reduction_is_exact(self, fom):
         rom14 = default_rom(fom, n=14, n_real=8)  # full spectrum: 3 pairs + 8 reals

@@ -81,12 +81,12 @@ class TestOpenLoop:
         trace = integrate_open_loop(rom, ZeroGust(), cfg)
         assert np.all(trace.x == 0.0)
         assert np.all(trace.outputs == 0.0)
-        assert not trace.closed_loop and not trace.diverged
+        assert trace.x_m is None and not trace.diverged
 
     def test_linear_response_scales_with_gust(self, rom):
-        cfg = SimulationConfig(dt=0.01, duration=5.0, plant_nonlinear=False)
-        t1 = integrate_open_loop(rom, OneCosineGust(0.01, 1.0, 1.0), cfg)
-        t2 = integrate_open_loop(rom, OneCosineGust(0.02, 1.0, 1.0), cfg)
+        cfg, linear = SimulationConfig(dt=0.01, duration=5.0), replace(rom, nl=None)
+        t1 = integrate_open_loop(linear, OneCosineGust(0.01, 1.0, 1.0), cfg)
+        t2 = integrate_open_loop(linear, OneCosineGust(0.02, 1.0, 1.0), cfg)
         assert np.allclose(t2.x, 2.0 * t1.x, rtol=1e-12, atol=1e-15)
 
     def test_converges_in_dt_under_turbulence(self, rom):
@@ -109,9 +109,9 @@ class TestOpenLoop:
 
     def test_normal_system_energy_envelope(self, rom):
         # the block-modal A is normal, so ||x(t)|| <= ||x0|| exp(mu t)
-        cfg = SimulationConfig(dt=0.005, duration=5.0, plant_nonlinear=False)
+        cfg = SimulationConfig(dt=0.005, duration=5.0)
         x0 = np.random.default_rng(20).normal(size=rom.n)
-        trace = integrate_open_loop(rom, ZeroGust(), cfg, x0=x0)
+        trace = integrate_open_loop(replace(rom, nl=None), ZeroGust(), cfg, x0=x0)
         mu = np.linalg.eigvals(rom.A).real.max()
         bound = 1.01 * np.linalg.norm(x0) * np.exp(mu * trace.time)
         assert np.all(np.linalg.norm(trace.x, axis=1) <= bound)
@@ -168,7 +168,7 @@ class TestOpenLoop:
                       C_out=np.eye(1, 2), output_labels=("y",))
         gust, cfg = OneCosineGust(0.5, 2.0, 1.0), SimulationConfig(dt=0.02, duration=6.0)
         assert np.all(integrate_open_loop(plant, gust, cfg).x == 0.0)
-        ref = ReferenceModel(A_m=-2.0 * np.eye(2))
+        ref = ReferenceModel(A_m=-2.0 * np.eye(2), nl=None)
         opened, (closed,) = open_and_closed(plant, ref, make_design(ref.A_m, np.eye(2), 0.5, m=1),
                                             [0.5], [np.zeros((2, 1))], gust, cfg)
         assert np.all(opened.x == 0.0) and np.all(closed.x == 0.0)
@@ -233,7 +233,7 @@ class TestClosedLoop:
         # logged diverged row is past the float range: it saturates, silently
         plant = Plant(A=np.zeros((1, 1)), B_c=np.ones((1, 1)), B_g=np.ones((1, 1)),
                       C_out=np.eye(1), output_labels=("y",))
-        ref = ReferenceModel(A_m=-np.eye(1))
+        ref = ReferenceModel(A_m=-np.eye(1), nl=None)
         design = LyapunovDesign(Q=np.eye(1), P=np.eye(1), gamma=6e166)
         cfg = SimulationConfig(dt=0.01, duration=1.0)
         with warnings.catch_warnings():
@@ -267,7 +267,7 @@ class TestOpenLane:
     def test_reference_divergence_fails_only_the_closed_lanes(self, rom):
         # A_m = -1e-3 I barely damps: x_m integrates the gust to 7.9 while the
         # plant peaks at 3.7, and the small gains keep the closed x below 5
-        ref = ReferenceModel(A_m=-1e-3 * np.eye(rom.n))
+        ref = ReferenceModel(A_m=-1e-3 * np.eye(rom.n), nl=rom.nl)
         design = make_design(ref.A_m, 0.03 * np.eye(rom.n), gamma=1e-6, m=1)
         thetas = [np.zeros((rom.n, 1))] * 2
         gust = OneCosineGust(0.14, 50.0, 1.0)
@@ -282,7 +282,7 @@ class TestOpenLane:
 
     def test_open_divergence_is_the_open_loop_error(self):
         plant = tiny_plant([[-0.5, 1.0], [-1.0, -0.5]], quad=4.0)
-        ref = ReferenceModel(A_m=-np.eye(2))
+        ref = ReferenceModel(A_m=-np.eye(2), nl=plant.nl)
         design = make_design(ref.A_m, np.eye(2), gamma=0.5, m=1)
         gust = OneCosineGust(3.0, 2.0, 1.0)
         cfg = SimulationConfig(dt=0.01, duration=20.0, divergence_threshold=1e6)
@@ -290,7 +290,7 @@ class TestOpenLane:
         with pytest.raises(SimulationError) as alone:
             integrate_open_loop(plant, gust, cfg)
         assert isinstance(opened, SimulationError) and str(opened) == str(alone.value)
-        assert not opened.trace.closed_loop and opened.trace.u_c is None
+        assert opened.trace.x_m is None and opened.trace.u_c is None
         assert np.array_equal(opened.trace.time, alone.value.trace.time)
 
     def test_batch_is_the_extended_precision_rk4_of_its_field(self, rom):
@@ -347,7 +347,7 @@ def _extended_precision_lanes(rom, ref, design, theta0, gust, cfg, k):
     k dt on the gust's dt half-step samples, its nodes filled by cubic
     Hermite dense output in np.longdouble."""
     ld, n, h = np.longdouble, rom.n, k * np.longdouble(cfg.dt)
-    field = sim._lane_field(rom, ref, cfg, design.Q, design.P)
+    field = sim._lane_field(rom, ref, design.Q, design.P)
     W, back = field.W.astype(ld), field.back.astype(ld)
     N, K = back.shape[0], back.shape[1] - back.shape[0]
     u_d = sim._gust_grid(gust, cfg, rom.p).astype(ld)
@@ -427,20 +427,19 @@ class TestLaneSpec:
 def _written_out_run(rom, ref, design, theta0, gust, cfg, k):
     """x, x_m, theta and u_c from a serial RK4 of the written-out law at the
     step h = k dt, its nodes filled to the dt grid by cubic Hermite dense
-    output: x' = A x + B_c u + B_g u_d + F(x), x_m' = A_m x_m + B_g u_d +
-    [F(x_m)], theta' = -gamma Q x e^T P B_c, u = x^T theta, theta (n, m) from
-    theta0."""
+    output: x' = A x + B_c u + B_g u_d + [F(x)], x_m' = A_m x_m + B_g u_d +
+    [F_m(x_m)], theta' = -gamma Q x e^T P B_c, u = x^T theta, theta (n, m)
+    from theta0, each bracketed F the model's or the reference model's own
+    springs, absent where its nl is None."""
     n, m, h = rom.n, rom.m, k * cfg.dt
     b_g, PB = rom.B_g[:, 0], design.P @ rom.B_c
-    f_plant = cfg.plant_nonlinear
-    f_ref = cfg.plant_nonlinear and cfg.reference_nonlinear
 
     def f(t, y):
         x, xm, theta = y[:n], y[n:2 * n], y[2 * n:].reshape(n, m)
         u = x @ theta
         w = gust(t)
-        dx = rom.A @ x + rom.B_c @ u + b_g * w + (rom.nl(x) if f_plant else 0.0)
-        dxm = ref.A_m @ xm + b_g * w + (rom.nl(xm) if f_ref else 0.0)
+        dx = rom.A @ x + rom.B_c @ u + b_g * w + (0.0 if rom.nl is None else rom.nl(x))
+        dxm = ref.A_m @ xm + b_g * w + (0.0 if ref.nl is None else ref.nl(xm))
         dtheta = -design.gamma * np.outer(design.Q @ x, (x - xm) @ PB)
         return np.concatenate([dx, dxm, dtheta.ravel()])
 
@@ -486,13 +485,16 @@ class TestStackedPlant:
             lanes.append((design, theta + K0.T))  # a pre-gain K0 enters as theta(0) = K0^T
         return ref, lanes
 
-    def _assert_batch_matches(self, rom, count, cfg):
-        # the one-cosine gust steps these runs at h = 5 dt
+    def _assert_batch_matches(self, rom, count, cfg, plant_nl=True, ref_nl=True):
+        # the one-cosine gust steps these runs at h = 5 dt; the plant and the
+        # reference model each keep rom's springs or drop them
         ref, lanes = self._lanes(rom, count)
-        wants = [_written_out_run(rom, ref, d, s, self.GUST, cfg, 5)
+        plant = rom if plant_nl else replace(rom, nl=None)
+        ref = ref if ref_nl else replace(ref, nl=None)
+        wants = [_written_out_run(plant, ref, d, s, self.GUST, cfg, 5)
                  for d, s in lanes]
         # the lanes' designs share Q and P: a lane is its rate and theta(0)
-        _, traces = open_and_closed(rom, ref, lanes[0][0], [d.gamma for d, _ in lanes],
+        _, traces = open_and_closed(plant, ref, lanes[0][0], [d.gamma for d, _ in lanes],
                                     [s for _, s in lanes], self.GUST, cfg)
         for trace, want in zip(traces, wants):
             assert trace.step_multiple == 5
@@ -506,9 +508,8 @@ class TestStackedPlant:
     @pytest.mark.parametrize("plant_nl,ref_nl", [(True, True), (True, False),
                                                  (False, True), (False, False)])
     def test_batch_matches_written_out_law(self, rom, count, plant_nl, ref_nl):
-        cfg = SimulationConfig(dt=0.02, duration=6.0, plant_nonlinear=plant_nl,
-                               reference_nonlinear=ref_nl)
-        self._assert_batch_matches(rom, count, cfg)
+        self._assert_batch_matches(rom, count, SimulationConfig(dt=0.02, duration=6.0),
+                                   plant_nl, ref_nl)
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_multi_input_batch_matches_written_out_law(self, rom, count):
@@ -521,27 +522,28 @@ class TestStackedPlant:
         self._assert_batch_matches(plant, count, SimulationConfig(dt=0.02, duration=6.0))
 
     def test_reference_nonlinearity_is_visible(self, rom):
-        # the flag moves x_m far beyond the tolerance above, so the cases
-        # with and without the reference block are told apart
+        # the reference model's springs move x_m far beyond the tolerance
+        # above, so the cases with and without them are told apart
         ref, [(design, theta0)] = self._lanes(rom, 1)
-        runs = [_written_out_run(rom, ref, design, theta0, self.GUST,
-                                 SimulationConfig(dt=0.02, duration=6.0,
-                                                  reference_nonlinear=flag), 5)[1]
-                for flag in (True, False)]
+        runs = [_written_out_run(rom, reference, design, theta0, self.GUST,
+                                 SimulationConfig(dt=0.02, duration=6.0), 5)[1]
+                for reference in (ref, replace(ref, nl=None))]
         assert np.abs(runs[0] - runs[1]).max() > 1e-9 * np.abs(runs[0]).max()
 
 
-def _two_block_layout(model, reference, plant_nl=True, ref_nl=True):
+def _two_block_layout(model, reference):
     """The closed-loop plant written out block by block: A = diag(A, A_m),
-    B_c = [B_c; 0], B_g = [B_g; B_g], G = blkdiag(G, G or 0), H =
-    blkdiag(H, H), quad and cubic tiled twice; no F for a linear plant."""
-    n = model.n
-    nl = model.nl if plant_nl else None
+    B_c = [B_c; 0], B_g = [B_g; B_g], G = blkdiag(G or 0, G_m or 0), H =
+    blkdiag(H, H_m), quad and cubic of both blocks in turn, a block without
+    springs taking the other's with G = 0; no F when neither has springs."""
+    n, nls = model.n, [model.nl, reference.nl]
+    nl = next((f for f in nls if f is not None), None)
     if nl is not None:
         Z = np.zeros((n, nl.H.shape[0]))
-        nl = PolyNonlinearity(G=np.block([[nl.G, Z], [Z, nl.G if ref_nl else Z]]),
-                              H=np.block([[nl.H, Z.T], [Z.T, nl.H]]),
-                              quad=np.tile(nl.quad, 2), cubic=np.tile(nl.cubic, 2))
+        f, f_m = (replace(nl, G=Z) if part is None else part for part in nls)
+        nl = PolyNonlinearity(G=np.block([[f.G, Z], [Z, f_m.G]]),
+                              H=np.block([[f.H, Z.T], [Z.T, f_m.H]]),
+                              quad=np.r_[f.quad, f_m.quad], cubic=np.r_[f.cubic, f_m.cubic])
     Z = np.zeros((n, n))
     return Plant(A=np.block([[model.A, Z], [Z, reference.A_m]]),
                  B_c=np.vstack([model.B_c, np.zeros_like(model.B_c)]),
@@ -556,9 +558,13 @@ class TestStackPlants:
 
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_one_open_loop_run_matches_separate_runs(self, fom, rom, nonlinear):
-        cfg = SimulationConfig(dt=0.02, duration=6.0, plant_nonlinear=nonlinear)
-        stacked = integrate_open_loop(stack_plants(fom, rom), self.GUST, cfg)
-        apart = [integrate_open_loop(model, self.GUST, cfg) for model in (fom, rom)]
+        # without springs: the stack as rom-build drops them, each part on its own
+        cfg, parts = self.CONFIG, (fom, rom)
+        stack = stack_plants(*parts)
+        if not nonlinear:
+            stack, parts = replace(stack, nl=None), [replace(p, nl=None) for p in parts]
+        stacked = integrate_open_loop(stack, self.GUST, cfg)
+        apart = [integrate_open_loop(model, self.GUST, cfg) for model in parts]
         for got, want in ((stacked.x, [tr.x for tr in apart]),
                           (stacked.outputs, [tr.outputs for tr in apart])):
             want = np.hstack(want)
@@ -579,9 +585,13 @@ class TestStackPlants:
         assert str(stacked.value) == str(alone.value)
         assert np.array_equal(stacked.value.trace.time, alone.value.trace.time)
 
-    def _closed(self, rom, config):
+    def _closed(self, rom, plant_nl=True, ref_nl=True):
+        # the plant and the reference model each keep rom's springs or drop them
         ref, design, theta0 = _controller(rom)
-        return ref, integrate_closed_loop(rom, ref, design, theta0, self.GUST, config)
+        plant = rom if plant_nl else replace(rom, nl=None)
+        ref = ref if ref_nl else replace(ref, nl=None)
+        return plant, ref, integrate_closed_loop(plant, ref, design, theta0, self.GUST,
+                                                 self.CONFIG)
 
     def test_closed_loop_plant_is_the_two_block_layout(self, rom, monkeypatch):
         built = []
@@ -591,7 +601,7 @@ class TestStackPlants:
             return built[-1]
 
         monkeypatch.setattr(sim, "stack_plants", spy)
-        ref, _ = self._closed(rom, self.CONFIG)
+        _, ref, _ = self._closed(rom)
         [got], want = built, _two_block_layout(rom, ref)
         for name in ("A", "B_c", "B_g"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -601,12 +611,9 @@ class TestStackPlants:
     @pytest.mark.parametrize("plant_nl,ref_nl", [(True, False), (False, True)])
     def test_closed_loop_matches_two_block_layout_run(self, rom, monkeypatch, plant_nl,
                                                       ref_nl):
-        cfg = SimulationConfig(dt=0.02, duration=6.0, plant_nonlinear=plant_nl,
-                               reference_nonlinear=ref_nl)
-        ref, got = self._closed(rom, cfg)
-        monkeypatch.setattr(sim, "stack_plants",
-                            lambda *parts: _two_block_layout(rom, ref, plant_nl, ref_nl))
-        _, want = self._closed(rom, cfg)
+        plant, ref, got = self._closed(rom, plant_nl, ref_nl)
+        monkeypatch.setattr(sim, "stack_plants", lambda *parts: _two_block_layout(plant, ref))
+        _, _, want = self._closed(rom, plant_nl, ref_nl)
         for name in ("x", "x_m", "theta", "u_c"):
             a, b = getattr(got, name), getattr(want, name)
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
