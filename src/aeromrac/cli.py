@@ -37,7 +37,7 @@ from .gusts import GustError, OneCosineGust, VonKarmanGust, ZeroGust
 from .numerics import NumericsError
 from .plant3dof import (ParamsFileError, PlantError, assemble_fom, default_params_path,
                         load_params)
-from .romgen import RomError, default_rom, stack_plants
+from .romgen import ReducedOrderModel, RomError, default_rom, stack_plants
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -205,17 +205,29 @@ def _sim_duration(cfg) -> float:
 
 def _read_plant_file(cfg):
     """(contents, params_path or None) of the file the plant block names: an
-    external plant bundle, or aerofoil parameters and their path."""
-    plant = cfg["plant"]
+    external plant bundle or reduced model, or aerofoil parameters and their
+    path.  A reduced model must have the rom block's n and n_real, so that
+    resolved_config.yaml records the model a run used."""
+    plant, rom = cfg["plant"], cfg["rom"]
     if plant["source"] == "external":
-        return plantio.load_plant(plant["bundle"]), None
+        model = plantio.load_plant(plant["bundle"])
+        if isinstance(model, ReducedOrderModel):
+            n_real = sum(mode.kind == "real-gust" for mode in model.modes)
+            if (model.n, n_real) != (rom["n"], rom["n_real"]):
+                raise ConfigError(
+                    f"plant.bundle: {plant['bundle']} is a reduced model with n = {model.n}, "
+                    f"n_real = {n_real}, not rom.n = {rom['n']}, rom.n_real = {rom['n_real']}")
+        return model, None
     params_path = Path(plant["params"]) if plant["params"] else default_params_path()
     return load_params(params_path), params_path
 
 
 def build_plant(cfg):
-    """(full model, rom) from the plant and rom blocks."""
+    """(full model, rom) from the plant and rom blocks; a reduced model file
+    is its own ROM, (rom, rom)."""
     full, params_path = _read_plant_file(cfg)
+    if isinstance(full, ReducedOrderModel):
+        return full, full
     if params_path:
         full = assemble_fom(full)
     source_hash = plantio.file_sha256(params_path) if params_path else ""
@@ -408,6 +420,9 @@ def cmd_gust_gen(cfg, outdir: Path, args) -> int:
 
 def cmd_rom_build(cfg, outdir: Path, args) -> int:
     full, rom = build_plant(cfg)
+    if full is rom:
+        raise ConfigError(f"plant.bundle: {cfg['plant']['bundle']} is a reduced model; "
+                          "rom-build needs a full-order plant to validate against")
     _require_gust_input(rom)  # the validation compares gust responses
     plantio.save_rom(rom, outdir / "rom.npz")
 
@@ -488,7 +503,7 @@ def cmd_simulate(cfg, outdir: Path, args) -> int:
             f"{cert.max_increase:.3e}, tolerance = {cert.tolerance:.3e}: "
             f"{'PASS' if cert.passed else 'FAIL'}"
         )
-    if cfg["sim"]["plant_nonlinear"]:
+    if rom.nl is not None:  # without springs F = 0: no ratio to monitor
         monitor = mrac.lipschitz_margin(design, rom, tr_closed.time, tr_closed.x,
                                         tr_closed.x_m)
         monitor_series = monitor.ratios

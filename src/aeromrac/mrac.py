@@ -1,6 +1,7 @@
 """Model-reference adaptive controller: reference-model synthesis by damping
-augmentation, ideal-gain model matching, Lyapunov design, the adaptation law,
-the Lipschitz stability monitor and the minimum-phase pre-correction.
+augmentation, ideal-gain model matching, Lyapunov design, the Lipschitz
+stability monitor, the Lyapunov certificate and the minimum-phase
+pre-correction.
 
 Gust-load alleviation is regulation: there is no reference command, and the
 reference model is driven by the measured gust.  So the controller is
@@ -9,11 +10,12 @@ The reference model (A_m, nl) carries its own springs, the plant's from
 ``build_reference_model``; a linear reference model has nl = None.
 Gain-storage convention (fixed once to prevent transpose bugs): the adaptive
 gain matrix is theta = Kx^T in R^{n x m} acting on the regression vector
-phi = x, so u_c = theta^T x.  ``theta_rate`` below is the adaptation law,
-with Gamma = gamma Q (``LyapunovDesign``).  The law does not read theta, so
-a fixed pre-gain K0 (``minimum_phase_correct``) is part of the initial gains,
-theta(0) = K0^T, and ``sim._lane_field`` writes u_c and the law, at each
-lane's own gamma, as product columns of one operator that every lane shares.
+phi = x, so u_c = theta^T x.  The adaptation law is theta_dot = -Gamma phi
+e^T P B_c with Gamma = gamma Q (``LyapunovDesign``).  The law does not read
+theta, so a fixed pre-gain K0 (``minimum_phase_correct``) is part of the
+initial gains, theta(0) = K0^T.  ``sim._lane_field``, the law's one copy,
+writes u_c and the law, at each lane's own gamma, as product columns of one
+operator that every lane shares.
 """
 
 from __future__ import annotations
@@ -163,7 +165,7 @@ def ideal_gains(A, B_c, A_m, tol: float = 1e-8) -> MatchingResult:
 @dataclass(frozen=True)
 class LyapunovDesign:
     """Weighting Q, Lyapunov solution P and adaptation rate gamma > 0, from
-    which the adaptation-rate matrix Gamma = gamma Q and its inverse follow."""
+    which the inverse of the adaptation-rate matrix Gamma = gamma Q follows."""
 
     Q: np.ndarray  # (n, n) SPD
     P: np.ndarray  # (n, n) SPD
@@ -178,12 +180,8 @@ class LyapunovDesign:
             raise MracError("Q must be positive-definite")
 
     @property
-    def Gamma(self) -> np.ndarray:
-        return self.gamma * self.Q
-
-    @property
     def Gamma_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.Gamma)
+        return np.linalg.inv(self.gamma * self.Q)
 
     @property
     def lipschitz_bound(self) -> float:
@@ -200,20 +198,6 @@ def make_design(A_m: np.ndarray, Q: np.ndarray, gamma: float, m: int) -> Lyapuno
     kept because the benchmark's checks (``perfbench/checks.py``) pass it."""
     Q = np.asarray(Q, dtype=float)
     return LyapunovDesign(Q=Q, P=solve_lyapunov(A_m, Q), gamma=gamma)
-
-
-# ---------------------------------------------------------------------------
-# adaptation law
-
-
-def theta_rate(e, phi, Gamma, PB) -> np.ndarray:
-    """Adaptation law theta_dot = -Gamma phi e^T P B_c, given PB = P B_c and
-    the regressor phi = x.
-
-    Every argument may carry a leading lane axis, so that lanes adapt in one
-    call on errors e (B, n) and regressors phi (B, n), each lane at its own
-    rate, Gamma = gamma_b Q (B, n, n), and with the P B_c (n, m) they share."""
-    return -Gamma @ (phi[..., :, None] * (e[..., None, :] @ PB))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 caching.
 
 All containers are NumPy ``.npz`` archives carrying a JSON metadata record
-and a schema version; loading a file written by a newer schema fails closed.
+with their kind and schema version.  One reader, ``load_plant``, returns the
+model of either kind; loading a file written by a newer schema fails closed.
 Matrices round-trip at full binary precision.  See ``docs/formats.md``.
 """
 
@@ -21,6 +22,7 @@ from .romgen import ModeInfo, Plant, PolyNonlinearity, ReducedOrderModel
 
 PLANT_SCHEMA_VERSION = 1
 ROM_SCHEMA_VERSION = 2
+_SCHEMA_VERSIONS = {"plant-bundle": PLANT_SCHEMA_VERSION, "rom": ROM_SCHEMA_VERSION}
 _NL_BLOCKS = ("G", "H", "quad", "cubic")
 
 
@@ -113,15 +115,17 @@ def save_plant(bundle: ExternalPlantBundle, path) -> None:
     np.savez(path, **arrays)
 
 
-def _read_meta(data, path, expected_kind: str, current_version: int) -> dict:
+def _read_meta(data, path) -> dict:
     if "meta" not in data:
         raise PlantIOError(f"{path}: missing metadata record")
     try:
         meta = json.loads(bytes(data["meta"]).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise PlantIOError(f"{path}: corrupt metadata record: {exc}") from exc
-    if meta.get("kind") != expected_kind:
-        raise PlantIOError(f"{path}: expected a {expected_kind} file, got {meta.get('kind')!r}")
+    current_version = _SCHEMA_VERSIONS.get(meta.get("kind"))
+    if current_version is None:
+        raise PlantIOError(f"{path}: unknown kind {meta.get('kind')!r}, "
+                           f"expected one of {', '.join(_SCHEMA_VERSIONS)}")
     version = meta.get("schema_version")
     if not isinstance(version, int) or version > current_version:
         raise PlantIOError(
@@ -131,11 +135,11 @@ def _read_meta(data, path, expected_kind: str, current_version: int) -> dict:
     return meta
 
 
-def _read_npz(path: Path, what: str) -> dict:
+def _read_npz(path: Path) -> dict:
     """The arrays of the .npz archive at path by name; a missing file, a file
     of another kind or an unreadable array raises PlantIOError naming it."""
     if not path.exists():
-        raise PlantIOError(f"{what} not found: {path}")
+        raise PlantIOError(f"plant file not found: {path}")
     name = None  # the array being read
     try:
         data = np.load(path)
@@ -161,28 +165,73 @@ def _real(arrays: dict, name: str, path: Path) -> np.ndarray:
     return block.astype(float)
 
 
-def load_plant(path) -> ExternalPlantBundle:
+def load_plant(path, source_path=None) -> ExternalPlantBundle | ReducedOrderModel:
+    """The model in the archive at path, by the kind its metadata names: an
+    ExternalPlantBundle for "plant-bundle", a ReducedOrderModel, nonlinearity
+    included, for "rom".
+
+    A schema-v1 reduced model carries no nonlinearity and loads as a linear
+    model with a warning.  ``source_path`` triggers a staleness warning when a
+    reduced model's stored source hash no longer matches the parameter file."""
     path = Path(path)
-    data = _read_npz(path, "plant bundle")
-    meta = _read_meta(data, path, "plant-bundle", PLANT_SCHEMA_VERSION)
-    flagged = [name for name in ("quad", "cubic") if meta.get(f"has_{name}")]
-    for name in ("A", "B_c", "B_g", "C_out", *flagged):
-        if name not in data:
+    arrays = _read_npz(path)
+    meta = _read_meta(arrays, path)
+    rom = meta["kind"] == "rom"
+    if rom:
+        nl_blocks = _NL_BLOCKS if "G" in arrays else ()
+        matrices = ("A", "B_c", "B_g", "Phi", "Psi", "C_out", *nl_blocks)
+        real = matrices + ("participation",)  # the eigenvalues are complex
+    else:
+        real = ("A", "B_c", "B_g", "C_out",
+                *[name for name in ("quad", "cubic") if meta.get(f"has_{name}")])
+    for name in real + (("eigenvalues",) if rom else ()):
+        if name not in arrays:
             raise PlantIOError(f"{path}: missing matrix block '{name}'")
-    labels = meta.get("output_labels")
-    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
-        raise PlantIOError(f"{path}: metadata 'output_labels' is not a list of names")
-    blocks = {name: _real(data, name, path) for name in ("A", "B_c", "B_g", "C_out", *flagged)}
-    try:
-        return ExternalPlantBundle(
-            **blocks,
-            output_labels=tuple(labels),
-            name=meta.get("name", "external"),
-            provenance_hash=meta.get("provenance_hash", ""),
-            stable=bool(meta.get("stable", True)),
+    for key in ("output_labels", "mode_kinds") if rom else ("output_labels",):
+        names = meta.get(key)
+        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+            raise PlantIOError(f"{path}: metadata '{key}' is not a list of names")
+    blocks = {name: _real(arrays, name, path) for name in real}
+    if not rom:
+        try:
+            return ExternalPlantBundle(
+                **blocks,
+                output_labels=tuple(meta["output_labels"]),
+                name=meta.get("name", "external"),
+                provenance_hash=meta.get("provenance_hash", ""),
+                stable=bool(meta.get("stable", True)),
+            )
+        except PlantIOError as exc:
+            raise PlantIOError(f"{path}: {exc}") from exc
+    for name in matrices:
+        if not np.isfinite(blocks[name]).all():
+            raise PlantIOError(f"{path}: corrupt matrix block '{name}' (non-finite)")
+    if meta["schema_version"] < 2:
+        warnings.warn(
+            f"{path} is a schema-v1 reduced model without its nonlinearity; "
+            "it loads as a linear model",
+            stacklevel=2,
         )
-    except PlantIOError as exc:
-        raise PlantIOError(f"{path}: {exc}") from exc
+    if source_path is not None and meta.get("source_hash"):
+        if file_sha256(source_path) != meta["source_hash"]:
+            warnings.warn(
+                f"{path} is stale: parameter file {source_path} has changed "
+                "since the reduced model was built",
+                stacklevel=2,
+            )
+    modes = tuple(
+        ModeInfo(eigenvalue=complex(lam), kind=kind, gust_participation=float(pp))
+        for lam, kind, pp in zip(arrays["eigenvalues"], meta["mode_kinds"],
+                                 blocks["participation"])
+    )
+    return ReducedOrderModel(
+        A=blocks["A"], B_c=blocks["B_c"], B_g=blocks["B_g"], C_out=blocks["C_out"],
+        output_labels=tuple(meta["output_labels"]),
+        nl=PolyNonlinearity(*(blocks[name] for name in _NL_BLOCKS)) if nl_blocks else None,
+        Phi=blocks["Phi"], Psi=blocks["Psi"],
+        modes=modes,
+        source_hash=meta.get("source_hash", ""),
+    )
 
 
 def save_rom(rom: ReducedOrderModel, path) -> None:
@@ -202,54 +251,4 @@ def save_rom(rom: ReducedOrderModel, path) -> None:
         participation=np.array([m.gust_participation for m in rom.modes]),
         meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
         **nl,
-    )
-
-
-def load_rom(path, source_path=None) -> ReducedOrderModel:
-    """Reload a cached reduced model, its nonlinearity included.
-
-    A schema-v1 file carries no nonlinearity and loads as a linear model with
-    a warning.  ``source_path`` triggers a staleness warning when the stored
-    source hash no longer matches the parameter file."""
-    path = Path(path)
-    arrays = _read_npz(path, "reduced model")
-    meta = _read_meta(arrays, path, "rom", ROM_SCHEMA_VERSION)
-    nl_blocks = _NL_BLOCKS if "G" in arrays else ()
-    for name in ("A", "B_c", "B_g", "Phi", "Psi", "C_out", "eigenvalues",
-                 "participation") + nl_blocks:
-        if name not in arrays:
-            raise PlantIOError(f"{path}: missing matrix block '{name}'")
-    for name in ("A", "B_c", "B_g", "Phi", "Psi", "C_out") + nl_blocks:
-        arrays[name] = _real(arrays, name, path)
-        if not np.isfinite(arrays[name]).all():
-            raise PlantIOError(f"{path}: corrupt matrix block '{name}' (non-finite)")
-    if meta["schema_version"] < 2:
-        warnings.warn(
-            f"{path} is a schema-v1 reduced model without its nonlinearity; "
-            "it loads as a linear model",
-            stacklevel=2,
-        )
-    if source_path is not None and meta.get("source_hash"):
-        if file_sha256(source_path) != meta["source_hash"]:
-            warnings.warn(
-                f"{path} is stale: parameter file {source_path} has changed "
-                "since the reduced model was built",
-                stacklevel=2,
-            )
-    eigs = arrays["eigenvalues"]
-    modes = tuple(
-        ModeInfo(
-            eigenvalue=complex(lam),
-            kind=kind,
-            gust_participation=float(pp),
-        )
-        for lam, kind, pp in zip(eigs, meta["mode_kinds"], _real(arrays, "participation", path))
-    )
-    return ReducedOrderModel(
-        A=arrays["A"], B_c=arrays["B_c"], B_g=arrays["B_g"], C_out=arrays["C_out"],
-        output_labels=tuple(meta["output_labels"]),
-        nl=PolyNonlinearity(*(arrays[name] for name in _NL_BLOCKS)) if nl_blocks else None,
-        Phi=arrays["Phi"], Psi=arrays["Psi"],
-        modes=modes,
-        source_hash=meta.get("source_hash", ""),
     )

@@ -391,10 +391,10 @@ def _lane_field(model, reference: ReferenceModel, Q, P):
     as one PolyField that every lane shares: the stacked plant and reference
     model give the linear block and the springs, each its own, and the
     product columns x_i theta_ij map through B_c (u_c = theta^T x), (-Q x)_i
-    (e^T P B_c)_j gamma onto theta_ij (``mrac.theta_rate`` with Gamma =
-    gamma Q) and u_d kappa 1 through B_g onto x_m.  A lane with kappa =
-    gamma = 0 whose x_m and theta start at 0 keeps them at exactly 0: the
-    open loop."""
+    (e^T P B_c)_j gamma onto theta_ij (the adaptation law theta' = -Gamma x
+    e^T P B_c with Gamma = gamma Q) and u_d kappa 1 through B_g onto x_m.  A
+    lane with kappa = gamma = 0 whose x_m and theta start at 0 keeps them at
+    exactly 0: the open loop."""
     n, m = model.B_c.shape
     N, nm, ij, p = 2 * n + n * m, n * m, np.arange(n * m), model.p
     i, j, PB = ij // m, ij % m, P @ model.B_c

@@ -23,6 +23,16 @@ def random_stable(rng, n, margin=0.5):
     return A - shift * np.eye(n)
 
 
+def theta_rate(e, phi, Gamma, PB):
+    """The adaptation law written out, theta_dot = -Gamma phi e^T P B_c, given
+    PB = P B_c and the regressor phi = x.
+
+    Every argument may carry a leading lane axis, so that lanes adapt in one
+    call on errors e (B, n) and regressors phi (B, n), each lane at its own
+    rate, Gamma = gamma_b Q (B, n, n), and with the P B_c (n, m) they share."""
+    return -Gamma @ (phi[..., :, None] * (e[..., None, :] @ PB))
+
+
 def open_and_closed(model, reference, design, gammas, thetas, gust, config):
     """The open loop and one closed loop per (gamma, theta(0)) under one gust,
     with the design's Q and P: the lanes of one ``sim.integrate_lanes`` batch,

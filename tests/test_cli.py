@@ -705,6 +705,77 @@ class TestRomBuild:
         assert not (out / "validation.csv").exists()
 
 
+def _run_files(command, cfg, out):
+    """The artifacts, but resolved_config.yaml, of a command that succeeds."""
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "resolved_config.yaml"}
+
+
+class TestRomFile:
+    """plant.bundle names the rom.npz that rom-build writes: the model in the
+    file is the run's reduced model, and no full-order plant is built."""
+
+    @pytest.fixture(scope="class")
+    def rom_file(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("rom-file")
+        cfg = write_config(tmp / "run.yaml")
+        assert cli.main(["rom-build", "--config", str(cfg), "--out", str(tmp)]) == cli.EXIT_OK
+        return tmp / "rom.npz"
+
+    @pytest.mark.parametrize("command, sections", [
+        ("simulate", {"controller": {"certificate": "error-only"}}),
+        ("sweep", {"gust": {"kind": "von-karman"},
+                   "sweep": {"axis": "gamma", "grid": [0.5, 8.0, 128.0]}}),
+    ])
+    def test_run_on_the_file_equals_the_run_that_builds_it(self, tmp_path, rom_file,
+                                                           command, sections):
+        built = write_config(tmp_path / "built.yaml", **sections)
+        loaded = write_config(tmp_path / "loaded.yaml", **sections,
+                              plant={"source": "external", "bundle": str(rom_file)})
+        want = _run_files(command, built, tmp_path / "built")
+        assert want == _run_files(command, loaded, tmp_path / "loaded")
+        assert "trace_closed.csv" in want or "sweep.csv" in want
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    @pytest.mark.parametrize("rom", [{"n": 6}, {"n_real": 0, "n": 8}])
+    def test_dimension_other_than_the_rom_block_is_a_config_error(self, tmp_path, capsys,
+                                                                  rom_file, command, rom):
+        cfg = write_config(tmp_path / "run.yaml", rom=rom,
+                           plant={"source": "external", "bundle": str(rom_file)})
+        assert cli.main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert f"{rom_file} is a reduced model with n = 8, n_real = 2, not rom.n = " \
+            in capsys.readouterr().err
+
+    def test_rom_build_refuses_it(self, tmp_path, capsys, rom_file):
+        # no full-order plant to validate the reduced model against
+        cfg = write_config(tmp_path / "run.yaml",
+                           plant={"source": "external", "bundle": str(rom_file)})
+        out = tmp_path / "o"
+        assert cli.main(["rom-build", "--config", str(cfg), "--out", str(out)]) \
+            == cli.EXIT_CONFIG
+        assert "is a reduced model; rom-build needs a full-order plant" \
+            in capsys.readouterr().err
+        assert not (out / "rom.npz").exists()
+
+    def test_schema_v1_file_runs_linear(self, tmp_path, rom_file):
+        # a schema-v1 file has no springs: the run is the built linear run,
+        # without the Lipschitz monitor
+        with np.load(rom_file) as data:
+            arrays = {k: data[k] for k in data.files if k not in ("G", "H", "quad", "cubic")}
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        arrays["meta"] = np.frombuffer(json.dumps({**meta, "schema_version": 1}).encode(),
+                                       dtype=np.uint8)
+        np.savez(tmp_path / "v1.npz", **arrays)
+        built = write_config(tmp_path / "built.yaml", sim={"plant_nonlinear": False})
+        loaded = write_config(tmp_path / "loaded.yaml",
+                              plant={"source": "external", "bundle": str(tmp_path / "v1.npz")})
+        with pytest.warns(UserWarning, match="schema-v1 reduced model"):
+            got = _run_files("simulate", loaded, tmp_path / "loaded")
+        assert got == _run_files("simulate", built, tmp_path / "built")
+        assert "Lipschitz monitor" not in got["summary.txt"].decode()
+
+
 class TestSimulate:
     def test_artifacts_and_determinism(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.yaml",
@@ -811,6 +882,21 @@ class TestSimulate:
         dense = "RK4 step 0.1 = 5 dt; rows on the dt grid by cubic Hermite dense output"
         assert lines == [dense, dense, "RK4 step 0.02 = dt; rows at its nodes",
                          "RK4 step 0.02 = dt; rows at its nodes"]
+
+    def test_plant_without_springs_skips_the_monitor(self, tmp_path):
+        # a bundle without quad or cubic has F = 0: no monitor line, a nan column
+        bundle = tmp_path / "linear.npz"
+        save_plant(ExternalPlantBundle(A=np.array([[-0.5, 1.0], [-1.0, -0.5]]),
+                                       B_c=np.array([[0.0], [1.0]]), B_g=np.array([[1.0], [0.0]]),
+                                       C_out=np.array([[1.0, 0.0]]), output_labels=("y",)),
+                   bundle)
+        cfg = write_config(tmp_path / "run.yaml", rom={"n": 2, "n_real": 0},
+                           plant={"source": "external", "bundle": str(bundle)})
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        assert "Lipschitz monitor" not in (out / "summary.txt").read_text()
+        header, rows = read_csv(out / "trace_closed.csv")
+        assert {r[header.index("monitor_ratio")] for r in rows} == {"nan"}
 
     def test_linear_plant_does_not_warn(self, tmp_path, caplog):
         cfg = write_config(tmp_path / "run.yaml", gust=self.LIPSCHITZ_GUST,

@@ -11,11 +11,10 @@ from aeromrac.mrac import (
     lyapunov_certificate,
     make_design,
     minimum_phase_correct,
-    theta_rate,
 )
 from aeromrac.numerics import transmission_zeros
 from aeromrac.romgen import Plant, PolyNonlinearity
-from conftest import random_stable
+from conftest import random_stable, theta_rate
 
 
 class TestReferenceModel:
@@ -116,8 +115,9 @@ class TestDesign:
         A_m = -np.eye(3)
         Q = np.diag([1.0, 2.0, 4.0])
         d = make_design(A_m, Q, gamma=0.5, m=1)
-        assert d.Gamma.shape == (3, 3)
-        assert np.array_equal(d.Gamma, 0.5 * Q)
+        # Gamma_inv = (gamma Q)^-1: the inverse of diag(0.5, 1, 2) is exact
+        assert d.Gamma_inv.shape == (3, 3)
+        assert np.array_equal(d.Gamma_inv, np.diag([2.0, 1.0, 0.5]))
 
     def test_lyapunov_closed_form(self):
         # A_m = -I: P = Q/2, so L_F = lambda_min(Q) / ||Q||_2
@@ -142,13 +142,14 @@ class TestAdaptationLaw:
         d = make_design(np.array([[-1.0]]), np.array([[2.0]]), gamma=0.5, m=1)
         e, x = 0.3, 0.4
         expected = np.array([[-1.0 * x * e * 1.0 * 2.0]])
-        rate = theta_rate(np.array([e]), np.array([x]), d.Gamma, d.P @ np.array([[2.0]]))
+        rate = theta_rate(np.array([e]), np.array([x]), d.gamma * d.Q,
+                          d.P @ np.array([[2.0]]))
         assert np.allclose(rate, expected, atol=1e-15)
 
     def test_zero_error_freezes_gains(self, rom):
         ref = build_reference_model(rom, 1.5)
         d = make_design(ref.A_m, 0.03 * np.eye(rom.n), gamma=0.5, m=1)
-        rate = theta_rate(np.zeros(rom.n), np.ones(rom.n), d.Gamma, d.P @ rom.B_c)
+        rate = theta_rate(np.zeros(rom.n), np.ones(rom.n), d.gamma * d.Q, d.P @ rom.B_c)
         assert np.all(rate == 0.0)
 
     def test_rate_is_rank_one_in_phi(self, rom):
@@ -156,9 +157,9 @@ class TestAdaptationLaw:
         d = make_design(ref.A_m, np.eye(rom.n), gamma=1.0, m=1)
         rng = np.random.default_rng(13)
         phi = rng.normal(size=rom.n)
-        rate = theta_rate(rng.normal(size=rom.n), phi, d.Gamma, d.P @ rom.B_c)
+        rate = theta_rate(rng.normal(size=rom.n), phi, d.gamma * d.Q, d.P @ rom.B_c)
         # single column proportional to Gamma @ phi
-        direction = d.Gamma @ phi
+        direction = d.gamma * d.Q @ phi
         ratio = rate[:, 0] / direction
         assert np.allclose(ratio, ratio[0], atol=1e-12)
 

@@ -10,7 +10,6 @@ from aeromrac.plantio import (
     PlantIOError,
     file_sha256,
     load_plant,
-    load_rom,
     save_plant,
     save_rom,
 )
@@ -118,11 +117,19 @@ class TestPlantRoundTrip:
             load_plant(path)
 
     def test_wrong_kind_rejected(self, tmp_path):
-        b = _bundle()
+        # the kind picks the schema; a kind that is neither is refused
         path = tmp_path / "plant.npz"
-        save_plant(b, path)
-        with pytest.raises(PlantIOError, match="expected a rom"):
-            load_rom(path)
+        save_plant(_bundle(), path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        for kind in ("mesh", None):
+            arrays["meta"] = np.frombuffer(json.dumps({**meta, "kind": kind}).encode(),
+                                           dtype=np.uint8)
+            np.savez(path, **arrays)
+            with pytest.raises(PlantIOError, match=f"unknown kind {kind!r}, expected one of "
+                                                   "plant-bundle, rom"):
+                load_plant(path)
 
     def test_newer_schema_fails_closed(self, tmp_path):
         path = tmp_path / "future.npz"
@@ -158,7 +165,7 @@ class TestRomRoundTrip:
         rom = default_rom(fom, source_hash=file_sha256(src))
         path = tmp_path / "rom.npz"
         save_rom(rom, path)
-        rom2 = load_rom(path, source_path=src)
+        rom2 = load_plant(path, source_path=src)
         for name in ("A", "B_c", "B_g", "Phi", "Psi", "C_out"):
             assert np.array_equal(getattr(rom, name), getattr(rom2, name))
         assert rom2.output_labels == rom.output_labels
@@ -177,7 +184,7 @@ class TestRomRoundTrip:
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(path, **arrays)
         with pytest.warns(UserWarning, match="schema-v1"):
-            rom1 = load_rom(path)
+            rom1 = load_plant(path)
         assert rom1.nl is None
         assert np.all(rom1.eval_f_nr(np.ones(rom.n)) == 0.0)
         assert np.array_equal(rom1.A, rom.A)
@@ -188,10 +195,10 @@ class TestRomRoundTrip:
         rom = default_rom(fom, source_hash=file_sha256(src))
         path = tmp_path / "rom.npz"
         save_rom(rom, path)
-        load_rom(path, source_path=src)  # unchanged: silent
+        load_plant(path, source_path=src)  # unchanged: silent
         src.write_text("U_star: 4.6\n")
         with pytest.warns(UserWarning, match="stale"):
-            load_rom(path, source_path=src)
+            load_plant(path, source_path=src)
 
     def test_corrupt_matrix_rejected(self, rom, tmp_path):
         path = tmp_path / "rom.npz"
@@ -202,7 +209,7 @@ class TestRomRoundTrip:
         arrays["A"][0, 0] = np.inf
         np.savez(path, **arrays)
         with pytest.raises(PlantIOError, match="corrupt matrix block 'A'"):
-            load_rom(path)
+            load_plant(path)
 
 
     @pytest.mark.parametrize("block, value, message", [
@@ -219,7 +226,7 @@ class TestRomRoundTrip:
         arrays[block] = value(arrays[block])
         np.savez(path, **arrays)
         with pytest.raises(PlantIOError, match=message) as exc:
-            load_rom(path)
+            load_plant(path)
         assert str(path) in str(exc.value)
 
     def test_integer_blocks_load_as_floats(self, rom, tmp_path):
@@ -229,7 +236,23 @@ class TestRomRoundTrip:
             arrays = dict(data)
         arrays["C_out"] = np.ones_like(arrays["C_out"], dtype=int)
         np.savez(path, **arrays)
-        assert load_rom(path).C_out.dtype == np.float64
+        assert load_plant(path).C_out.dtype == np.float64
+
+    @pytest.mark.parametrize("key, value", [("output_labels", None), ("mode_kinds", None),
+                                            ("mode_kinds", [1, 2])])
+    def test_metadata_names_checked(self, rom, tmp_path, key, value):
+        # a reduced model's labels and mode kinds are lists of names, as a bundle's labels
+        path = tmp_path / "rom.npz"
+        save_rom(rom, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta[key] = value
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(PlantIOError, match=f"metadata '{key}' is not a list of names"):
+            load_plant(path)
+
 
 class TestHashing:
     def test_sha256_matches_hashlib(self, tmp_path):

@@ -24,9 +24,8 @@ from aeromrac.mrac import (
     ReferenceModel,
     build_reference_model,
     make_design,
-    theta_rate,
 )
-from aeromrac.plantio import load_rom, save_rom
+from aeromrac.plantio import load_plant, save_rom
 from aeromrac.romgen import (
     Plant,
     PolyNonlinearity,
@@ -40,7 +39,7 @@ from aeromrac.sim import (
     integrate_closed_loop,
     integrate_open_loop,
 )
-from conftest import open_and_closed
+from conftest import open_and_closed, theta_rate
 
 REL_TOL = 1e-12
 inputs = st.floats(-1.0, 1.0, allow_nan=False)
@@ -54,7 +53,7 @@ def states(*shape):
 def reloaded(rom, tmp_path_factory):
     path = tmp_path_factory.mktemp("rom") / "rom.npz"
     save_rom(rom, path)
-    return load_rom(path)
+    return load_plant(path)
 
 
 @pytest.fixture(scope="module")
