@@ -48,49 +48,17 @@ class ExternalPlantBundle(Plant):
     nl: PolyNonlinearity | None = field(default=None, init=False)
 
     def __post_init__(self):
-        if self.A.ndim != 2 or not self.A.size:
-            raise PlantIOError(f"field 'A': shape {self.A.shape} is not (n, n) with n >= 1")
-        n = self.A.shape[0]
-        checks = [
-            ("A", self.A.shape, (n, n)),
-            ("B_c", self.B_c.shape[:1], (n,)),
-            ("B_g", self.B_g.shape[:1], (n,)),
-            ("C_out", self.C_out.shape[1:], (n,)),
-        ]
-        for name, got, want in checks:
-            if got != want:
-                raise PlantIOError(f"field '{name}': shape {got} incompatible with n = {n}")
-        for name in ("B_c", "B_g"):
-            shape = getattr(self, name).shape
-            if len(shape) != 2:
-                raise PlantIOError(
-                    f"field '{name}': shape {shape} is not (n, k), one column per input")
-        if len(self.output_labels) != self.C_out.shape[0]:
-            raise PlantIOError(
-                f"field 'output_labels': {len(self.output_labels)} labels for "
-                f"{self.C_out.shape[0]} output rows"
-            )
-        for name in ("A", "B_c", "B_g", "C_out", "quad", "cubic"):
-            M = getattr(self, name)
-            if M is not None and not np.isfinite(M).all():
-                raise PlantIOError(f"field '{name}': non-finite entries")
-        for name in ("quad", "cubic"):
-            M = getattr(self, name)
-            if M is not None and M.shape != (n,):
-                raise PlantIOError(f"field '{name}': expected shape ({n},), got {M.shape}")
-        is_stable = bool(np.linalg.eigvals(self.A).real.max() < 0.0)
-        if is_stable != self.stable:
-            raise PlantIOError(
-                f"field 'stable': declared {self.stable} but eigenvalue check "
-                f"gives {is_stable}"
-            )
         if self.quad is not None or self.cubic is not None:
-            zero = np.zeros(n)
-            object.__setattr__(self, "nl", PolyNonlinearity(
-                np.eye(n), np.eye(n),
-                zero if self.quad is None else self.quad,
-                zero if self.cubic is None else self.cubic,
-            ))
+            n = self.A.shape[0] if self.A.ndim else 0  # the plant contract checks A
+            quad, cubic = (np.zeros(n) if c is None else c for c in (self.quad, self.cubic))
+            object.__setattr__(self, "nl", PolyNonlinearity(np.eye(n), np.eye(n), quad, cubic))
+        try:
+            super().__post_init__()
+        except ValueError as exc:
+            raise PlantIOError(str(exc)) from exc
+        if (np.linalg.eigvals(self.A).real.max() < 0.0) != self.stable:
+            raise PlantIOError(f"field 'stable': declared {self.stable} but eigenvalue check "
+                               f"gives {not self.stable}")
 
 
 def save_plant(bundle: ExternalPlantBundle, path) -> None:
@@ -179,8 +147,8 @@ def load_plant(path, source_path=None) -> ExternalPlantBundle | ReducedOrderMode
     rom = meta["kind"] == "rom"
     if rom:
         nl_blocks = _NL_BLOCKS if "G" in arrays else ()
-        matrices = ("A", "B_c", "B_g", "Phi", "Psi", "C_out", *nl_blocks)
-        real = matrices + ("participation",)  # the eigenvalues are complex
+        # the eigenvalues are complex
+        real = ("A", "B_c", "B_g", "Phi", "Psi", "C_out", *nl_blocks, "participation")
     else:
         real = ("A", "B_c", "B_g", "C_out",
                 *[name for name in ("quad", "cubic") if meta.get(f"has_{name}")])
@@ -192,8 +160,8 @@ def load_plant(path, source_path=None) -> ExternalPlantBundle | ReducedOrderMode
         if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
             raise PlantIOError(f"{path}: metadata '{key}' is not a list of names")
     blocks = {name: _real(arrays, name, path) for name in real}
-    if not rom:
-        try:
+    try:
+        if not rom:
             return ExternalPlantBundle(
                 **blocks,
                 output_labels=tuple(meta["output_labels"]),
@@ -201,11 +169,22 @@ def load_plant(path, source_path=None) -> ExternalPlantBundle | ReducedOrderMode
                 provenance_hash=meta.get("provenance_hash", ""),
                 stable=bool(meta.get("stable", True)),
             )
-        except PlantIOError as exc:
-            raise PlantIOError(f"{path}: {exc}") from exc
-    for name in matrices:
-        if not np.isfinite(blocks[name]).all():
-            raise PlantIOError(f"{path}: corrupt matrix block '{name}' (non-finite)")
+        A, n = blocks["A"], blocks["A"].shape[:1]
+        modes = {"eigenvalues": arrays["eigenvalues"], "participation": blocks["participation"],
+                 "mode_kinds": meta["mode_kinds"]}
+        for name, values in modes.items():  # one per state; the plant contract checks A
+            if A.size and A.shape == 2 * n and np.shape(values) != n:
+                raise ValueError(f"field '{name}': shape {np.shape(values)} incompatible "
+                                 f"with n = {n[0]}")
+        model = ReducedOrderModel(
+            A=A, B_c=blocks["B_c"], B_g=blocks["B_g"], C_out=blocks["C_out"],
+            output_labels=tuple(meta["output_labels"]),
+            nl=PolyNonlinearity(*(blocks[name] for name in _NL_BLOCKS)) if nl_blocks else None,
+            Phi=blocks["Phi"], Psi=blocks["Psi"], source_hash=meta.get("source_hash", ""),
+            modes=tuple(ModeInfo(eigenvalue=complex(lam), kind=kind, gust_participation=float(pp))
+                        for lam, pp, kind in zip(*modes.values())))
+    except ValueError as exc:
+        raise PlantIOError(f"{path}: {exc}") from exc
     if meta["schema_version"] < 2:
         warnings.warn(
             f"{path} is a schema-v1 reduced model without its nonlinearity; "
@@ -219,19 +198,7 @@ def load_plant(path, source_path=None) -> ExternalPlantBundle | ReducedOrderMode
                 "since the reduced model was built",
                 stacklevel=2,
             )
-    modes = tuple(
-        ModeInfo(eigenvalue=complex(lam), kind=kind, gust_participation=float(pp))
-        for lam, kind, pp in zip(arrays["eigenvalues"], meta["mode_kinds"],
-                                 blocks["participation"])
-    )
-    return ReducedOrderModel(
-        A=blocks["A"], B_c=blocks["B_c"], B_g=blocks["B_g"], C_out=blocks["C_out"],
-        output_labels=tuple(meta["output_labels"]),
-        nl=PolyNonlinearity(*(blocks[name] for name in _NL_BLOCKS)) if nl_blocks else None,
-        Phi=blocks["Phi"], Psi=blocks["Psi"],
-        modes=modes,
-        source_hash=meta.get("source_hash", ""),
-    )
+    return model
 
 
 def save_rom(rom: ReducedOrderModel, path) -> None:

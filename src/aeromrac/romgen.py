@@ -115,8 +115,24 @@ class Plant:
     B_c: np.ndarray  # (n, m)
     B_g: np.ndarray  # (n, p)
     C_out: np.ndarray  # (q, n)
-    output_labels: tuple[str, ...]
-    nl: PolyNonlinearity | None = None
+    output_labels: tuple[str, ...]  # (q,)
+    nl: PolyNonlinearity | None = None  # G (n, k), H (k, n), quad and cubic (k,)
+
+    def __post_init__(self):
+        """The plant contract, checked wherever a plant is made: every block
+        is finite and of the shape its comment gives, with n >= 1."""
+        if self.A.ndim != 2 or not self.A.size:
+            raise ValueError(f"field 'A': shape {self.A.shape} is not (n, n) with n >= 1")
+        n, nl = self.A.shape[0], self.nl
+        _check_blocks(f"n = {n}", ("A", self.A, (n, n)), ("B_c", self.B_c, (n, None)),
+                      ("B_g", self.B_g, (n, None)), ("C_out", self.C_out, (None, n)))
+        if len(self.output_labels) != self.C_out.shape[0]:
+            raise ValueError(f"field 'output_labels': {len(self.output_labels)} labels for "
+                             f"{self.C_out.shape[0]} output rows")
+        if nl is not None:
+            k = nl.G.shape[-1] if nl.G.ndim else None
+            _check_blocks(f"n = {n}, k = {k}", ("G", nl.G, (n, k)), ("H", nl.H, (k, n)),
+                          ("quad", nl.quad, (k,)), ("cubic", nl.cubic, (k,)))
 
     @property
     def n(self) -> int:
@@ -164,6 +180,15 @@ class Plant:
         return self.field()(z)
 
 
+def _check_blocks(dims: str, *blocks) -> None:
+    """ValueError naming the first block not finite or not of its shape (None: any size)."""
+    for name, M, shape in blocks:
+        if M.ndim != len(shape) or any(w not in (None, s) for s, w in zip(M.shape, shape)):
+            raise ValueError(f"field '{name}': shape {M.shape} incompatible with {dims}")
+        if not np.isfinite(M).all():
+            raise ValueError(f"field '{name}': non-finite entries")
+
+
 def _block_diag(blocks) -> np.ndarray:
     return np.block([[b if i == j else np.zeros((b.shape[0], c.shape[1]))
                       for j, c in enumerate(blocks)] for i, b in enumerate(blocks)])
@@ -194,8 +219,15 @@ class ReducedOrderModel(Plant):
 
     Phi: np.ndarray  # (N, n) real right basis
     Psi: np.ndarray  # (n, N) real left basis
-    modes: tuple[ModeInfo, ...]
+    modes: tuple[ModeInfo, ...]  # one per state
     source_hash: str = ""
+
+    def __post_init__(self):
+        super().__post_init__()
+        n, N = self.n, self.Phi.shape[0] if self.Phi.ndim else None
+        _check_blocks(f"n = {n}, N = {N}", ("Phi", self.Phi, (N, n)), ("Psi", self.Psi, (n, N)))
+        if len(self.modes) != n:
+            raise ValueError(f"field 'modes': {len(self.modes)} modes for n = {n}")
 
 
 def default_rom(fom, n: int = 8, n_real: int = 2,

@@ -758,6 +758,27 @@ class TestRomFile:
             in capsys.readouterr().err
         assert not (out / "rom.npz").exists()
 
+    @pytest.mark.parametrize("block, cut", [("B_g", np.s_[:7]), ("Psi", np.s_[:, :13]),
+                                            ("mode_kinds", np.s_[:-1])],
+                             ids=["B_g", "Psi", "mode_kinds"])
+    def test_block_cut_short_is_a_config_error(self, tmp_path, capsys, rom_file, block, cut):
+        # the plant contract refuses the file before any run, naming the file and block
+        with np.load(rom_file) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        if block in arrays:
+            arrays[block] = arrays[block][cut]
+        else:
+            meta[block] = meta[block][cut]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        path = tmp_path / "cut.npz"
+        np.savez(path, **arrays)
+        cfg = write_config(tmp_path / "run.yaml", plant={"source": "external", "bundle": str(path)})
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"configuration error: {path}: field '{block}': shape " in capsys.readouterr().err
+        assert not (out / "trace_closed.csv").exists()
+
     def test_schema_v1_file_runs_linear(self, tmp_path, rom_file):
         # a schema-v1 file has no springs: the run is the built linear run,
         # without the Lipschitz monitor

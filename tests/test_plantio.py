@@ -208,7 +208,7 @@ class TestRomRoundTrip:
         arrays["A"] = arrays["A"].copy()
         arrays["A"][0, 0] = np.inf
         np.savez(path, **arrays)
-        with pytest.raises(PlantIOError, match="corrupt matrix block 'A'"):
+        with pytest.raises(PlantIOError, match="field 'A': non-finite entries"):
             load_plant(path)
 
 

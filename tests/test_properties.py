@@ -1,5 +1,6 @@
 """Property tests of the plant interface and the integrator: a saved
-reduced model equals the original, a full-dimension reduction reproduces the
+reduced model equals the original, a plant file with a block cut short is
+refused naming the file and a block, a full-dimension reduction reproduces the
 full-order model, a batch of states evaluates like its rows one by one, the
 lanes of an open/closed batch run like the serial open and closed loops, a
 lane runs the same bit for bit whatever batch holds it, a sweep's metrics,
@@ -8,6 +9,7 @@ plants evaluates like its parts, a plant's field on the rows of a gust grid
 evaluates like its rhs, and a reduction keeps the states it is asked for or
 refuses."""
 
+import json
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -25,7 +27,7 @@ from aeromrac.mrac import (
     build_reference_model,
     make_design,
 )
-from aeromrac.plantio import load_plant, save_rom
+from aeromrac.plantio import ExternalPlantBundle, PlantIOError, load_plant, save_plant, save_rom
 from aeromrac.romgen import (
     Plant,
     PolyNonlinearity,
@@ -66,6 +68,69 @@ def rom_full(fom):
 def test_save_load_is_bit_exact(rom, reloaded, x, u_c, u_d):
     assert np.array_equal(reloaded.eval_f_nr(x), rom.eval_f_nr(x))
     assert np.array_equal(reloaded.rhs(x, u_c, u_d), rom.rhs(x, u_c, u_d))
+
+
+# the dimension each axis of a plant file's blocks is tied to: a bundle's
+# springs are per state, a reduced model's act on k coordinates
+PLANT_AXES = {
+    "plant-bundle": {"A": "nn", "B_c": "n.", "B_g": "n.", "C_out": ".n", "quad": "n",
+                     "cubic": "n"},
+    "rom": {"A": "nn", "B_c": "n.", "B_g": "n.", "C_out": ".n", "Phi": "Nn", "Psi": "nN",
+            "G": "nk", "H": "kn", "quad": "k", "cubic": "k", "eigenvalues": "n",
+            "participation": "n", "mode_kinds": "n"},
+}
+PLANT_CUTS = [(kind, block, axis) for kind, blocks in PLANT_AXES.items()
+              for block, axes in blocks.items() for axis, dim in enumerate(axes) if dim != "."]
+
+
+@pytest.fixture(scope="module")
+def plant_files(rom, tmp_path_factory):
+    """A saved default reduced model and a saved nonlinear 3-state bundle."""
+    tmp = tmp_path_factory.mktemp("plants")
+    save_plant(ExternalPlantBundle(
+        A=np.array([[-0.5, 1.0, 0.0], [-1.0, -0.5, 0.2], [0.0, 0.0, -2.0]]),
+        B_c=np.array([[0.0], [1.0], [0.5]]), B_g=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]),
+        C_out=np.eye(2, 3), output_labels=("y0", "y1"),
+        quad=np.array([0.2, 0.1, 0.0]), cubic=np.array([0.0, 0.3, -0.1])),
+        tmp / "plant-bundle.npz")
+    save_rom(rom, tmp / "rom.npz")
+    return {"plant-bundle": tmp / "plant-bundle.npz", "rom": tmp / "rom.npz"}
+
+
+def test_uncut_plant_files_load_bit_for_bit(plant_files, tmp_path):
+    # saving the loaded model again writes every array of the file bit for bit
+    for kind, path in plant_files.items():
+        (save_rom if kind == "rom" else save_plant)(load_plant(path), tmp_path / path.name)
+        with np.load(path) as want, np.load(tmp_path / path.name) as got:
+            assert sorted(want.files) == sorted(got.files)
+            for name in want.files:
+                assert np.array_equal(want[name], got[name]), (kind, name)
+
+
+@pytest.mark.parametrize("kind, block, axis", PLANT_CUTS)
+@settings(max_examples=10, deadline=None)
+@given(where=st.integers(0, 13))
+def test_plant_file_with_a_block_cut_short_is_refused(plant_files, kind, block, axis, where):
+    # one entry fewer along an axis tied to n, k or N: loading names the file
+    # and a block tied to that dimension
+    with np.load(plant_files[kind]) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    values = np.asarray(meta[block] if block == "mode_kinds" else arrays[block])
+    values = np.delete(values, where % values.shape[axis], axis=axis)
+    if block == "mode_kinds":
+        meta[block] = values.tolist()
+    else:
+        arrays[block] = values
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    path = plant_files[kind].with_name(f"cut-{kind}.npz")
+    np.savez(path, **arrays)
+    with pytest.raises(PlantIOError) as exc:
+        load_plant(path)
+    message, prefix = str(exc.value), f"{path}: field '"
+    dim = PLANT_AXES[kind][block][axis]
+    assert message.startswith(prefix), message
+    assert dim in PLANT_AXES[kind][message.removeprefix(prefix).split("'")[0]], message
 
 
 @settings(max_examples=50, deadline=None)
